@@ -2,9 +2,10 @@
 Single-phase vs multi-phase on the two-week benchmark
 =====================================================
 
-Equal move budgets, repeated over seeds.  The joint single-phase search chases
-raw squared deviation; the multi-phase split tends to land better distribution
-indices because phase 1 already settled the day-level balance.
+Equal move budgets.  The solvers are deterministic, so the seeded repeat runs
+score identically; the seed only labels each run.  The joint single-phase
+solve chases raw squared deviation; the multi-phase split tends to land better
+distribution indices because phase 1 already settled the day-level balance.
 """
 
 from shiftplan import SolveLimits, compare_modes, count_variables, gen_preset_scenario

@@ -94,7 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--day-share",
         type=float,
         default=0.2,
-        help="fraction of the budget given to the day phase (multi mode)",
+        help="fraction of the budget held back for the day phase, which is exact and"
+        " uses none of it; the shift phase gets the rest (multi mode)",
     )
     solve.add_argument(
         "--penalty", type=int, default=0, help="day-balancing penalty factor K"

@@ -184,9 +184,10 @@ def compare_modes(
 ) -> ComparisonResult:
     """Benchmark both modes over seeded repeat runs with equal budgets.
 
-    Run ``i`` uses seed ``limits.seed + i`` for both modes.  The single-phase
-    mode gets the whole budget; the multi-phase mode splits the same budget
-    across its two phases.
+    Run ``i`` records seed ``limits.seed + i`` for both modes.  The solvers
+    draw nothing from the seed, so under a move cap every run scores
+    identically.  The single-phase mode gets the whole budget; the
+    multi-phase mode splits the same budget across its two phases.
     """
     if runs < 1:
         raise ValueError("runs must be at least 1")

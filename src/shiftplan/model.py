@@ -16,17 +16,17 @@ class SolveStatus(str, Enum):
     OPTIMAL = "optimal"
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    TIMEOUT_NO_SOLUTION = "timeout_no_solution"
 
 
 @dataclass(frozen=True)
 class SolveLimits:
     """Resource budget for a solve.
 
-    ``move_cap`` switches local search from wall-clock mode to an exact
+    ``move_cap`` switches the local solvers from wall-clock mode to an exact
     move-evaluation budget, which makes runs bit-reproducible; when it is set
     the wall clock is never consulted.  ``max_exact_nodes`` bounds exhaustive
-    enumeration.
+    enumeration.  ``seed`` is recorded in reports; the bundled solvers are
+    deterministic and draw nothing from it.
     """
 
     time_budget_seconds: float = 60.0
@@ -62,8 +62,9 @@ class SolveLimits:
 class Deadline:
     """Tracks whichever budget a ``SolveLimits`` expresses.
 
-    In move-cap mode ``spend`` counts evaluations; in wall-clock mode it
-    checks the monotonic clock (sampled every few calls to stay cheap).
+    In move-cap mode ``spend`` counts evaluations; in wall-clock mode
+    ``exhausted`` reads the monotonic clock once at least ``_CLOCK_STRIDE``
+    evaluations have been spent since it last did, to stay cheap.
     """
 
     _CLOCK_STRIDE = 64
@@ -73,6 +74,8 @@ class Deadline:
         self.evaluations = 0
         self._t0 = time.monotonic()
         self._stop = self._t0 + limits.time_budget_seconds
+        self._next_check = 0
+        self._expired = False
 
     def spend(self, units: int = 1) -> None:
         self.evaluations += units
@@ -81,9 +84,16 @@ class Deadline:
     def exhausted(self) -> bool:
         if self.limits.move_cap is not None:
             return self.evaluations >= self.limits.move_cap
-        if self.evaluations % self._CLOCK_STRIDE:
-            return False
-        return time.monotonic() >= self._stop
+        if self.evaluations >= self._next_check:
+            self._next_check = self.evaluations + self._CLOCK_STRIDE
+            self._expired = time.monotonic() >= self._stop
+        return self._expired
+
+    def affords(self, units: int) -> bool:
+        """Whether ``units`` more evaluations stay within the budget."""
+        if self.limits.move_cap is not None:
+            return self.evaluations + units <= self.limits.move_cap
+        return not self.exhausted
 
     def elapsed(self) -> float:
         return time.monotonic() - self._t0

@@ -3,8 +3,9 @@
 ``solve_single_phase`` assigns days and shifts jointly against the
 interval-level objective.  ``solve_multi_phase`` splits the work: a day
 allocation matched against per-day peak requirements (with an optional
-idle-day penalty), then a shift allocation for the fixed working days,
-with the time budget shared between the phases (20% / 80% by default).
+idle-day penalty), then a shift allocation for the fixed working days.
+The budget is split between the phases (20% / 80% by default); the local
+day phase is exact and spends none of its share.
 
 Each solve also has an explicit integer-model builder so results can be
 audited independently of the search path: rebuild the model, plug in the
@@ -92,21 +93,6 @@ class ShiftPhaseSpec:
 
 
 @dataclass(frozen=True)
-class PenaltyProfile:
-    """Idle-agent penalty per day: factor * (agents - scheduled)."""
-
-    per_day: np.ndarray
-    factor: int
-
-
-def penalty_profile(day_counts, agent_count: int, factor: int) -> PenaltyProfile:
-    counts = np.asarray(day_counts, dtype=np.int64)
-    per_day = factor * (agent_count - counts)
-    per_day.setflags(write=False)
-    return PenaltyProfile(per_day, factor)
-
-
-@dataclass(frozen=True)
 class DayPhaseResult:
     allocation: DayAllocation
     objective: int
@@ -175,8 +161,8 @@ class MultiPhaseResult:
 def solve_day_allocation(
     spec: DayPhaseSpec, limits: SolveLimits, backend: str = "local"
 ) -> DayPhaseResult:
-    solver = get_backend(backend).day
-    result = solver(
+    solve_day, _, _ = get_backend(backend)
+    result = solve_day(
         spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
     )
     allocation = materialize_day(result.counts, spec.agent_count, spec.weeks)
@@ -195,8 +181,8 @@ def solve_day_allocation(
 def solve_shift_allocation(
     spec: ShiftPhaseSpec, limits: SolveLimits, backend: str = "local"
 ) -> ShiftPhaseResult:
-    solver = get_backend(backend).shift
-    result = solver(
+    _, solve_shift, _ = get_backend(backend)
+    result = solve_shift(
         spec.requirements.per_interval,
         [int(n) for n in spec.allocation.day_counts],
         spec.catalog,
@@ -242,8 +228,8 @@ def solve_single_phase(
     _require_valid(scenario)
     weeks = scenario.week_partition()
     table = _uniform_cost_table(cost, scenario)
-    solver = get_backend(backend).single
-    result = solver(
+    _, _, solve_single = get_backend(backend)
+    result = solve_single(
         scenario.requirements.per_interval,
         scenario.agent_count,
         weeks,
@@ -277,7 +263,11 @@ def solve_multi_phase(
     day_share: float = DEFAULT_DAY_SHARE,
     backend: str = "local",
 ) -> MultiPhaseResult:
-    """Day allocation against daily peaks, then shift allocation within days."""
+    """Day allocation against daily peaks, then shift allocation within days.
+
+    The day phase gets ``limits.scaled(day_share)`` and the shift phase
+    ``limits.scaled(1 - day_share)``.
+    """
     _require_valid(scenario)
     if not 0.0 < day_share < 1.0:
         raise ValueError("day_share must lie strictly between 0 and 1")

@@ -178,6 +178,8 @@ def _need(data: dict, key: str, kind, path: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SchemaError(f"{path}.{key}: expected a number")
+        if not math.isfinite(value):
+            raise SchemaError(f"{path}.{key}: expected a finite number")
         return float(value)
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}")
@@ -194,6 +196,8 @@ def _int_grid(rows, count: int, width: int, path: str) -> np.ndarray:
         for j, cell in enumerate(row):
             if not isinstance(cell, (int, float)) or isinstance(cell, bool):
                 raise SchemaError(f"{path}[{i}][{j}]: expected a number")
+            if not math.isfinite(cell):
+                raise SchemaError(f"{path}[{i}][{j}]: expected a finite number")
             grid[i, j] = int(cell)
     return grid
 

@@ -1,4 +1,4 @@
-"""Search backends over homogeneous count structures.
+"""Solvers over homogeneous count structures.
 
 Agents are interchangeable, so instead of per-agent binaries the solvers work
 on counts: how many agents follow each weekly day pattern (the C(7,5) = 21
@@ -8,13 +8,13 @@ Every count state satisfies the hard constraints by construction; materializing
 counts back to per-agent assignments is a canonical, deterministic expansion.
 
 Two backends share each formulation: an exhaustive enumerator that refuses
-oversized spaces (the audit oracle) and a seeded first-improvement local
-search with restart kicks, budgeted by wall clock or by an exact move cap.
+oversized spaces (the audit oracle) and the local backend.  The local backend
+solves the day problem exactly by greedy allocation, and the shift and joint
+problems with one per-day kernel: greedy splits of n agents over the shifts,
+improved by steepest swap descent within a wall-clock or move-cap budget.
 """
-
 import itertools
 import math
-import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,19 +33,6 @@ from .model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
     itertools.combinations(range(DAYS_PER_WEEK), WORKDAYS_PER_WEEK)
 )
-
-
-@dataclass(frozen=True)
-class PatternSpace:
-    """Catalog of discrete choices the count solvers range over."""
-
-    day_patterns: tuple[tuple[int, ...], ...]
-    shift_options: tuple[int, ...]
-
-    @classmethod
-    def build(cls, catalog: ShiftCatalog | None = None) -> "PatternSpace":
-        options = tuple(range(len(catalog))) if catalog is not None else ()
-        return cls(DAY_PATTERNS, options)
 
 
 @dataclass(frozen=True)
@@ -94,28 +81,21 @@ def week_optimal_day_counts(
 
     The objective is separable and convex in the day counts, and any
     head-count vector with row sum 5*agents and per-day cap agents is
-    realizable by 5-day patterns, so unit-by-unit greedy is exact.
+    realizable by 5-day patterns, so taking the 5*agents cheapest unit
+    increments (ties to the earliest day) is exact.
     """
-    r = [int(x) for x in r_week]
-    counts = [0] * DAYS_PER_WEEK
-    for _ in range(WORKDAYS_PER_WEEK * agent_count):
-        best_day = -1
-        best_delta = None
-        for d in range(DAYS_PER_WEEK):
-            if counts[d] >= agent_count:
-                continue
-            delta = day_term(r[d], counts[d] + 1, agent_count, penalty_factor) - day_term(
-                r[d], counts[d], agent_count, penalty_factor
-            )
-            if best_delta is None or delta < best_delta:
-                best_delta = delta
-                best_day = d
-        counts[best_day] += 1
+    r = np.asarray(r_week, dtype=np.int64)[:, None]
+    p = np.arange(agent_count, dtype=np.int64)[None, :]
+    # day_term(r, p + 1, ...) - day_term(r, p, ...)
+    marginals = 2 * p + 1 - 2 * r + penalty_factor**2 * (2 * p + 1 - 2 * agent_count)
+    counts = tuple(
+        int(n) for n in _take_smallest(marginals, WORKDAYS_PER_WEEK * agent_count)
+    )
     objective = sum(
-        day_term(r[d], counts[d], agent_count, penalty_factor)
+        day_term(int(r[d, 0]), counts[d], agent_count, penalty_factor)
         for d in range(DAYS_PER_WEEK)
     )
-    return tuple(counts), objective
+    return counts, objective
 
 
 def patterns_from_day_counts(day_counts, agent_count: int) -> dict[tuple, int]:
@@ -419,7 +399,7 @@ def _cost_row(unit_cost: dict | None, day: int) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# local-search backend
+# per-day shift kernel and the local backend
 # ---------------------------------------------------------------------------
 
 
@@ -445,294 +425,192 @@ def _check_shift_inputs(r, n_d, catalog):
         raise ValueError("catalog interval grid differs from requirements")
 
 
-def local_search_day(
+def _take_smallest(marginals, total: int) -> np.ndarray:
+    """Per row, how many of the ``total`` smallest entries of a table fall in it.
+
+    On a table whose rows are non-decreasing the taken entries form a prefix
+    of each row, and ties go to the earlier row: the same counts as adding
+    ``total`` cheapest increments one at a time, earliest row first.
+    """
+    table = np.asarray(marginals)
+    taken = np.argsort(table, axis=None, kind="stable")[:total]
+    return np.bincount(taken // table.shape[1], minlength=table.shape[0])
+
+
+class _DayKernel:
+    """Splits of n agents over the shifts of one day, for n = 0..n_max.
+
+    Built for one requirement row ``r`` and one per-shift unit-cost row.  With
+    coverage ``C`` (shifts x intervals), overlap ``O = C Cᵀ`` and the residual
+    ``u = r - Cᵀy`` of a split ``y``, adding one agent to shift ``s`` changes
+    the objective ``|u|² + cost·y`` by ``len_s - 2(C·u)_s + cost_s``.  The
+    greedy pass adds agents one at a time to the cheapest shift and records
+    ``values[n]``, the objective of the greedy split of ``n``.  Every add lowers
+    ``C·u`` by a column of ``O >= 0``, so ``marginals`` never decrease.
+    """
+
+    def __init__(self, r_row, cover, overlap, cost, n_max: int):
+        self.overlap = overlap
+        self.cost = cost
+        self.lengths = np.diag(overlap)
+        # Δ[o, i] of moving one agent from o to i, less its (C·u) and cost terms
+        self.swap_base = self.lengths[:, None] + self.lengths[None, :] - 2 * overlap
+        self.cr = cover @ r_row  # C·u of the empty split
+        cu = self.cr.copy()
+        picks, adds = [], []
+        for _ in range(n_max):
+            add = self.add_deltas(cu)
+            s = int(np.argmin(add))
+            picks.append(s)
+            adds.append(add[s].item())
+            cu -= overlap[s]
+        self.picks = np.array(picks, dtype=np.int64)
+        self.marginals = np.array(adds)
+        self.values = list(itertools.accumulate(adds, initial=int(r_row @ r_row)))
+        self._splits: dict[int, tuple] = {}
+
+    def add_deltas(self, cu: np.ndarray) -> np.ndarray:
+        """Objective change of adding one agent to each shift, given ``C·u``."""
+        return self.lengths - 2 * cu + self.cost
+
+    def swap_deltas(self, cu: np.ndarray, held: np.ndarray) -> np.ndarray:
+        """Objective change ``Δ[k, i]`` of moving one agent from shift
+        ``held[k]`` to shift ``i``, given ``C·u``."""
+        gain = 2 * cu - self.cost
+        return self.swap_base[held] + gain[held, None] - gain[None, :]
+
+    def split(self, n: int, deadline: Deadline) -> tuple[tuple[int, ...], object]:
+        """The greedy split of ``n`` improved by steepest swap descent.
+
+        Each scan prices every move of one agent from a held shift to another
+        shift and charges ``held x (S - 1)`` evaluations to ``deadline``; a
+        scan that would overrun a move cap is not started.  The result is
+        kept, so days that share this kernel and head-count share it.
+        """
+        if n in self._splits:
+            return self._splits[n]
+        S = len(self.cost)
+        y = np.bincount(self.picks[:n], minlength=S)
+        value = self.values[n]
+        cu = self.cr - self.overlap @ y
+        while S > 1:
+            held = np.flatnonzero(y)
+            if held.size == 0 or not deadline.affords(held.size * (S - 1)):
+                break
+            deadline.spend(held.size * (S - 1))
+            delta = self.swap_deltas(cu, held)
+            best = int(np.argmin(delta))
+            if delta.flat[best] >= 0:
+                break
+            o, i = int(held[best // S]), best % S
+            y[o] -= 1
+            y[i] += 1
+            cu += self.overlap[o] - self.overlap[i]
+            value += delta.flat[best].item()
+        self._splits[n] = (tuple(int(x) for x in y), value)
+        return self._splits[n]
+
+
+def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> list:
+    """One kernel per day; days with equal requirement and cost rows share one,
+    built up to the largest head-count among them."""
+    cover = catalog.coverage.astype(np.int64)
+    overlap = cover @ cover.T
+    S = len(catalog)
+    costs = []
+    for d in range(r.shape[0]):
+        if unit_cost is None:
+            costs.append(np.zeros(S, dtype=np.int64))
+        else:
+            row = _cost_row(unit_cost, d)
+            costs.append(np.array([float(row.get(s, 0.0)) for s in range(S)]))
+    keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(r.shape[0])]
+    caps: dict = {}
+    for key, cap in zip(keys, head_caps):
+        caps[key] = max(caps.get(key, 0), cap)
+    built: dict = {}
+    for d, key in enumerate(keys):
+        if key not in built:
+            built[key] = _DayKernel(r[d], cover, overlap, costs[d], caps[key])
+    return [built[key] for key in keys]
+
+
+def _descend_days(kernels: list, head_counts, deadline: Deadline):
+    """Descend every day's greedy split at its head-count, in day order.
+
+    Returns the splits, the total objective and a trace that starts at the
+    greedy total and records the total after each day that improved.
+    """
+    objective = sum(k.values[n] for k, n in zip(kernels, head_counts))
+    trace = [objective]
+    splits = []
+    for kernel, n in zip(kernels, head_counts):
+        split, value = kernel.split(n, deadline)
+        if value < kernel.values[n]:
+            objective += value - kernel.values[n]
+            trace.append(objective)
+        splits.append(split)
+    return splits, objective, tuple(trace)
+
+
+def _status(objective, placed: int) -> SolveStatus:
+    return SolveStatus.OPTIMAL if objective == 0 or placed == 0 else SolveStatus.FEASIBLE
+
+
+def solve_local_day(
     r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
 ) -> SearchResult:
-    """Seeded descent over pattern counts, one unit move at a time.
+    """Exact day allocation: each week's greedy head-counts as 5-day patterns.
 
-    A move shifts one agent from one 5-day pattern to another inside the same
-    week.  On stagnation the search compares each week against its exact
-    head-count optimum (cheap, since the objective is separable and convex in
-    the day counts) and re-encodes the week when that still improves; when no
-    week improves the search has converged.
+    ``week_optimal_day_counts`` is exact, so this spends none of ``limits``.
     """
     r = np.asarray(r_day, dtype=np.int64)
     _check_day_inputs(r, agent_count, weeks, penalty_factor)
     deadline = Deadline(limits)
-    A, K, W = agent_count, penalty_factor, weeks.count
-    if A == 0:
-        obj = int(r @ r)
-        return SearchResult(
-            SolveStatus.OPTIMAL, obj, CountState("day", {}), (obj,), 0, deadline.elapsed()
-        )
-
-    scheduled = np.zeros(r.shape[0], dtype=np.int64)
-    counts: list[dict[tuple, int]] = []
-    # greedy start: each agent unit covers the five currently worst days
-    for w in range(W):
-        base = weeks.days_of(w).start
-        week_counts: dict[tuple, int] = {}
-        for _ in range(A):
-            gains = []
-            for d in range(DAYS_PER_WEEK):
-                p = int(scheduled[base + d])
-                gain = day_term(int(r[base + d]), p, A, K) - day_term(
-                    int(r[base + d]), p + 1, A, K
-                )
-                gains.append((-gain, d))
-            gains.sort()
-            pattern = tuple(sorted(d for _, d in gains[:WORKDAYS_PER_WEEK]))
-            for d in pattern:
-                scheduled[base + d] += 1
-            week_counts[pattern] = week_counts.get(pattern, 0) + 1
-        counts.append(week_counts)
-
-    def term(day_abs: int, p: int) -> int:
-        return day_term(int(r[day_abs]), p, A, K)
-
-    objective = sum(term(d, int(scheduled[d])) for d in range(r.shape[0]))
-    trace = [objective]
-
-    converged = False
-    while not deadline.exhausted and not converged:
-        improved = False
-        for w in range(W):
-            base = weeks.days_of(w).start
-            for p_from in sorted(counts[w]):
-                if counts[w].get(p_from, 0) == 0 or deadline.exhausted:
-                    continue
-                from_set = set(p_from)
-                for p_to in DAY_PATTERNS:
-                    if p_to == p_from:
-                        continue
-                    deadline.spend()
-                    delta = 0
-                    to_set = set(p_to)
-                    for d in from_set - to_set:
-                        p = int(scheduled[base + d])
-                        delta += term(base + d, p - 1) - term(base + d, p)
-                    for d in to_set - from_set:
-                        p = int(scheduled[base + d])
-                        delta += term(base + d, p + 1) - term(base + d, p)
-                    if delta < 0:
-                        counts[w][p_from] -= 1
-                        if counts[w][p_from] == 0:
-                            del counts[w][p_from]
-                        counts[w][p_to] = counts[w].get(p_to, 0) + 1
-                        for d in from_set - to_set:
-                            scheduled[base + d] -= 1
-                        for d in to_set - from_set:
-                            scheduled[base + d] += 1
-                        objective += delta
-                        trace.append(objective)
-                        improved = True
-                        break
-                    if deadline.exhausted:
-                        break
-        if not improved:
-            # stagnation repair: exact per-week head-count optimum
-            repaired = False
-            for w in range(W):
-                base = weeks.days_of(w).start
-                deadline.spend(WORKDAYS_PER_WEEK * A * DAYS_PER_WEEK)
-                opt_vec, opt_obj = week_optimal_day_counts(
-                    r[base : base + DAYS_PER_WEEK], A, K
-                )
-                week_obj = sum(
-                    term(base + d, int(scheduled[base + d])) for d in range(DAYS_PER_WEEK)
-                )
-                if opt_obj < week_obj:
-                    counts[w] = patterns_from_day_counts(opt_vec, A)
-                    for d in range(DAYS_PER_WEEK):
-                        scheduled[base + d] = opt_vec[d]
-                    objective += opt_obj - week_obj
-                    trace.append(objective)
-                    repaired = True
-            converged = not repaired
-
-    state = CountState(
-        "day", {(w, p): n for w in range(W) for p, n in counts[w].items() if n > 0}
-    )
-    status = SolveStatus.OPTIMAL if objective == 0 else SolveStatus.FEASIBLE
+    counts: dict = {}
+    objective = 0
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        vec, obj = week_optimal_day_counts(r[days.start : days.stop], agent_count, penalty_factor)
+        for pattern, n in patterns_from_day_counts(vec, agent_count).items():
+            counts[(w, pattern)] = n
+        objective += obj
     return SearchResult(
-        status, objective, state, tuple(trace), deadline.evaluations, deadline.elapsed()
+        SolveStatus.OPTIMAL,
+        objective,
+        CountState("day", counts),
+        (objective,),
+        deadline.evaluations,
+        deadline.elapsed(),
     )
 
 
-class _IntervalBook:
-    """Running required-minus-scheduled grid with O(shift length) move deltas."""
-
-    def __init__(self, r_dt: np.ndarray):
-        self.u = r_dt.astype(np.int64).copy()
-
-    def objective(self) -> int:
-        return int((self.u * self.u).sum())
-
-    def day_objective(self, day: int) -> int:
-        row = self.u[day]
-        return int(row @ row)
-
-    def delta_add(self, day: int, span: range) -> int:
-        seg = self.u[day, span.start : span.stop]
-        return int(len(seg) - 2 * seg.sum())
-
-    def delta_remove(self, day: int, span: range) -> int:
-        seg = self.u[day, span.start : span.stop]
-        return int(len(seg) + 2 * seg.sum())
-
-    def delta_swap(self, day: int, span_out: range, span_in: range) -> int:
-        # overlapping parts cancel; evaluate on the set differences only
-        delta = 0
-        for a, b in _range_minus(span_out, span_in):
-            seg = self.u[day, a:b]
-            delta += int((b - a) + 2 * seg.sum())
-        for a, b in _range_minus(span_in, span_out):
-            seg = self.u[day, a:b]
-            delta += int((b - a) - 2 * seg.sum())
-        return delta
-
-    def apply_add(self, day: int, span: range) -> None:
-        self.u[day, span.start : span.stop] -= 1
-
-    def apply_remove(self, day: int, span: range) -> None:
-        self.u[day, span.start : span.stop] += 1
-
-
-def _range_minus(a: range, b: range):
-    """[a) minus [b) as up to two (start, stop) pieces."""
-    p1 = (a.start, min(a.stop, max(a.start, b.start)))
-    p2 = (max(a.start, min(a.stop, b.stop)), a.stop)
-    return [p for p in (p1, p2) if p[0] < p[1]]
-
-
-def local_search_shift(
+def solve_local_shift(
     r_dt,
     day_counts,
     catalog: ShiftCatalog,
     limits: SolveLimits,
     unit_cost: dict | None = None,
 ) -> SearchResult:
-    """Seeded descent over per-day shift counts with restart kicks.
-
-    Moves swap one agent between two shifts of the same day.  When a full
-    scan finds nothing, one day's split is re-randomized (seeded) and the
-    descent resumes; the best state ever seen is returned.
-    """
+    """Each day's greedy split at its head-count, improved by swap descent."""
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
     _check_shift_inputs(r, n_d, catalog)
     deadline = Deadline(limits)
-    rng = random.Random(limits.seed)
-    D, S = r.shape[0], len(catalog)
-    book = _IntervalBook(r)
-    counts = [[0] * S for _ in range(D)]
-    costs = [{} if unit_cost is None else (_cost_row(unit_cost, d) or {}) for d in range(D)]
-
-    def unit_c(d: int, s: int):
-        return costs[d].get(s, 0.0) if unit_cost is not None else 0
-
-    # marginal-gain greedy start, one agent unit at a time
-    for d in range(D):
-        for _ in range(n_d[d]):
-            best_s, best_delta = 0, None
-            for s in range(S):
-                delta = book.delta_add(d, catalog.covers(s)) + unit_c(d, s)
-                if best_delta is None or delta < best_delta:
-                    best_s, best_delta = s, delta
-            counts[d][best_s] += 1
-            book.apply_add(d, catalog.covers(best_s))
-
-    cost_total = sum(counts[d][s] * unit_c(d, s) for d in range(D) for s in range(S))
-    objective = book.objective() + cost_total
-    best_obj = objective
-    best_counts = [row[:] for row in counts]
-    trace = [best_obj]
-    busy_days = [d for d in range(D) if n_d[d] > 0]
-
-    if not busy_days or best_obj == 0:
-        # nothing to place, or a perfect split: either way this is the optimum
-        return SearchResult(
-            SolveStatus.OPTIMAL,
-            best_obj,
-            _shift_state(best_counts),
-            tuple(trace),
-            deadline.evaluations,
-            deadline.elapsed(),
-        )
-
-    while not deadline.exhausted and best_obj != 0:
-        improved = False
-        for d in busy_days:
-            if deadline.exhausted:
-                break
-            for s_out in range(S):
-                if counts[d][s_out] == 0 or deadline.exhausted:
-                    continue
-                for s_in in range(S):
-                    if s_in == s_out:
-                        continue
-                    deadline.spend()
-                    delta = book.delta_swap(d, catalog.covers(s_out), catalog.covers(s_in))
-                    delta += unit_c(d, s_in) - unit_c(d, s_out)
-                    if delta < 0:
-                        counts[d][s_out] -= 1
-                        counts[d][s_in] += 1
-                        book.apply_remove(d, catalog.covers(s_out))
-                        book.apply_add(d, catalog.covers(s_in))
-                        objective += delta
-                        improved = True
-                        if objective < best_obj:
-                            best_obj = objective
-                            best_counts = [row[:] for row in counts]
-                            trace.append(best_obj)
-                        break
-                    if deadline.exhausted:
-                        break
-        if not improved and not deadline.exhausted:
-            # kick: re-randomize one day's split, keep the incumbent aside
-            d = busy_days[rng.randrange(len(busy_days))]
-            deadline.spend(n_d[d])
-            before = book.day_objective(d) + sum(
-                counts[d][s] * unit_c(d, s) for s in range(S)
-            )
-            for s in range(S):
-                if counts[d][s]:
-                    for _ in range(counts[d][s]):
-                        book.apply_remove(d, catalog.covers(s))
-                    counts[d][s] = 0
-            for _ in range(n_d[d]):
-                s = rng.randrange(S)
-                counts[d][s] += 1
-                book.apply_add(d, catalog.covers(s))
-            after = book.day_objective(d) + sum(
-                counts[d][s] * unit_c(d, s) for s in range(S)
-            )
-            objective += after - before
-
-    status = SolveStatus.OPTIMAL if best_obj == 0 else SolveStatus.FEASIBLE
+    kernels = _day_kernels(r, catalog, unit_cost, n_d)
+    splits, objective, trace = _descend_days(kernels, n_d, deadline)
+    counts = {(d, s): y for d, split in enumerate(splits) for s, y in enumerate(split) if y}
     return SearchResult(
-        status,
-        best_obj,
-        _shift_state(best_counts),
-        tuple(trace),
+        _status(objective, sum(n_d)),
+        objective,
+        CountState("shift", counts),
+        trace,
         deadline.evaluations,
         deadline.elapsed(),
     )
 
 
-def _shift_state(count_rows: list[list[int]]) -> CountState:
-    return CountState(
-        "shift",
-        {
-            (d, s): n
-            for d, row in enumerate(count_rows)
-            for s, n in enumerate(row)
-            if n > 0
-        },
-    )
-
-
-def local_search_single(
+def solve_local_single(
     r_dt,
     agent_count: int,
     weeks: WeekPartition,
@@ -740,172 +618,40 @@ def local_search_single(
     limits: SolveLimits,
     unit_cost: dict | None = None,
 ) -> SearchResult:
-    """Seeded descent over week plans (joint day-and-shift choice).
+    """Joint day-and-shift choice over the per-day greedy tables.
 
-    Moves either retarget one working day of one agent unit to a different
-    shift, or swap one working day for a free day (keeping the shift).  Kicks
-    re-randomize a whole agent-week plan.
+    The greedy values ``f_d(n)`` are convex in ``n``, so taking each week's
+    5A cheapest increments (at most A per day) is optimal over those tables.
+    The chosen splits are then descended and combined into week plans.
     """
     r = np.asarray(r_dt, dtype=np.int64)
     if r.ndim != 2 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
         raise ValueError("requirement rows do not match the week partition")
     if agent_count < 0:
         raise ValueError("agent_count must be non-negative")
-    S = len(catalog)
-    if S == 0:
-        raise ValueError("shift catalog is empty")
-    if catalog.intervals_per_day != r.shape[1]:
-        raise ValueError("catalog interval grid differs from requirements")
+    _check_shift_inputs(r, [agent_count] * r.shape[0], catalog)
     deadline = Deadline(limits)
-    rng = random.Random(limits.seed)
-    W = weeks.count
-    book = _IntervalBook(r)
-
-    def unit_c(day_abs: int, s: int):
-        if unit_cost is None:
-            return 0
-        return unit_cost.get((day_abs, s), 0.0)
-
-    if agent_count == 0:
-        obj = book.objective()
-        return SearchResult(
-            SolveStatus.OPTIMAL,
-            obj,
-            CountState("single", {}),
-            (obj,),
-            0,
-            deadline.elapsed(),
+    kernels = _day_kernels(r, catalog, unit_cost, [agent_count] * r.shape[0])
+    head_counts: list[int] = []
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        marginals = [kernels[d].marginals for d in days]
+        taken = _take_smallest(marginals, WORKDAYS_PER_WEEK * agent_count)
+        head_counts.extend(int(n) for n in taken)
+    splits, objective, trace = _descend_days(kernels, head_counts, deadline)
+    counts: dict = {}
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        plans = _plans_from_week(
+            head_counts[days.start : days.stop], splits[days.start : days.stop], agent_count
         )
-
-    # joint greedy start: each unit takes the five best (day, best-shift) slots
-    counts: list[dict[tuple, int]] = [dict() for _ in range(W)]
-    for w in range(W):
-        base = weeks.days_of(w).start
-        for _ in range(agent_count):
-            day_best: list[tuple[float, int, int]] = []
-            for d in range(DAYS_PER_WEEK):
-                best_s, best_delta = 0, None
-                for s in range(S):
-                    delta = book.delta_add(base + d, catalog.covers(s)) + unit_c(base + d, s)
-                    if best_delta is None or delta < best_delta:
-                        best_s, best_delta = s, delta
-                day_best.append((best_delta, d, best_s))
-            day_best.sort()
-            plan = tuple(sorted((d, s) for _, d, s in day_best[:WORKDAYS_PER_WEEK]))
-            for d, s in plan:
-                book.apply_add(base + d, catalog.covers(s))
-            counts[w][plan] = counts[w].get(plan, 0) + 1
-
-    cost_total = sum(
-        n * sum(unit_c(weeks.days_of(w).start + d, s) for d, s in plan)
-        for w in range(W)
-        for plan, n in counts[w].items()
-    )
-    objective = book.objective() + cost_total
-    best_obj = objective
-    best_counts = [dict(c) for c in counts]
-    trace = [best_obj]
-
-    def apply_plan_change(w: int, plan: tuple, new_plan: tuple) -> None:
-        counts[w][plan] -= 1
-        if counts[w][plan] == 0:
-            del counts[w][plan]
-        counts[w][new_plan] = counts[w].get(new_plan, 0) + 1
-
-    while not deadline.exhausted and best_obj != 0:
-        improved = False
-        for w in range(W):
-            base = weeks.days_of(w).start
-            if deadline.exhausted:
-                break
-            for plan in sorted(counts[w]):
-                if counts[w].get(plan, 0) == 0 or deadline.exhausted:
-                    continue
-                accepted = False
-                used_days = {d for d, _ in plan}
-                for pos in range(WORKDAYS_PER_WEEK):
-                    d, s = plan[pos]
-                    # retarget the shift on one working day
-                    for s_new in range(S):
-                        if s_new == s:
-                            continue
-                        deadline.spend()
-                        delta = book.delta_swap(
-                            base + d, catalog.covers(s), catalog.covers(s_new)
-                        )
-                        delta += unit_c(base + d, s_new) - unit_c(base + d, s)
-                        if delta < 0:
-                            book.apply_remove(base + d, catalog.covers(s))
-                            book.apply_add(base + d, catalog.covers(s_new))
-                            new_plan = tuple(
-                                sorted(plan[:pos] + ((d, s_new),) + plan[pos + 1 :])
-                            )
-                            apply_plan_change(w, plan, new_plan)
-                            objective += delta
-                            accepted = True
-                            break
-                        if deadline.exhausted:
-                            break
-                    if accepted or deadline.exhausted:
-                        break
-                    # swap the working day, shift carried along
-                    for d_new in range(DAYS_PER_WEEK):
-                        if d_new in used_days:
-                            continue
-                        deadline.spend()
-                        delta = book.delta_remove(base + d, catalog.covers(s)) + book.delta_add(
-                            base + d_new, catalog.covers(s)
-                        )
-                        delta += unit_c(base + d_new, s) - unit_c(base + d, s)
-                        if delta < 0:
-                            book.apply_remove(base + d, catalog.covers(s))
-                            book.apply_add(base + d_new, catalog.covers(s))
-                            new_plan = tuple(
-                                sorted(plan[:pos] + ((d_new, s),) + plan[pos + 1 :])
-                            )
-                            apply_plan_change(w, plan, new_plan)
-                            objective += delta
-                            accepted = True
-                            break
-                        if deadline.exhausted:
-                            break
-                    if accepted or deadline.exhausted:
-                        break
-                if accepted:
-                    improved = True
-                    if objective < best_obj:
-                        best_obj = objective
-                        best_counts = [dict(c) for c in counts]
-                        trace.append(best_obj)
-        if not improved and not deadline.exhausted:
-            # kick: rebuild one agent-week plan at random
-            w = rng.randrange(W)
-            base = weeks.days_of(w).start
-            plans = sorted(counts[w])
-            plan = plans[rng.randrange(len(plans))]
-            deadline.spend(WORKDAYS_PER_WEEK)
-            days_new = sorted(rng.sample(range(DAYS_PER_WEEK), WORKDAYS_PER_WEEK))
-            new_plan = tuple((d, rng.randrange(S)) for d in days_new)
-            delta = 0
-            for d, s in plan:
-                delta += book.delta_remove(base + d, catalog.covers(s)) - unit_c(base + d, s)
-                book.apply_remove(base + d, catalog.covers(s))
-            for d, s in new_plan:
-                delta += book.delta_add(base + d, catalog.covers(s)) + unit_c(base + d, s)
-                book.apply_add(base + d, catalog.covers(s))
-            apply_plan_change(w, plan, new_plan)
-            objective += delta
-
-    state = CountState(
-        "single",
-        {(w, plan): n for w in range(W) for plan, n in best_counts[w].items() if n > 0},
-    )
-    status = SolveStatus.OPTIMAL if best_obj == 0 else SolveStatus.FEASIBLE
+        for plan, n in plans.items():
+            counts[(w, plan)] = n
     return SearchResult(
-        status,
-        best_obj,
-        state,
-        tuple(trace),
+        _status(objective, agent_count),
+        objective,
+        CountState("single", counts),
+        trace,
         deadline.evaluations,
         deadline.elapsed(),
     )
@@ -1042,37 +788,18 @@ def single_counts_of(schedule: Schedule, weeks: WeekPartition) -> CountState:
 
 
 # ---------------------------------------------------------------------------
-# backend registry (plug-in seam for external solvers)
+# backends: (day, shift, single) solve functions sharing the signatures above
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class SolverBackend:
-    """A trio of solve callables sharing the bundled signatures."""
-
-    name: str
-    day: object
-    shift: object
-    single: object
+BACKENDS = {
+    "local": (solve_local_day, solve_local_shift, solve_local_single),
+    "exact": (solve_exact_day, solve_exact_shift, solve_exact_single),
+}
 
 
-_BACKENDS: dict[str, SolverBackend] = {}
-
-
-def register_backend(backend: SolverBackend) -> None:
-    _BACKENDS[backend.name] = backend
-
-
-def get_backend(name: str) -> SolverBackend:
-    if name not in _BACKENDS:
-        known = ", ".join(sorted(_BACKENDS))
+def get_backend(name: str) -> tuple:
+    """The (day, shift, single) solve functions of a backend."""
+    if name not in BACKENDS:
+        known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown solver backend {name!r} (known: {known})")
-    return _BACKENDS[name]
-
-
-register_backend(
-    SolverBackend("local", local_search_day, local_search_shift, local_search_single)
-)
-register_backend(
-    SolverBackend("exact", solve_exact_day, solve_exact_shift, solve_exact_single)
-)
+    return BACKENDS[name]

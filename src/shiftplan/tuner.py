@@ -116,11 +116,9 @@ def tune_penalty(
     epsilon: float = DEFAULT_EPSILON,
     backend: str = "local",
 ) -> TuneResult:
-    """Sweep K = 0..k_max day solves, each on its own budget slice and seed.
+    """Sweep K = 0..k_max day solves, each with ``per_k_limits``.
 
-    The K-th solve uses seed ``per_k_limits.seed + K`` so runs stay
-    reproducible but the solves stay independent.  Strict improvement resets
-    the patience counter; ties keep the earlier K.
+    Strict improvement resets the patience counter; ties keep the earlier K.
     """
     if agent_count < 1:
         raise ValueError("tuning needs at least one agent")
@@ -131,15 +129,9 @@ def tune_penalty(
     selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
-        limits_k = SolveLimits(
-            time_budget_seconds=per_k_limits.time_budget_seconds,
-            seed=per_k_limits.seed + k,
-            max_exact_nodes=per_k_limits.max_exact_nodes,
-            move_cap=per_k_limits.move_cap,
-        )
         result = solve_day_allocation(
             DayPhaseSpec(day_requirements, agent_count, weeks, k),
-            limits_k,
+            per_k_limits,
             backend=backend,
         )
         kl = kl_divergence(

@@ -53,12 +53,12 @@ from shiftplan.scenario_io import (
     write_sweep_trace,
 )
 from shiftplan.solvers import (
-    local_search_day,
-    local_search_shift,
     materialize_day,
     materialize_shift,
     solve_exact_day,
     solve_exact_shift,
+    solve_local_day,
+    solve_local_shift,
 )
 from shiftplan.tuner import DistributionPair, kl_divergence, tune_penalty
 
@@ -113,14 +113,14 @@ def micro_instances():
         seed = rng.randint(0, 10_000)
 
         exact_day = solve_exact_day(r_day, agents, ONE_WEEK, penalty, SolveLimits())
-        local_day = local_search_day(
+        local_day = solve_local_day(
             r_day, agents, ONE_WEEK, penalty, SolveLimits(seed=seed, move_cap=10_000)
         )
         local_alloc = materialize_day(local_day.counts, agents, ONE_WEEK)
         exact_alloc = materialize_day(exact_day.counts, agents, ONE_WEEK)
         n_d = [int(x) for x in local_alloc.day_counts]
         exact_shift = solve_exact_shift(r_dt, n_d, catalog, SolveLimits())
-        local_shift = local_search_shift(
+        local_shift = solve_local_shift(
             r_dt, n_d, catalog, SolveLimits(seed=seed, move_cap=10_000)
         )
         instances.append(
@@ -227,7 +227,7 @@ def test_criterion_1_variable_counts():
 
 
 def test_criterion_2_oracle_equivalence(micro_instances):
-    """Local search matches the exact optimum on micro-instances."""
+    """The local solvers match the exact optimum on micro-instances."""
     instances, elapsed = micro_instances
     assert len(instances) >= 50
     day_misses = [

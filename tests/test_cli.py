@@ -186,6 +186,47 @@ class TestRequirements:
         assert lines[1] == "0,2,4,4,4,2,1,4"
 
 
+class TestNonFiniteNumbers:
+    """Python's json reads NaN and Infinity; the loader must refuse them."""
+
+    @staticmethod
+    def run_cli(tmp_path, field, value):
+        scenario = {
+            "name": "nan",
+            "days": [f"2024-01-0{i + 1}" for i in range(7)],
+            "intervals_per_day": 2,
+            "agents": 2,
+            "shift_catalog": [{"start": 0, "length": 2}],
+            "volumes": [[10, 20]] * 7,
+            "interval_seconds": 900,
+            "sla": {"target": 0.8, "threshold_seconds": 20.0},
+            "aht_seconds": 300.0,
+        }
+        if field == "threshold_seconds":
+            scenario["sla"][field] = value
+        else:
+            scenario[field] = value
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(scenario))
+        return subprocess.run(
+            [sys.executable, "-m", "shiftplan.cli", "requirements", "--scenario", str(path),
+             "--out", str(tmp_path / "req.csv")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_nan_sla_threshold_is_schema_error(self, tmp_path):
+        proc = self.run_cli(tmp_path, "threshold_seconds", float("nan"))
+        assert proc.returncode == 2
+        assert "$.sla.threshold_seconds: expected a finite number" in proc.stderr
+
+    def test_nan_aht_is_schema_error(self, tmp_path):
+        proc = self.run_cli(tmp_path, "aht_seconds", float("nan"))
+        assert proc.returncode == 2
+        assert "$.aht_seconds: expected a finite number" in proc.stderr
+
+
 class TestTunePenalty:
     def test_writes_trace_and_schedule(self, tiny_scenario, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -96,6 +96,17 @@ class TestScenarioJson:
         with pytest.raises(SchemaError, match=r"\$\.requirements\[2\]\[3\]"):
             load_scenario(str(path))
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_grid_cell(self, tmp_path, value):
+        scn = gen_peak_scenario(PeakPresetSpec(agents=2, weeks=1))
+        path = tmp_path / "s.json"
+        save_scenario(scn, str(path))
+        data = json.loads(path.read_text())
+        data["requirements"][2][3] = value  # json writes Infinity / NaN
+        path.write_text(json.dumps(data))
+        with pytest.raises(SchemaError, match=r"\$\.requirements\[2\]\[3\]: expected a finite"):
+            load_scenario(str(path))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("not json at all")

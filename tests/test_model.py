@@ -1,5 +1,7 @@
 """Integer-model audit layer: bounds, constraints, objectives, counting."""
 
+import time
+
 import pytest
 
 from shiftplan.model import (
@@ -82,6 +84,24 @@ class TestDeadline:
         deadline = Deadline(SolveLimits(time_budget_seconds=1000.0))
         deadline.spend(64)  # stride boundary forces a clock check
         assert not deadline.exhausted
+
+    def test_affords_checks_the_move_cap_ahead(self):
+        deadline = Deadline(SolveLimits(move_cap=10))
+        deadline.spend(4)
+        assert deadline.affords(6)
+        assert not deadline.affords(7)
+
+    def test_bulk_spends_still_read_the_clock(self):
+        # odd totals never land on a multiple of the clock stride
+        deadline = Deadline(SolveLimits(time_budget_seconds=0.01))
+        deadline.spend(1)
+        time.sleep(0.02)
+        seen = []
+        for _ in range(100):
+            deadline.spend(2)
+            seen.append(deadline.exhausted)
+        assert any(seen)
+        assert seen[-1]  # once the clock has run out it stays out
 
 
 class TestFeasibilityAndObjective:

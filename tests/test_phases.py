@@ -25,7 +25,6 @@ from shiftplan.phases import (
     build_single_model,
     day_objective_value,
     interval_objective_value,
-    penalty_profile,
     schedule_values_shift,
     schedule_values_single,
     solve_day_allocation,
@@ -54,13 +53,6 @@ def weekday_micro():
     """1 agent, Mon-Fri needs one head all day: a perfectly solvable week."""
     grid = [[1, 1]] * 5 + [[0, 0]] * 2
     return scenario_from_grid(grid, agents=1, shifts=((0, 2),))
-
-
-class TestPenaltyProfile:
-    def test_values(self):
-        profile = penalty_profile([5, 3, 0], 5, 2)
-        assert profile.per_day.tolist() == [0, 4, 10]
-        assert profile.factor == 2
 
 
 class TestDayPhase:

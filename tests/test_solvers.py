@@ -19,17 +19,13 @@ from shiftplan.domain import (
     validate_day_allocation,
     validate_schedule,
 )
-from shiftplan.model import SearchSpaceError, SolveLimits, SolveStatus
+from shiftplan.model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 from shiftplan.solvers import (
     DAY_PATTERNS,
-    _IntervalBook,
-    _range_minus,
+    _day_kernels,
     day_counts_of,
     day_term,
     get_backend,
-    local_search_day,
-    local_search_shift,
-    local_search_single,
     materialize_day,
     materialize_shift,
     materialize_single,
@@ -39,6 +35,9 @@ from shiftplan.solvers import (
     solve_exact_day,
     solve_exact_shift,
     solve_exact_single,
+    solve_local_day,
+    solve_local_shift,
+    solve_local_single,
     week_optimal_day_counts,
 )
 
@@ -87,6 +86,27 @@ def brute_force_single_one_agent(r_grid, catalog):
     return best
 
 
+def week_counts_loop(r_week, agent_count, penalty_factor):
+    """Unit-by-unit greedy, one cheapest day increment at a time (reference)."""
+    r = [int(x) for x in r_week]
+    counts = [0] * 7
+    for _ in range(5 * agent_count):
+        best_day = -1
+        best_delta = None
+        for d in range(7):
+            if counts[d] >= agent_count:
+                continue
+            delta = day_term(r[d], counts[d] + 1, agent_count, penalty_factor) - day_term(
+                r[d], counts[d], agent_count, penalty_factor
+            )
+            if best_delta is None or delta < best_delta:
+                best_delta = delta
+                best_day = d
+        counts[best_day] += 1
+    objective = sum(day_term(r[d], counts[d], agent_count, penalty_factor) for d in range(7))
+    return tuple(counts), objective
+
+
 class TestDayObjectiveHelpers:
     def test_day_term(self):
         # (3-1)^2 + (2*(4-1))^2
@@ -103,6 +123,18 @@ class TestDayObjectiveHelpers:
         assert sum(counts) == 5 * agents
         assert max(counts) <= agents and min(counts) >= 0
         assert obj == brute_force_day(r_week, agents, penalty)
+
+    def test_week_greedy_matches_reference_loop(self):
+        # narrow requirement ranges make ties between days common
+        rng = random.Random(5150)
+        for _ in range(1500):
+            agents = rng.randint(0, 6)
+            penalty = rng.randint(0, 3)
+            top = rng.choice((2, 4, 9))
+            r_week = [rng.randint(0, top) for _ in range(7)]
+            assert week_optimal_day_counts(r_week, agents, penalty) == week_counts_loop(
+                r_week, agents, penalty
+            )
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     @settings(max_examples=50)
@@ -243,34 +275,92 @@ class TestExactSingle:
             )
 
 
-class TestIntervalBook:
-    def test_range_minus(self):
-        assert _range_minus(range(2, 6), range(4, 8)) == [(2, 4)]
-        assert _range_minus(range(2, 6), range(0, 3)) == [(3, 6)]
-        assert _range_minus(range(2, 6), range(3, 4)) == [(2, 3), (4, 6)]
-        assert _range_minus(range(2, 6), range(6, 9)) == [(2, 6)]
-        assert _range_minus(range(2, 6), range(0, 9)) == []
-
-    @given(st.data())
-    @settings(max_examples=60)
-    def test_deltas_match_recomputation(self, data):
-        width = 8
-        row = data.draw(
-            st.lists(
-                st.integers(min_value=-3, max_value=5), min_size=width, max_size=width
-            )
+def draw_kernel_case(data, priced):
+    """A requirement row, a catalog over it and, when ``priced``, unit costs."""
+    width = data.draw(st.integers(min_value=2, max_value=8))
+    spans = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=width - 1),
+                st.integers(min_value=1, max_value=width),
+            ).map(lambda p: (p[0], min(p[1], width - p[0]))),
+            min_size=1,
+            max_size=5,
+            unique=True,
         )
-        a0 = data.draw(st.integers(min_value=0, max_value=width - 1))
-        a1 = data.draw(st.integers(min_value=a0 + 1, max_value=width))
-        b0 = data.draw(st.integers(min_value=0, max_value=width - 1))
-        b1 = data.draw(st.integers(min_value=b0 + 1, max_value=width))
-        span_out, span_in = range(a0, a1), range(b0, b1)
-        book = _IntervalBook(np.array([row], dtype=np.int64))
-        before = book.objective()
-        predicted = book.delta_swap(0, span_out, span_in)
-        book.apply_remove(0, span_out)
-        book.apply_add(0, span_in)
-        assert book.objective() - before == predicted
+    )
+    catalog = ShiftCatalog(tuple(spans), width)
+    row = data.draw(
+        st.lists(st.integers(min_value=0, max_value=6), min_size=width, max_size=width)
+    )
+    unit_cost = None
+    if priced:
+        # multiples of 0.5 keep the float sums exact
+        halves = data.draw(
+            st.lists(st.integers(0, 6), min_size=len(spans), max_size=len(spans))
+        )
+        unit_cost = {(0, s): h / 2 for s, h in enumerate(halves)}
+    return np.array([row], dtype=np.int64), catalog, unit_cost
+
+
+def split_objective(r_row, catalog, unit_cost, split):
+    cov = np.zeros(len(r_row), dtype=np.int64)
+    for s, y in enumerate(split):
+        span = catalog.covers(s)
+        cov[span.start : span.stop] += y
+    diff = r_row - cov
+    cost = sum(y * unit_cost[(0, s)] for s, y in enumerate(split)) if unit_cost else 0
+    return int(diff @ diff) + cost
+
+
+class TestDayKernel:
+    @given(st.data(), st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_deltas_match_recomputation(self, data, priced):
+        r, catalog, unit_cost = draw_kernel_case(data, priced)
+        S = len(catalog)
+        kernel = _day_kernels(r, catalog, unit_cost, [0])[0]
+        split = np.array(
+            data.draw(st.lists(st.integers(0, 3), min_size=S, max_size=S)), dtype=np.int64
+        )
+        before = split_objective(r[0], catalog, unit_cost, split)
+        cu = kernel.cr - kernel.overlap @ split
+        adds = kernel.add_deltas(cu)
+        for s in range(S):
+            grown = split.copy()
+            grown[s] += 1
+            assert split_objective(r[0], catalog, unit_cost, grown) - before == adds[s]
+        held = np.flatnonzero(split)
+        swaps = kernel.swap_deltas(cu, held)
+        for k, o in enumerate(held):
+            for i in range(S):
+                moved = split.copy()
+                moved[o] -= 1
+                moved[i] += 1
+                assert split_objective(r[0], catalog, unit_cost, moved) - before == swaps[k, i]
+
+    @given(st.data(), st.booleans(), st.integers(min_value=0, max_value=12))
+    @settings(max_examples=80, deadline=None)
+    def test_greedy_marginals_never_decrease(self, data, priced, n_max):
+        r, catalog, unit_cost = draw_kernel_case(data, priced)
+        kernel = _day_kernels(r, catalog, unit_cost, [n_max])[0]
+        assert len(kernel.values) == n_max + 1
+        assert all(a <= b for a, b in zip(kernel.marginals, kernel.marginals[1:]))
+        # values[n] is the objective of the greedy split of n
+        for n in range(n_max + 1):
+            split = np.bincount(kernel.picks[:n], minlength=len(catalog))
+            assert kernel.values[n] == split_objective(r[0], catalog, unit_cost, split)
+
+    def test_split_is_shared_and_descends(self):
+        r = np.array([[4, 1, 0, 2, 3, 1]] * 2, dtype=np.int64)
+        kernels = _day_kernels(r, CAT3, None, [2, 3])
+        assert kernels[0] is kernels[1]  # equal rows share one kernel, built to n = 3
+        deadline = Deadline(SolveLimits(move_cap=10_000))
+        split, value = kernels[0].split(3, deadline)
+        assert sum(split) == 3 and value <= kernels[0].values[3]
+        spent = deadline.evaluations
+        assert kernels[0].split(3, deadline) == (split, value)
+        assert deadline.evaluations == spent  # the second day reuses the first
 
 
 class TestLocalSearchDay:
@@ -283,14 +373,14 @@ class TestLocalSearchDay:
             r = [rng.randint(0, 6) for _ in range(7 * weeks_n)]
             penalty = rng.randint(0, 2)
             exact = solve_exact_day(r, agents, weeks, penalty, SolveLimits())
-            local = local_search_day(
+            local = solve_local_day(
                 r, agents, weeks, penalty, SolveLimits(seed=rng.randint(0, 99), move_cap=10_000)
             )
             assert local.objective == exact.objective
 
     def test_zero_agents(self):
         r = [2, 0, 1, 0, 0, 0, 0]
-        result = local_search_day(r, 0, ONE_WEEK, 3, SolveLimits(move_cap=10))
+        result = solve_local_day(r, 0, ONE_WEEK, 3, SolveLimits(move_cap=10))
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 5
         assert result.counts.counts == {}
@@ -298,18 +388,18 @@ class TestLocalSearchDay:
     def test_penalty_pulls_counts_off_zero(self):
         # scaled-down peak week: weekdays heavy, weekend light
         r = [22, 22, 22, 22, 23, 11, 11]
-        bare = local_search_day(r, 7, ONE_WEEK, 0, SolveLimits(move_cap=20_000))
+        bare = solve_local_day(r, 7, ONE_WEEK, 0, SolveLimits(move_cap=20_000))
         alloc = materialize_day(bare.counts, 7, ONE_WEEK)
         assert int(alloc.day_counts.min()) == 0  # weekends starve without the penalty
-        penalized = local_search_day(r, 7, ONE_WEEK, 10, SolveLimits(move_cap=20_000))
+        penalized = solve_local_day(r, 7, ONE_WEEK, 10, SolveLimits(move_cap=20_000))
         alloc = materialize_day(penalized.counts, 7, ONE_WEEK)
         assert int(alloc.day_counts.min()) > 0
 
     def test_deterministic_given_seed_and_cap(self):
         r = [9, 7, 5, 3, 1, 0, 2]
         limits = SolveLimits(seed=5, move_cap=600)
-        a = local_search_day(r, 3, ONE_WEEK, 1, limits)
-        b = local_search_day(r, 3, ONE_WEEK, 1, limits)
+        a = solve_local_day(r, 3, ONE_WEEK, 1, limits)
+        b = solve_local_day(r, 3, ONE_WEEK, 1, limits)
         assert a.objective == b.objective
         assert a.counts.counts == b.counts.counts
         assert a.evaluations == b.evaluations
@@ -317,7 +407,7 @@ class TestLocalSearchDay:
 
     def test_trace_strictly_decreasing(self):
         r = [9, 7, 5, 3, 1, 0, 2]
-        result = local_search_day(r, 3, ONE_WEEK, 1, SolveLimits(move_cap=5000))
+        result = solve_local_day(r, 3, ONE_WEEK, 1, SolveLimits(move_cap=5000))
         assert all(x > y for x, y in zip(result.trace, result.trace[1:]))
 
 
@@ -331,7 +421,7 @@ class TestLocalSearchShift:
             r = [[rng.randint(0, 4) for _ in range(6)] for _ in range(days)]
             n_d = [rng.randint(0, 4) for _ in range(days)]
             exact = solve_exact_shift(r, n_d, CAT3, SolveLimits())
-            local = local_search_shift(
+            local = solve_local_shift(
                 r, n_d, CAT3, SolveLimits(seed=rng.randint(0, 99), move_cap=10_000)
             )
             assert local.objective >= exact.objective  # exact is a true optimum
@@ -339,7 +429,7 @@ class TestLocalSearchShift:
         assert equal >= total - 1
 
     def test_zero_head_counts(self):
-        result = local_search_shift(
+        result = solve_local_shift(
             [[2, 2, 2, 2, 2, 2]], [0], CAT3, SolveLimits(move_cap=10)
         )
         assert result.status == SolveStatus.OPTIMAL
@@ -349,8 +439,8 @@ class TestLocalSearchShift:
     def test_deterministic_given_seed_and_cap(self):
         r = [[4, 1, 0, 2, 3, 1], [2, 2, 2, 0, 0, 4]]
         limits = SolveLimits(seed=11, move_cap=800)
-        a = local_search_shift(r, [3, 4], CAT3, limits)
-        b = local_search_shift(r, [3, 4], CAT3, limits)
+        a = solve_local_shift(r, [3, 4], CAT3, limits)
+        b = solve_local_shift(r, [3, 4], CAT3, limits)
         assert (a.objective, a.counts.counts, a.evaluations) == (
             b.objective,
             b.counts.counts,
@@ -359,12 +449,27 @@ class TestLocalSearchShift:
 
     def test_trace_monotone(self):
         r = [[4, 1, 0, 2, 3, 1], [2, 2, 2, 0, 0, 4]]
-        result = local_search_shift(r, [3, 4], CAT3, SolveLimits(seed=1, move_cap=3000))
+        result = solve_local_shift(r, [3, 4], CAT3, SolveLimits(seed=1, move_cap=3000))
         assert all(x > y for x, y in zip(result.trace, result.trace[1:]))
+
+    def test_move_cap_is_a_hard_bound(self):
+        # an instance whose descent improves two days and spends 165 evaluations
+        rng = random.Random(2)
+        cat = ShiftCatalog(((0, 4), (2, 4), (4, 4), (0, 2), (3, 3), (6, 2)), 8)
+        r = [[rng.randint(0, 9) for _ in range(8)] for _ in range(5)]
+        n_d = [rng.randint(3, 12) for _ in range(5)]
+        greedy = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=1))
+        assert greedy.evaluations == 0 and len(greedy.trace) == 1  # the greedy start alone
+        full = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=100_000))
+        assert full.evaluations == 165 and full.objective < greedy.objective
+        for cap in (7, 40, 101, 164):
+            result = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=cap))
+            assert result.evaluations <= cap
+            assert full.objective <= result.objective <= greedy.objective
 
     def test_respects_move_cap(self):
         r = [[4, 1, 0, 2, 3, 1]]
-        result = local_search_shift(r, [3], CAT3, SolveLimits(move_cap=50))
+        result = solve_local_shift(r, [3], CAT3, SolveLimits(move_cap=50))
         assert result.evaluations <= 50 + len(CAT3)  # one scan row may finish
 
 
@@ -380,7 +485,7 @@ class TestLocalSearchSingle:
                 dtype=np.int64,
             )
             exact = solve_exact_single(r, 1, ONE_WEEK, cat, SolveLimits())
-            local = local_search_single(
+            local = solve_local_single(
                 r, 1, ONE_WEEK, cat, SolveLimits(seed=rng.randint(0, 99), move_cap=20_000)
             )
             assert local.objective >= exact.objective
@@ -390,7 +495,7 @@ class TestLocalSearchSingle:
     def test_zero_agents(self):
         cat = ShiftCatalog(((0, 1),), 2)
         r = np.array([[1, 1]] * 7)
-        result = local_search_single(r, 0, ONE_WEEK, cat, SolveLimits(move_cap=10))
+        result = solve_local_single(r, 0, ONE_WEEK, cat, SolveLimits(move_cap=10))
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 14
 
@@ -398,8 +503,8 @@ class TestLocalSearchSingle:
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         r = np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1], [2, 2, 2], [0, 0, 0], [1, 0, 1], [2, 0, 2]])
         limits = SolveLimits(seed=8, move_cap=2000)
-        a = local_search_single(r, 2, ONE_WEEK, cat, limits)
-        b = local_search_single(r, 2, ONE_WEEK, cat, limits)
+        a = solve_local_single(r, 2, ONE_WEEK, cat, limits)
+        b = solve_local_single(r, 2, ONE_WEEK, cat, limits)
         assert (a.objective, a.counts.counts, a.evaluations) == (
             b.objective,
             b.counts.counts,
@@ -409,7 +514,7 @@ class TestLocalSearchSingle:
     def test_materializes_validly(self):
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         r = np.ones((7, 3), dtype=np.int64)
-        result = local_search_single(r, 3, ONE_WEEK, cat, SolveLimits(seed=0, move_cap=5000))
+        result = solve_local_single(r, 3, ONE_WEEK, cat, SolveLimits(seed=0, move_cap=5000))
         schedule = materialize_single(result.counts, 3, ONE_WEEK)
         assert (
             validate_schedule(
@@ -472,8 +577,8 @@ class TestMaterialization:
 
 class TestBackendRegistry:
     def test_known_backends(self):
-        assert get_backend("local").name == "local"
-        assert get_backend("exact").name == "exact"
+        assert get_backend("local") == (solve_local_day, solve_local_shift, solve_local_single)
+        assert get_backend("exact") == (solve_exact_day, solve_exact_shift, solve_exact_single)
 
     def test_unknown_backend(self):
         with pytest.raises(ValueError, match="unknown solver backend"):
