@@ -9,6 +9,11 @@ The standard M/M/c pipeline for contact-center sizing:
 
 A system with ``a >= n`` is saturated: the wait probability is pinned to 1.0
 and the service level to 0.0 rather than evaluating the undefined formulas.
+
+Sizing a volume grid runs one vectorised sweep over all its cells instead of
+one search per cell.  The sweep repeats the scalar functions' floating-point
+operations in their order, so its head-counts are bit-identical to theirs.
+NaN and infinite volumes or loads are rejected with a ``ValueError``.
 """
 
 import math
@@ -46,7 +51,7 @@ class SlaSpec:
     def __post_init__(self):
         if not 0.0 < self.target <= 1.0:
             raise ValueError("target must lie in (0, 1]")
-        if self.threshold_seconds < 0:
+        if not self.threshold_seconds >= 0:
             raise ValueError("threshold_seconds must be non-negative")
 
 
@@ -97,34 +102,78 @@ def service_level(
     return min(1.0, max(0.0, level))
 
 
+def _required_agents_sweep(loads: np.ndarray, aht_seconds: float, sla: SlaSpec) -> np.ndarray:
+    """Smallest head-count meeting ``sla`` for every load, in one sweep.
+
+    Every open cell holds its Erlang-B value and advances it once per
+    head-count k.  From k = floor(a) + 1 on (anything lower is saturated) a
+    cell tests its service level at k and leaves the sweep at the first k
+    that meets the target.  Each step repeats the scalar functions'
+    floating-point operations in their order, and ``exp`` is ``math.exp``
+    (``np.exp`` may differ by an ulp), so every head-count equals what the
+    scalar recurrence gives.  Non-finite loads are rejected: a NaN cell
+    would never meet the target.
+    """
+    if not aht_seconds > 0:
+        raise ValueError("aht_seconds must be positive")
+    if not np.isfinite(loads).all():
+        raise ValueError("load must be finite")
+    if (loads < 0).any():
+        raise ValueError("load must be non-negative")
+    required = np.zeros(loads.size, dtype=np.int64)
+    cells = np.flatnonzero(loads)  # zero load needs zero agents
+    a = loads.ravel()[cells]
+    first = np.floor(a) + 1.0
+    b = np.ones_like(a)
+    k = 0
+    while cells.size:
+        k += 1
+        ab = a * b
+        b = ab / (k + ab)
+        tested = np.flatnonzero(first <= k)
+        if not tested.size:
+            continue
+        a_t, b_t = a[tested], b[tested]
+        wait = k * b_t / (k - a_t * (1.0 - b_t))
+        exponent = -(k - a_t) * sla.threshold_seconds / aht_seconds
+        level = 1.0 - wait * np.array([math.exp(x) for x in exponent.tolist()])
+        met = np.minimum(1.0, np.maximum(0.0, level)) >= sla.target
+        if met.any():
+            done = tested[met]
+            required[cells[done]] = k
+            keep = np.ones(cells.size, dtype=bool)
+            keep[done] = False
+            cells, a, b, first = cells[keep], a[keep], b[keep], first[keep]
+    return required.reshape(loads.shape)
+
+
 def required_agents(load: float, aht_seconds: float, sla: SlaSpec) -> int:
     """Smallest integer head-count meeting the service-level goal.
 
     Zero load needs zero agents.  Otherwise the search starts just above the
-    load (anything at or below it is saturated) and increments.
+    load (anything at or below it is saturated) and increments: a one-cell
+    sweep.
     """
-    if load < 0:
-        raise ValueError("load must be non-negative")
-    if load == 0:
-        return 0
-    n = int(math.floor(load)) + 1
-    while service_level(n, load, aht_seconds, sla.threshold_seconds) < sla.target:
-        n += 1
-    return n
+    return int(_required_agents_sweep(np.array([load], dtype=np.float64), aht_seconds, sla)[0])
 
 
 def requirements_from_volumes(
     volumes, aht_seconds: float, sla: SlaSpec, interval_seconds: float
 ) -> RequirementMatrix:
-    """Convert a (days x intervals) call-volume grid into head-count needs."""
+    """Convert a (days x intervals) call-volume grid into head-count needs.
+
+    All cells are sized together in one sweep.
+    """
     grid = np.asarray(volumes, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("volumes grid must be 2-dimensional")
+    if not np.isfinite(grid).all():
+        raise ValueError("volumes must be finite")
     if (grid < 0).any():
         raise ValueError("volumes must be non-negative")
-    required = np.zeros(grid.shape, dtype=np.int64)
-    for d in range(grid.shape[0]):
-        for t in range(grid.shape[1]):
-            point = TrafficPoint(float(grid[d, t]), interval_seconds, aht_seconds)
-            required[d, t] = required_agents(offered_load(point), aht_seconds, sla)
+    if not interval_seconds > 0:
+        raise ValueError("interval_seconds must be positive")
+    with np.errstate(over="ignore"):  # an overflowing load is rejected below
+        loads = grid * aht_seconds / interval_seconds
+    required = _required_agents_sweep(loads, aht_seconds, sla)
     return RequirementMatrix.from_interval_grid(frozen_grid(required))

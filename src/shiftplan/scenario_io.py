@@ -186,10 +186,12 @@ def _need(data: dict, key: str, kind, path: str):
     return value
 
 
-def _int_grid(rows, count: int, width: int, path: str) -> np.ndarray:
+def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
+    """A (count x width) grid of finite numbers; an ``integral`` grid holds
+    whole numbers that fit int64."""
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(f"{path}: expected {count} rows")
-    grid = np.zeros((count, width), dtype=np.int64)
+    grid = np.zeros((count, width), dtype=np.int64 if integral else np.float64)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{path}[{i}]: expected {width} entries")
@@ -198,7 +200,11 @@ def _int_grid(rows, count: int, width: int, path: str) -> np.ndarray:
                 raise SchemaError(f"{path}[{i}][{j}]: expected a number")
             if not math.isfinite(cell):
                 raise SchemaError(f"{path}[{i}][{j}]: expected a finite number")
-            grid[i, j] = int(cell)
+            if integral and cell != int(cell):
+                raise SchemaError(f"{path}[{i}][{j}]: expected a whole number")
+            if integral and not -(2**63) <= cell < 2**63:
+                raise SchemaError(f"{path}[{i}][{j}]: outside the int64 range")
+            grid[i, j] = cell
     return grid
 
 
@@ -236,10 +242,10 @@ def load_scenario(path: str) -> Scenario:
     sla_threshold = _need(sla, "threshold_seconds", float, "$.sla")
     aht = _need(data, "aht_seconds", float, "$")
     if "requirements" in data:
-        grid = _int_grid(data["requirements"], len(days), intervals, "$.requirements")
+        grid = _grid(data["requirements"], len(days), intervals, "$.requirements", True)
         requirements = RequirementMatrix.from_interval_grid(grid)
     elif "volumes" in data:
-        volumes = _int_grid(data["volumes"], len(days), intervals, "$.volumes")
+        volumes = _grid(data["volumes"], len(days), intervals, "$.volumes", False)
         interval_seconds = _need(data, "interval_seconds", float, "$")
         try:
             requirements = requirements_from_volumes(

@@ -186,45 +186,80 @@ class TestRequirements:
         assert lines[1] == "0,2,4,4,4,2,1,4"
 
 
+def week_scenario(**fields) -> dict:
+    """A one-week, two-interval scenario dict; ``fields`` replace its keys."""
+    scenario = {
+        "name": "week",
+        "days": [f"2024-01-0{i + 1}" for i in range(7)],
+        "intervals_per_day": 2,
+        "agents": 2,
+        "shift_catalog": [{"start": 0, "length": 2}],
+        "volumes": [[10, 20]] * 7,
+        "interval_seconds": 900,
+        "sla": {"target": 0.8, "threshold_seconds": 20.0},
+        "aht_seconds": 300.0,
+    }
+    scenario.update(fields)
+    return scenario
+
+
+def run_requirements(tmp_path, scenario: dict):
+    """``shiftplan requirements`` on ``scenario`` in a child process."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return subprocess.run(
+        [sys.executable, "-m", "shiftplan.cli", "requirements", "--scenario", str(path),
+         "--out", str(tmp_path / "req.csv")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+
+
 class TestNonFiniteNumbers:
     """Python's json reads NaN and Infinity; the loader must refuse them."""
 
-    @staticmethod
-    def run_cli(tmp_path, field, value):
-        scenario = {
-            "name": "nan",
-            "days": [f"2024-01-0{i + 1}" for i in range(7)],
-            "intervals_per_day": 2,
-            "agents": 2,
-            "shift_catalog": [{"start": 0, "length": 2}],
-            "volumes": [[10, 20]] * 7,
-            "interval_seconds": 900,
-            "sla": {"target": 0.8, "threshold_seconds": 20.0},
-            "aht_seconds": 300.0,
-        }
-        if field == "threshold_seconds":
-            scenario["sla"][field] = value
-        else:
-            scenario[field] = value
-        path = tmp_path / "nan.json"
-        path.write_text(json.dumps(scenario))
-        return subprocess.run(
-            [sys.executable, "-m", "shiftplan.cli", "requirements", "--scenario", str(path),
-             "--out", str(tmp_path / "req.csv")],
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
-
     def test_nan_sla_threshold_is_schema_error(self, tmp_path):
-        proc = self.run_cli(tmp_path, "threshold_seconds", float("nan"))
+        scenario = week_scenario(sla={"target": 0.8, "threshold_seconds": float("nan")})
+        proc = run_requirements(tmp_path, scenario)
         assert proc.returncode == 2
         assert "$.sla.threshold_seconds: expected a finite number" in proc.stderr
 
     def test_nan_aht_is_schema_error(self, tmp_path):
-        proc = self.run_cli(tmp_path, "aht_seconds", float("nan"))
+        proc = run_requirements(tmp_path, week_scenario(aht_seconds=float("nan")))
         assert proc.returncode == 2
         assert "$.aht_seconds: expected a finite number" in proc.stderr
+
+
+class TestGridCells:
+    """Requirement cells must be whole int64 numbers; volumes stay fractional."""
+
+    @staticmethod
+    def requirements_with(cell):
+        grid = [[2, 2] for _ in range(7)]
+        grid[3][1] = cell
+        scenario = week_scenario(requirements=grid)
+        del scenario["volumes"]
+        return scenario
+
+    def test_fractional_requirement_is_schema_error(self, tmp_path):
+        proc = run_requirements(tmp_path, self.requirements_with(2.7))
+        assert proc.returncode == 2
+        assert "$.requirements[3][1]: expected a whole number" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_requirement_is_schema_error(self, tmp_path):
+        proc = run_requirements(tmp_path, self.requirements_with(1e300))
+        assert proc.returncode == 2
+        assert "$.requirements[3][1]: outside the int64 range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_fractional_volume_is_sized_as_given(self, tmp_path):
+        # 6.6 calls / 15 min at 300 s AHT needs 5 agents; truncated to 6 it would be 4
+        proc = run_requirements(tmp_path, week_scenario(volumes=[[6.6, 6]] * 7))
+        assert proc.returncode == 0, proc.stderr
+        lines = (tmp_path / "req.csv").read_text().splitlines()
+        assert lines[1] == "0,5,4,5"
 
 
 class TestTunePenalty:

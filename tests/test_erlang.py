@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,18 @@ from shiftplan.erlang import (
     requirements_from_volumes,
     service_level,
 )
+
+
+def required_agents_restart_loop(load: float, aht_seconds: float, sla: SlaSpec) -> int:
+    """Reference: the per-load search that restarts Erlang-B at every n."""
+    if load < 0:
+        raise ValueError("load must be non-negative")
+    if load == 0:
+        return 0
+    n = int(math.floor(load)) + 1
+    while service_level(n, load, aht_seconds, sla.threshold_seconds) < sla.target:
+        n += 1
+    return n
 
 
 def erlang_b_direct(n: int, a: float) -> float:
@@ -189,3 +202,72 @@ class TestRequirementsFromVolumes:
     def test_non_grid_rejected(self):
         with pytest.raises(ValueError, match="2-dimensional"):
             requirements_from_volumes([1, 2], 300.0, SlaSpec(0.8, 20.0), 1800.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_volume_rejected(self, bad):
+        with pytest.raises(ValueError, match="volumes must be finite"):
+            requirements_from_volumes([[1.0, bad]], 300.0, SlaSpec(0.8, 20.0), 1800.0)
+
+    def test_overflowing_load_rejected(self):
+        with pytest.raises(ValueError, match="load must be finite"):
+            requirements_from_volumes([[1e308]], 300.0, SlaSpec(0.8, 20.0), 1800.0)
+
+    @pytest.mark.parametrize("aht, interval, message", [
+        (0.0, 1800.0, "aht_seconds must be positive"),
+        (float("nan"), 1800.0, "aht_seconds must be positive"),
+        (300.0, 0.0, "interval_seconds must be positive"),
+    ])
+    def test_bad_durations_rejected(self, aht, interval, message):
+        with pytest.raises(ValueError, match=message):
+            requirements_from_volumes([[0.0, 3.0]], aht, SlaSpec(0.8, 20.0), interval)
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_required_agents_rejects_non_finite_load(self, bad):
+        with pytest.raises(ValueError, match="load must be finite"):
+            required_agents(bad, 300.0, SlaSpec(0.8, 20.0))
+
+    def test_required_agents_rejects_nan_aht(self):
+        with pytest.raises(ValueError, match="aht_seconds must be positive"):
+            required_agents(2.0, float("nan"), SlaSpec(0.8, 20.0))
+
+    def test_sla_rejects_nan_threshold(self):
+        # a NaN threshold makes every service level NaN, so no head-count meets it
+        with pytest.raises(ValueError, match="threshold_seconds"):
+            SlaSpec(0.8, float("nan"))
+
+
+class TestSweepMatchesRestartLoop:
+    """The grid sweep must reproduce the per-load restart loop bit for bit."""
+
+    TARGETS = (0.5, 0.8, 0.95, 1 - 1e-9)
+    THRESHOLDS = (0.0, 20.0, 60.0)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("threshold", THRESHOLDS)
+    def test_random_loads(self, target, threshold):
+        rng = np.random.default_rng(int(target * 1000) + int(threshold))
+        loads = np.concatenate([
+            [0.0, 5e-324, 1e-9, 1.0, 2.0, 700.0],
+            rng.uniform(0.0, 1.0, 20),
+            rng.integers(0, 700, 20).astype(np.float64),
+            rng.uniform(0.0, 700.0, 30),
+        ])
+        sla = SlaSpec(target, threshold)
+        volumes = loads.reshape(2, -1) * 1800.0 / 300.0
+        grid = requirements_from_volumes(volumes, 300.0, sla, 1800.0).per_interval
+        offered = volumes * 300.0 / 1800.0
+        expected = [[required_agents_restart_loop(float(a), 300.0, sla) for a in row] for row in offered]
+        assert grid.tolist() == expected
+
+    def test_lognormal_grid_and_single_cells(self):
+        rng = np.random.default_rng(7)
+        volumes = np.rint(rng.lognormal(np.log(90.0), 0.6, size=(28, 96)))
+        sla = SlaSpec(0.8, 20.0)
+        grid = requirements_from_volumes(volumes, 300.0, sla, 900.0).per_interval
+        loads = volumes * 300.0 / 900.0
+        expected = [[required_agents_restart_loop(float(a), 300.0, sla) for a in row] for row in loads]
+        assert grid.tolist() == expected
+        singles = [[required_agents(float(a), 300.0, sla) for a in row] for row in loads]
+        assert singles == expected
