@@ -13,7 +13,8 @@ and the service level to 0.0 rather than evaluating the undefined formulas.
 Sizing a volume grid runs one vectorised sweep over all its cells instead of
 one search per cell.  The sweep repeats the scalar functions' floating-point
 operations in their order, so its head-counts are bit-identical to theirs.
-NaN and infinite volumes or loads are rejected with a ``ValueError``.
+NaN and infinite volumes or loads, and loads above ``MAX_LOAD_ERLANGS``,
+are rejected with a ``ValueError``.
 """
 
 import math
@@ -22,6 +23,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import RequirementMatrix, frozen_grid
+
+# The sweep takes one step per erlang, so its time grows with the largest
+# load: a full 28 x 96 grid at this cap sizes in about 1.3 s.  Realistic
+# contact-center cells are a few hundred erlangs.
+MAX_LOAD_ERLANGS = 100_000
 
 
 @dataclass(frozen=True)
@@ -112,7 +118,7 @@ def _required_agents_sweep(loads: np.ndarray, aht_seconds: float, sla: SlaSpec) 
     floating-point operations in their order, and ``exp`` is ``math.exp``
     (``np.exp`` may differ by an ulp), so every head-count equals what the
     scalar recurrence gives.  Non-finite loads are rejected: a NaN cell
-    would never meet the target.
+    would never meet the target.  So are loads above ``MAX_LOAD_ERLANGS``.
     """
     if not aht_seconds > 0:
         raise ValueError("aht_seconds must be positive")
@@ -120,6 +126,8 @@ def _required_agents_sweep(loads: np.ndarray, aht_seconds: float, sla: SlaSpec) 
         raise ValueError("load must be finite")
     if (loads < 0).any():
         raise ValueError("load must be non-negative")
+    if (loads > MAX_LOAD_ERLANGS).any():
+        raise ValueError(f"load above {MAX_LOAD_ERLANGS} erlangs")
     required = np.zeros(loads.size, dtype=np.int64)
     cells = np.flatnonzero(loads)  # zero load needs zero agents
     a = loads.ravel()[cells]

@@ -26,6 +26,7 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     WeekPartition,
+    coverage_from_schedule,
     frozen_grid,
     validate_scenario,
 )
@@ -38,12 +39,11 @@ from .model import (
     SolveStatus,
 )
 from .solvers import (
-    CountState,
     day_term,
     get_backend,
     materialize_day,
     materialize_shift,
-    materialize_single,
+    squared_norm,
 )
 
 DEFAULT_DAY_SHARE = 0.2
@@ -97,7 +97,6 @@ class DayPhaseResult:
     allocation: DayAllocation
     objective: int
     status: SolveStatus
-    counts: CountState
     trace: tuple
     evaluations: int
     runtime_seconds: float
@@ -113,7 +112,6 @@ class ShiftPhaseResult:
     schedule: Schedule
     objective: int
     status: SolveStatus
-    counts: CountState
     trace: tuple
     evaluations: int
     runtime_seconds: float
@@ -126,7 +124,6 @@ class SinglePhaseResult:
     deviation_objective: int
     cost_value: float
     status: SolveStatus
-    counts: CountState
     trace: tuple
     evaluations: int
     runtime_seconds: float
@@ -165,12 +162,11 @@ def solve_day_allocation(
     result = solve_day(
         spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
     )
-    allocation = materialize_day(result.counts, spec.agent_count, spec.weeks)
+    allocation = materialize_day(result.head_counts, spec.agent_count, spec.weeks)
     return DayPhaseResult(
         allocation=allocation,
         objective=result.objective,
         status=result.status,
-        counts=result.counts,
         trace=result.trace,
         evaluations=result.evaluations,
         runtime_seconds=result.wall_seconds,
@@ -188,12 +184,11 @@ def solve_shift_allocation(
         spec.catalog,
         limits,
     )
-    schedule = materialize_shift(result.counts, spec.allocation)
+    schedule = materialize_shift(result.splits, spec.allocation)
     return ShiftPhaseResult(
         schedule=schedule,
         objective=result.objective,
         status=result.status,
-        counts=result.counts,
         trace=result.trace,
         evaluations=result.evaluations,
         runtime_seconds=result.wall_seconds,
@@ -237,19 +232,20 @@ def solve_single_phase(
         limits,
         table,
     )
-    schedule = materialize_single(result.counts, scenario.agent_count, weeks)
-    cost_value = cost.total(schedule) if cost is not None else 0.0
-    deviation = interval_objective_value(
-        scenario.requirements.per_interval,
-        _coverage_grid(schedule, scenario),
+    schedule = materialize_shift(
+        result.splits, materialize_day(result.head_counts, scenario.agent_count, weeks)
     )
+    cost_value = cost.total(schedule) if cost is not None else 0.0
+    coverage = coverage_from_schedule(
+        schedule, scenario.shift_catalog, scenario.num_days, scenario.agent_count
+    )
+    deviation = interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
     return SinglePhaseResult(
         schedule=schedule,
         objective=result.objective,
         deviation_objective=deviation,
         cost_value=cost_value,
         status=result.status,
-        counts=result.counts,
         trace=result.trace,
         evaluations=result.evaluations,
         runtime_seconds=result.wall_seconds,
@@ -322,16 +318,7 @@ def interval_objective_value(r_dt, p_dt) -> int:
     p = np.asarray(p_dt, dtype=np.int64)
     if r.shape != p.shape:
         raise ValueError("requirement and coverage shapes differ")
-    diff = (r - p).ravel()
-    return int(diff @ diff)
-
-
-def _coverage_grid(schedule: Schedule, scenario: Scenario) -> np.ndarray:
-    grid = np.zeros((scenario.num_days, scenario.intervals_per_day), dtype=np.int64)
-    for _, d, s in schedule.assignments:
-        span = scenario.shift_catalog.covers(s)
-        grid[d, span.start : span.stop] += 1
-    return grid
+    return squared_norm(r - p)
 
 
 # ---------------------------------------------------------------------------

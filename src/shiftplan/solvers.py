@@ -1,11 +1,12 @@
-"""Solvers over homogeneous count structures.
+"""Solvers over head-counts and shift splits.
 
-Agents are interchangeable, so instead of per-agent binaries the solvers work
-on counts: how many agents follow each weekly day pattern (the C(7,5) = 21
-five-day subsets of a week), how many agents take each shift on a day, and for
-the joint problem how many agents follow each (pattern, shifts) week plan.
-Every count state satisfies the hard constraints by construction; materializing
-counts back to per-agent assignments is a canonical, deterministic expansion.
+Agents are interchangeable, so no solver decides per agent.  Every solver
+returns the two arrays the paper's phases hand to each other: how many
+agents work each day of the horizon (the head-counts), and how many of them
+take each shift on each day (the splits).  ``materialize_day`` turns the
+head-counts into per-agent working days, one week at a time, and
+``materialize_shift`` hands each day's working agents their shifts; the
+joint solve is expanded by the two in turn.
 
 Two backends share each formulation: an exhaustive enumerator that refuses
 oversized spaces (the audit oracle) and the local backend.  The local backend
@@ -36,27 +37,19 @@ DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
 
 
 @dataclass(frozen=True)
-class CountState:
-    """Aggregate solution: counts keyed per phase.
+class SearchResult:
+    """One solve's outcome as head-counts and shift splits.
 
-    day:    (week, pattern) -> agents on that 5-day pattern
-    shift:  (day, shift) -> agents taking that shift
-    single: (week, plan) -> agents on that week plan, where a plan is a
-            tuple of five (day_offset, shift) pairs sorted by day
+    ``head_counts[d]`` is the number of agents working day ``d`` of the
+    horizon.  ``splits[d][s]`` is the number of them on shift ``s``, so each
+    split sums to its day's head-count; a day-phase result has no splits
+    (``None``).
     """
 
-    phase: str
-    counts: dict
-
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-@dataclass(frozen=True)
-class SearchResult:
     status: SolveStatus
     objective: float
-    counts: CountState
+    head_counts: tuple[int, ...]
+    splits: tuple[tuple[int, ...], ...] | None
     trace: tuple
     evaluations: int
     wall_seconds: float
@@ -125,6 +118,11 @@ def patterns_from_day_counts(day_counts, agent_count: int) -> dict[tuple, int]:
     return counts
 
 
+def squared_norm(diff) -> int:
+    """Sum of squares of an integer array, exact: int64 would wrap past 2**63."""
+    return sum(x * x for x in np.asarray(diff).ravel().tolist())
+
+
 def _count_bounded_vectors(bound: int, total: int, length: int) -> int:
     """Number of integer vectors in [0, bound]^length summing to total."""
     ways = [1] + [0] * total
@@ -171,8 +169,7 @@ def solve_exact_day(
     """Exhaustive day-allocation optimum, week by week.
 
     Enumerates every per-day head-count vector (the objective depends on
-    nothing else) and certifies the winner by constructing actual pattern
-    counts for it.  First-found minima make ties lexicographic.
+    nothing else).  First-found minima make ties lexicographic.
     """
     r = np.asarray(r_day, dtype=np.int64)
     _check_day_inputs(r, agent_count, weeks, penalty_factor)
@@ -185,7 +182,7 @@ def solve_exact_day(
             f"day search space has {nodes} states, cap is {limits.max_exact_nodes}"
         )
     deadline = Deadline(limits)
-    counts: dict = {}
+    head_counts: list[int] = []
     objective = 0
     for w in range(weeks.count):
         base = weeks.days_of(w).start
@@ -203,13 +200,13 @@ def solve_exact_day(
             if best_obj is None or obj < best_obj:
                 best_obj = obj
                 best_vec = vec
-        for pattern, n in patterns_from_day_counts(best_vec, agent_count).items():
-            counts[(w, pattern)] = n
+        head_counts.extend(best_vec)
         objective += best_obj
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        CountState("day", counts),
+        tuple(head_counts),
+        None,
         (objective,),
         deadline.evaluations,
         deadline.elapsed(),
@@ -247,8 +244,7 @@ def _best_day_composition(
             if y:
                 span = catalog.covers(s)
                 scheduled[span.start : span.stop] += y
-        diff = r_row - scheduled
-        obj = int(diff @ diff)
+        obj = squared_norm(r_row - scheduled)
         if unit_cost_row is not None:
             obj = obj + sum(vec[s] * unit_cost_row.get(s, 0.0) for s in range(S))
         if best_obj is None or obj < best_obj:
@@ -275,19 +271,18 @@ def solve_exact_shift(
             f"shift search space has {nodes} states, cap is {limits.max_exact_nodes}"
         )
     deadline = Deadline(limits)
-    counts: dict = {}
+    splits = []
     objective = 0
     for d in range(r.shape[0]):
         cost_row = _cost_row(unit_cost, d)
         vec, obj = _best_day_composition(r[d], n_d[d], catalog, cost_row, deadline)
-        for s, y in enumerate(vec):
-            if y:
-                counts[(d, s)] = y
+        splits.append(vec)
         objective = objective + obj
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        CountState("shift", counts),
+        tuple(n_d),
+        tuple(splits),
         (objective,),
         deadline.evaluations,
         deadline.elapsed(),
@@ -339,7 +334,7 @@ def solve_exact_single(
             vals.append(obj)
         best_comp.append(comps)
         best_val.append(vals)
-    counts: dict = {}
+    head_counts: list[int] = []
     objective = 0
     for w in range(weeks.count):
         base = weeks.days_of(w).start
@@ -354,41 +349,16 @@ def solve_exact_single(
                 best_obj = obj
                 best_vec = vec
         objective = objective + best_obj
-        for plan, n in _plans_from_week(
-            best_vec, [best_comp[base + d][best_vec[d]] for d in range(DAYS_PER_WEEK)], agent_count
-        ).items():
-            counts[(w, plan)] = n
+        head_counts.extend(best_vec)
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        CountState("single", counts),
+        tuple(head_counts),
+        tuple(best_comp[d][n] for d, n in enumerate(head_counts)),
         (objective,),
         deadline.evaluations,
         deadline.elapsed(),
     )
-
-
-def _plans_from_week(day_head_counts, day_compositions, agent_count: int) -> dict:
-    """Combine per-day head-counts and shift splits into week-plan counts."""
-    pattern_counts = patterns_from_day_counts(day_head_counts, agent_count)
-    agent_patterns: list[tuple] = []
-    for pattern in sorted(pattern_counts):
-        agent_patterns.extend([pattern] * pattern_counts[pattern])
-    agent_pairs: list[list[tuple[int, int]]] = [[] for _ in range(agent_count)]
-    for d in range(DAYS_PER_WEEK):
-        working = [a for a in range(agent_count) if d in agent_patterns[a]]
-        units: list[int] = []
-        for s, y in enumerate(day_compositions[d]):
-            units.extend([s] * y)
-        if len(units) != len(working):
-            raise ValueError("shift split does not match the day head-count")
-        for agent, shift in zip(working, units):
-            agent_pairs[agent].append((d, shift))
-    plans: dict = {}
-    for pairs in agent_pairs:
-        plan = tuple(sorted(pairs))
-        plans[plan] = plans.get(plan, 0) + 1
-    return plans
 
 
 def _cost_row(unit_cost: dict | None, day: int) -> dict | None:
@@ -466,7 +436,7 @@ class _DayKernel:
             cu -= overlap[s]
         self.picks = np.array(picks, dtype=np.int64)
         self.marginals = np.array(adds)
-        self.values = list(itertools.accumulate(adds, initial=int(r_row @ r_row)))
+        self.values = list(itertools.accumulate(adds, initial=squared_norm(r_row)))
         self._splits: dict[int, tuple] = {}
 
     def add_deltas(self, cu: np.ndarray) -> np.ndarray:
@@ -550,7 +520,7 @@ def _descend_days(kernels: list, head_counts, deadline: Deadline):
             objective += value - kernel.values[n]
             trace.append(objective)
         splits.append(split)
-    return splits, objective, tuple(trace)
+    return tuple(splits), objective, tuple(trace)
 
 
 def _status(objective, placed: int) -> SolveStatus:
@@ -560,25 +530,25 @@ def _status(objective, placed: int) -> SolveStatus:
 def solve_local_day(
     r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
 ) -> SearchResult:
-    """Exact day allocation: each week's greedy head-counts as 5-day patterns.
+    """Exact day allocation: each week's greedy head-counts.
 
     ``week_optimal_day_counts`` is exact, so this spends none of ``limits``.
     """
     r = np.asarray(r_day, dtype=np.int64)
     _check_day_inputs(r, agent_count, weeks, penalty_factor)
     deadline = Deadline(limits)
-    counts: dict = {}
+    head_counts: list[int] = []
     objective = 0
     for w in range(weeks.count):
         days = weeks.days_of(w)
         vec, obj = week_optimal_day_counts(r[days.start : days.stop], agent_count, penalty_factor)
-        for pattern, n in patterns_from_day_counts(vec, agent_count).items():
-            counts[(w, pattern)] = n
+        head_counts.extend(vec)
         objective += obj
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        CountState("day", counts),
+        tuple(head_counts),
+        None,
         (objective,),
         deadline.evaluations,
         deadline.elapsed(),
@@ -599,11 +569,11 @@ def solve_local_shift(
     deadline = Deadline(limits)
     kernels = _day_kernels(r, catalog, unit_cost, n_d)
     splits, objective, trace = _descend_days(kernels, n_d, deadline)
-    counts = {(d, s): y for d, split in enumerate(splits) for s, y in enumerate(split) if y}
     return SearchResult(
         _status(objective, sum(n_d)),
         objective,
-        CountState("shift", counts),
+        tuple(n_d),
+        splits,
         trace,
         deadline.evaluations,
         deadline.elapsed(),
@@ -622,7 +592,7 @@ def solve_local_single(
 
     The greedy values ``f_d(n)`` are convex in ``n``, so taking each week's
     5A cheapest increments (at most A per day) is optimal over those tables.
-    The chosen splits are then descended and combined into week plans.
+    The chosen splits are then descended.
     """
     r = np.asarray(r_dt, dtype=np.int64)
     if r.ndim != 2 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
@@ -639,18 +609,11 @@ def solve_local_single(
         taken = _take_smallest(marginals, WORKDAYS_PER_WEEK * agent_count)
         head_counts.extend(int(n) for n in taken)
     splits, objective, trace = _descend_days(kernels, head_counts, deadline)
-    counts: dict = {}
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        plans = _plans_from_week(
-            head_counts[days.start : days.stop], splits[days.start : days.stop], agent_count
-        )
-        for plan, n in plans.items():
-            counts[(w, plan)] = n
     return SearchResult(
         _status(objective, agent_count),
         objective,
-        CountState("single", counts),
+        tuple(head_counts),
+        splits,
         trace,
         deadline.evaluations,
         deadline.elapsed(),
@@ -658,133 +621,56 @@ def solve_local_single(
 
 
 # ---------------------------------------------------------------------------
-# canonical materialization and count extraction
+# canonical materialization
 # ---------------------------------------------------------------------------
 
 
-def materialize_day(
-    state: CountState, agent_count: int, weeks: WeekPartition
-) -> DayAllocation:
-    """Expand day-pattern counts to per-agent working days.
+def materialize_day(head_counts, agent_count: int, weeks: WeekPartition) -> DayAllocation:
+    """Expand per-day head-counts to per-agent working days.
 
-    Canonical: within each week, the lowest agent index takes the
-    lexicographically smallest pattern.
+    Each week's head-counts are realized by ``patterns_from_day_counts``
+    (which raises if they cannot be); within the week the lowest agent index
+    takes the lexicographically smallest pattern.
     """
-    if state.phase != "day":
-        raise ValueError(f"expected a day count state, got {state.phase!r}")
-    day_count = weeks.count * DAYS_PER_WEEK
-    works = np.zeros((agent_count, day_count), dtype=np.int8)
-    by_week: dict[int, dict] = {w: {} for w in range(weeks.count)}
-    for (w, pattern), n in state.counts.items():
-        if n < 0:
-            raise ValueError("negative pattern count")
-        if w not in by_week:
-            raise ValueError(f"week index {w} out of range")
-        if len(pattern) != WORKDAYS_PER_WEEK or sorted(set(pattern)) != sorted(pattern):
-            raise ValueError(f"invalid day pattern {pattern}")
-        by_week[w][tuple(pattern)] = by_week[w].get(tuple(pattern), 0) + n
+    if len(head_counts) != weeks.count * DAYS_PER_WEEK:
+        raise ValueError(
+            f"expected {weeks.count * DAYS_PER_WEEK} day head-counts, got {len(head_counts)}"
+        )
+    works = np.zeros((agent_count, len(head_counts)), dtype=np.int8)
     for w in range(weeks.count):
-        total = sum(by_week[w].values())
-        if total != agent_count:
-            raise ValueError(
-                f"week {w} pattern counts sum to {total}, expected {agent_count}"
-            )
-        base = weeks.days_of(w).start
+        days = weeks.days_of(w)
+        patterns = patterns_from_day_counts(head_counts[days.start : days.stop], agent_count)
         agent = 0
-        for pattern in sorted(by_week[w]):
-            for _ in range(by_week[w][pattern]):
-                for d in pattern:
-                    works[agent, base + d] = 1
-                agent += 1
+        for pattern in sorted(patterns):
+            n = patterns[pattern]
+            works[agent : agent + n, [days.start + d for d in pattern]] = 1
+            agent += n
     return DayAllocation.from_works(works)
 
 
-def materialize_shift(state: CountState, allocation: DayAllocation) -> Schedule:
-    """Hand each working agent a shift: agents ascending, shifts in index order."""
-    if state.phase != "shift":
-        raise ValueError(f"expected a shift count state, got {state.phase!r}")
-    per_day: dict[int, list[int]] = {}
-    for (d, s), n in state.counts.items():
-        if n < 0:
-            raise ValueError("negative shift count")
-        per_day.setdefault(d, []).extend([s] * n)
+def materialize_shift(splits, allocation: DayAllocation) -> Schedule:
+    """Hand each day's working agents, ascending, the shifts in index order.
+
+    Applied to ``materialize_day``'s allocation, this numbers each week's
+    agents in the order of their week plans (their (day, shift) pairs): two
+    agents on one pattern get shifts in agent order on every day, and of two
+    agents on different patterns the lower one has the smaller pattern, so
+    the smaller plan.
+    """
+    if len(splits) != allocation.num_days:
+        raise ValueError(f"expected {allocation.num_days} shift splits, got {len(splits)}")
     triples: list[tuple[int, int, int]] = []
-    for d in range(allocation.num_days):
+    for d, split in enumerate(splits):
+        if min(split, default=0) < 0:
+            raise ValueError("negative shift count")
         agents = allocation.agents_on(d)
-        units = sorted(per_day.get(d, []))
+        units = [s for s, y in enumerate(split) for _ in range(y)]
         if len(units) != len(agents):
             raise ValueError(
                 f"day {d} has {len(units)} shift units for {len(agents)} working agents"
             )
         triples.extend((a, d, s) for a, s in zip(agents, units))
     return Schedule.from_triples(triples)
-
-
-def materialize_single(
-    state: CountState, agent_count: int, weeks: WeekPartition
-) -> Schedule:
-    """Expand week-plan counts to agents: lowest index, lexicographically first plan."""
-    if state.phase != "single":
-        raise ValueError(f"expected a single count state, got {state.phase!r}")
-    by_week: dict[int, dict] = {w: {} for w in range(weeks.count)}
-    for (w, plan), n in state.counts.items():
-        if w not in by_week:
-            raise ValueError(f"week index {w} out of range")
-        if n < 0:
-            raise ValueError("negative plan count")
-        by_week[w][plan] = by_week[w].get(plan, 0) + n
-    triples: list[tuple[int, int, int]] = []
-    for w in range(weeks.count):
-        total = sum(by_week[w].values())
-        if total != agent_count:
-            raise ValueError(
-                f"week {w} plan counts sum to {total}, expected {agent_count}"
-            )
-        base = weeks.days_of(w).start
-        agent = 0
-        for plan in sorted(by_week[w]):
-            days = [d for d, _ in plan]
-            if len(set(days)) != WORKDAYS_PER_WEEK:
-                raise ValueError(f"invalid week plan {plan}")
-            for _ in range(by_week[w][plan]):
-                triples.extend((agent, base + d, s) for d, s in plan)
-                agent += 1
-    return Schedule.from_triples(triples)
-
-
-def day_counts_of(allocation: DayAllocation, weeks: WeekPartition) -> CountState:
-    """Tally an allocation back into (week, pattern) counts."""
-    counts: dict = {}
-    for agent in range(allocation.agent_count):
-        for w in range(weeks.count):
-            days = weeks.days_of(w)
-            pattern = tuple(
-                int(d) - days.start
-                for d in np.nonzero(allocation.works[agent, days.start : days.stop])[0]
-            )
-            key = (w, pattern)
-            counts[key] = counts.get(key, 0) + 1
-    return CountState("day", counts)
-
-
-def shift_counts_of(schedule: Schedule) -> CountState:
-    counts: dict = {}
-    for _, d, s in schedule.assignments:
-        counts[(d, s)] = counts.get((d, s), 0) + 1
-    return CountState("shift", counts)
-
-
-def single_counts_of(schedule: Schedule, weeks: WeekPartition) -> CountState:
-    per_agent_week: dict[tuple[int, int], list] = {}
-    for a, d, s in schedule.assignments:
-        w = weeks.week_of(d)
-        base = weeks.days_of(w).start
-        per_agent_week.setdefault((a, w), []).append((d - base, s))
-    counts: dict = {}
-    for (a, w), pairs in per_agent_week.items():
-        key = (w, tuple(sorted(pairs)))
-        counts[key] = counts.get(key, 0) + 1
-    return CountState("single", counts)
 
 
 # ---------------------------------------------------------------------------

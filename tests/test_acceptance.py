@@ -116,8 +116,8 @@ def micro_instances():
         local_day = solve_local_day(
             r_day, agents, ONE_WEEK, penalty, SolveLimits(seed=seed, move_cap=10_000)
         )
-        local_alloc = materialize_day(local_day.counts, agents, ONE_WEEK)
-        exact_alloc = materialize_day(exact_day.counts, agents, ONE_WEEK)
+        local_alloc = materialize_day(local_day.head_counts, agents, ONE_WEEK)
+        exact_alloc = materialize_day(exact_day.head_counts, agents, ONE_WEEK)
         n_d = [int(x) for x in local_alloc.day_counts]
         exact_shift = solve_exact_shift(r_dt, n_d, catalog, SolveLimits())
         local_shift = solve_local_shift(
@@ -136,8 +136,8 @@ def micro_instances():
                 local_shift_objective=int(local_shift.objective),
                 local_allocation=local_alloc,
                 exact_allocation=exact_alloc,
-                local_schedule=materialize_shift(local_shift.counts, local_alloc),
-                exact_schedule=materialize_shift(exact_shift.counts, local_alloc),
+                local_schedule=materialize_shift(local_shift.splits, local_alloc),
+                exact_schedule=materialize_shift(exact_shift.splits, local_alloc),
             )
         )
     return instances, time.monotonic() - t0

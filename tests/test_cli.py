@@ -262,6 +262,45 @@ class TestGridCells:
         assert lines[1] == "0,5,4,5"
 
 
+class TestHugeVolumes:
+    """Erlang-C sizing takes one step per erlang, so offered loads are capped."""
+
+    @pytest.mark.parametrize("calls", [1e9, 1e300])
+    def test_huge_volume_is_schema_error(self, tmp_path, calls):
+        proc = run_requirements(tmp_path, week_scenario(volumes=[[calls, 20]] + [[10, 20]] * 6))
+        assert proc.returncode == 2
+        assert "$.volumes: load above 100000 erlangs" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestObjectiveBeyondInt64:
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_objective_is_exact(self, tmp_path, mode):
+        # squared deviations of 4e9 per interval sum past 2**63
+        scenario = week_scenario(
+            intervals_per_day=4,
+            shift_catalog=[{"start": 0, "length": 2}, {"start": 2, "length": 2}],
+            requirements=[[4_000_000_000] * 4] * 7,
+        )
+        del scenario["volumes"]
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(scenario))
+        out, report = tmp_path / "s.csv", tmp_path / "r.json"
+        code = main(
+            ["solve", "--scenario", str(path), "--mode", mode, "--move-cap", "1000",
+             "--out", str(out), "--report", str(report)]
+        )
+        assert code == 0
+        coverage = [[0] * 4 for _ in range(7)]
+        for line in out.read_text().splitlines()[1:]:
+            _, day, start, length = (int(x) for x in line.split(","))
+            for t in range(start, start + length):
+                coverage[day][t] += 1
+        exact = sum((4_000_000_000 - c) ** 2 for row in coverage for c in row)
+        assert exact > 2**63
+        assert json.loads(report.read_text())["objective_value"] == float(exact)
+
+
 class TestTunePenalty:
     def test_writes_trace_and_schedule(self, tiny_scenario, tmp_path):
         trace = tmp_path / "trace.csv"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftplan.domain import (
+    Schedule,
     ShiftCatalog,
     build_week_partition,
     validate_day_allocation,
@@ -23,15 +24,11 @@ from shiftplan.model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 from shiftplan.solvers import (
     DAY_PATTERNS,
     _day_kernels,
-    day_counts_of,
     day_term,
     get_backend,
     materialize_day,
     materialize_shift,
-    materialize_single,
     patterns_from_day_counts,
-    shift_counts_of,
-    single_counts_of,
     solve_exact_day,
     solve_exact_shift,
     solve_exact_single,
@@ -105,6 +102,57 @@ def week_counts_loop(r_week, agent_count, penalty_factor):
         counts[best_day] += 1
     objective = sum(day_term(r[d], counts[d], agent_count, penalty_factor) for d in range(7))
     return tuple(counts), objective
+
+
+def reference_plans_from_week(day_head_counts, day_compositions, agent_count):
+    """Week-plan counts of one week's head-counts and splits (reference).
+
+    The expansion the solvers used before they returned splits: patterns to
+    agents, lowest agent first, then each day's shifts in index order, then
+    a tally of (day, shift) week plans.
+    """
+    pattern_counts = patterns_from_day_counts(day_head_counts, agent_count)
+    agent_patterns = []
+    for pattern in sorted(pattern_counts):
+        agent_patterns.extend([pattern] * pattern_counts[pattern])
+    agent_pairs = [[] for _ in range(agent_count)]
+    for d in range(7):
+        working = [a for a in range(agent_count) if d in agent_patterns[a]]
+        units = []
+        for s, y in enumerate(day_compositions[d]):
+            units.extend([s] * y)
+        assert len(units) == len(working)
+        for agent, shift in zip(working, units):
+            agent_pairs[agent].append((d, shift))
+    plans = {}
+    for pairs in agent_pairs:
+        plan = tuple(sorted(pairs))
+        plans[plan] = plans.get(plan, 0) + 1
+    return plans
+
+
+def reference_materialize_single(head_counts, splits, agent_count, weeks):
+    """Week plans to agents: lowest index, lexicographically first plan (reference)."""
+    triples = []
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        plans = reference_plans_from_week(
+            head_counts[days.start : days.stop], splits[days.start : days.stop], agent_count
+        )
+        agent = 0
+        for plan in sorted(plans):
+            for _ in range(plans[plan]):
+                triples.extend((agent, days.start + d, s) for d, s in plan)
+                agent += 1
+    return Schedule.from_triples(triples)
+
+
+def shift_tally(schedule, day_count, shift_count):
+    """Agents per (day, shift) of a schedule, as nested tuples like ``splits``."""
+    tally = np.zeros((day_count, shift_count), dtype=np.int64)
+    for _, d, s in schedule.assignments:
+        tally[d, s] += 1
+    return tuple(tuple(int(y) for y in row) for row in tally)
 
 
 class TestDayObjectiveHelpers:
@@ -193,10 +241,10 @@ class TestExactDay:
 
     def test_materializes_validly(self):
         result = solve_exact_day([4, 4, 1, 1, 4, 4, 2], 4, ONE_WEEK, 1, SolveLimits())
-        alloc = materialize_day(result.counts, 4, ONE_WEEK)
+        assert result.splits is None
+        alloc = materialize_day(result.head_counts, 4, ONE_WEEK)
         assert validate_day_allocation(alloc, 4, ONE_WEEK) == []
-        # tallying the allocation reproduces the count state
-        assert day_counts_of(alloc, ONE_WEEK).counts == result.counts.counts
+        assert tuple(alloc.day_counts) == result.head_counts
 
 
 CAT3 = ShiftCatalog(((0, 2), (2, 2), (4, 2)), intervals_per_day=6)
@@ -218,8 +266,8 @@ class TestExactShift:
 
     def test_respects_head_counts(self):
         result = solve_exact_shift([[3, 3, 0, 0, 2, 2]], [4], CAT3, SolveLimits())
-        per_day = sum(n for (d, s), n in result.counts.counts.items() if d == 0)
-        assert per_day == 4
+        assert result.head_counts == (4,)
+        assert sum(result.splits[0]) == 4
 
     def test_node_cap(self):
         big_cat = ShiftCatalog(tuple((i, 1) for i in range(12)), 12)
@@ -254,14 +302,17 @@ class TestExactSingle:
         r = np.ones((7, 3), dtype=np.int64)
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         result = solve_exact_single(r, 2, ONE_WEEK, cat, SolveLimits())
-        schedule = materialize_single(result.counts, 2, ONE_WEEK)
+        alloc = materialize_day(result.head_counts, 2, ONE_WEEK)
+        assert tuple(alloc.day_counts) == result.head_counts
+        assert tuple(sum(split) for split in result.splits) == result.head_counts
+        schedule = materialize_shift(result.splits, alloc)
         assert (
             validate_schedule(
                 schedule, agent_count=2, day_count=7, catalog=cat, weeks=ONE_WEEK
             )
             == []
         )
-        assert single_counts_of(schedule, ONE_WEEK).counts == result.counts.counts
+        assert shift_tally(schedule, 7, len(cat)) == result.splits
 
     def test_node_cap(self):
         cat = ShiftCatalog(tuple((i, 2) for i in range(10)), 12)
@@ -383,16 +434,16 @@ class TestLocalSearchDay:
         result = solve_local_day(r, 0, ONE_WEEK, 3, SolveLimits(move_cap=10))
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 5
-        assert result.counts.counts == {}
+        assert result.head_counts == (0,) * 7
 
     def test_penalty_pulls_counts_off_zero(self):
         # scaled-down peak week: weekdays heavy, weekend light
         r = [22, 22, 22, 22, 23, 11, 11]
         bare = solve_local_day(r, 7, ONE_WEEK, 0, SolveLimits(move_cap=20_000))
-        alloc = materialize_day(bare.counts, 7, ONE_WEEK)
+        alloc = materialize_day(bare.head_counts, 7, ONE_WEEK)
         assert int(alloc.day_counts.min()) == 0  # weekends starve without the penalty
         penalized = solve_local_day(r, 7, ONE_WEEK, 10, SolveLimits(move_cap=20_000))
-        alloc = materialize_day(penalized.counts, 7, ONE_WEEK)
+        alloc = materialize_day(penalized.head_counts, 7, ONE_WEEK)
         assert int(alloc.day_counts.min()) > 0
 
     def test_deterministic_given_seed_and_cap(self):
@@ -401,7 +452,7 @@ class TestLocalSearchDay:
         a = solve_local_day(r, 3, ONE_WEEK, 1, limits)
         b = solve_local_day(r, 3, ONE_WEEK, 1, limits)
         assert a.objective == b.objective
-        assert a.counts.counts == b.counts.counts
+        assert a.head_counts == b.head_counts
         assert a.evaluations == b.evaluations
         assert a.trace == b.trace
 
@@ -434,16 +485,17 @@ class TestLocalSearchShift:
         )
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 24
-        assert result.counts.counts == {}
+        assert result.splits == ((0, 0, 0),)
 
     def test_deterministic_given_seed_and_cap(self):
         r = [[4, 1, 0, 2, 3, 1], [2, 2, 2, 0, 0, 4]]
         limits = SolveLimits(seed=11, move_cap=800)
         a = solve_local_shift(r, [3, 4], CAT3, limits)
         b = solve_local_shift(r, [3, 4], CAT3, limits)
-        assert (a.objective, a.counts.counts, a.evaluations) == (
+        assert (a.objective, a.head_counts, a.splits, a.evaluations) == (
             b.objective,
-            b.counts.counts,
+            b.head_counts,
+            b.splits,
             b.evaluations,
         )
 
@@ -470,7 +522,7 @@ class TestLocalSearchShift:
     def test_respects_move_cap(self):
         r = [[4, 1, 0, 2, 3, 1]]
         result = solve_local_shift(r, [3], CAT3, SolveLimits(move_cap=50))
-        assert result.evaluations <= 50 + len(CAT3)  # one scan row may finish
+        assert result.evaluations <= 50
 
 
 class TestLocalSearchSingle:
@@ -505,9 +557,10 @@ class TestLocalSearchSingle:
         limits = SolveLimits(seed=8, move_cap=2000)
         a = solve_local_single(r, 2, ONE_WEEK, cat, limits)
         b = solve_local_single(r, 2, ONE_WEEK, cat, limits)
-        assert (a.objective, a.counts.counts, a.evaluations) == (
+        assert (a.objective, a.head_counts, a.splits, a.evaluations) == (
             b.objective,
-            b.counts.counts,
+            b.head_counts,
+            b.splits,
             b.evaluations,
         )
 
@@ -515,7 +568,10 @@ class TestLocalSearchSingle:
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         r = np.ones((7, 3), dtype=np.int64)
         result = solve_local_single(r, 3, ONE_WEEK, cat, SolveLimits(seed=0, move_cap=5000))
-        schedule = materialize_single(result.counts, 3, ONE_WEEK)
+        alloc = materialize_day(result.head_counts, 3, ONE_WEEK)
+        assert tuple(alloc.day_counts) == result.head_counts
+        assert tuple(sum(split) for split in result.splits) == result.head_counts
+        schedule = materialize_shift(result.splits, alloc)
         assert (
             validate_schedule(
                 schedule, agent_count=3, day_count=7, catalog=cat, weeks=ONE_WEEK
@@ -524,40 +580,57 @@ class TestLocalSearchSingle:
         )
 
 
+def random_week_plan_instance(rng):
+    """Realizable head-counts (each agent draws a pattern) and random splits."""
+    agents = rng.randint(0, 8)
+    weeks = build_week_partition(7 * rng.randint(1, 3))
+    shifts = rng.randint(1, 5)
+    head_counts = []
+    for _ in range(weeks.count):
+        week = [0] * 7
+        for _ in range(agents):
+            for d in rng.choice(DAY_PATTERNS):
+                week[d] += 1
+        head_counts.extend(week)
+    splits = []
+    for n in head_counts:
+        split = [0] * shifts
+        for _ in range(n):
+            split[rng.randrange(shifts)] += 1
+        splits.append(tuple(split))
+    return agents, weeks, tuple(head_counts), tuple(splits)
+
+
 class TestMaterialization:
     def test_day_expansion_is_canonical(self):
-        counts = {(0, (0, 1, 2, 3, 4)): 1, (0, (2, 3, 4, 5, 6)): 1}
-        from shiftplan.solvers import CountState
-
-        alloc = materialize_day(CountState("day", counts), 2, ONE_WEEK)
+        # head-counts of the patterns (0, 1, 2, 3, 4) and (2, 3, 4, 5, 6)
+        alloc = materialize_day((1, 1, 2, 2, 2, 1, 1), 2, ONE_WEEK)
         # agent 0 gets the lexicographically smaller pattern
         assert alloc.works[0].tolist() == [1, 1, 1, 1, 1, 0, 0]
         assert alloc.works[1].tolist() == [0, 0, 1, 1, 1, 1, 1]
 
     def test_day_expansion_validates_totals(self):
-        from shiftplan.solvers import CountState
-
         with pytest.raises(ValueError, match="sum to"):
-            materialize_day(CountState("day", {(0, (0, 1, 2, 3, 4)): 1}), 2, ONE_WEEK)
+            materialize_day((1, 1, 1, 1, 1, 0, 0), 2, ONE_WEEK)
 
-    def test_day_expansion_rejects_wrong_phase(self):
-        from shiftplan.solvers import CountState
-
-        with pytest.raises(ValueError, match="expected a day count state"):
-            materialize_day(CountState("shift", {}), 1, ONE_WEEK)
+    def test_day_expansion_rejects_wrong_length(self):
+        with pytest.raises(ValueError, match="expected 14 day head-counts, got 7"):
+            materialize_day((1, 1, 1, 1, 1, 0, 0), 1, build_week_partition(14))
 
     def test_shift_expansion_round_trip(self):
         r = [4, 2, 3, 2, 4, 1, 4]
         day = solve_exact_day(r, 2, ONE_WEEK, 0, SolveLimits())
-        alloc = materialize_day(day.counts, 2, ONE_WEEK)
+        alloc = materialize_day(day.head_counts, 2, ONE_WEEK)
+        assert tuple(alloc.day_counts) == day.head_counts
         shift = solve_exact_shift(
             np.tile(np.array(r).reshape(7, 1), (1, 6)) // 2,
             [int(x) for x in alloc.day_counts],
             CAT3,
             SolveLimits(),
         )
-        schedule = materialize_shift(shift.counts, alloc)
-        assert shift_counts_of(schedule).counts == shift.counts.counts
+        assert tuple(sum(split) for split in shift.splits) == day.head_counts
+        schedule = materialize_shift(shift.splits, alloc)
+        assert shift_tally(schedule, 7, len(CAT3)) == shift.splits
         assert (
             validate_schedule(
                 schedule, agent_count=2, day_count=7, catalog=CAT3, weeks=ONE_WEEK
@@ -566,13 +639,23 @@ class TestMaterialization:
         )
 
     def test_shift_expansion_checks_unit_totals(self):
-        from shiftplan.solvers import CountState
-
-        alloc = materialize_day(
-            CountState("day", {(0, (0, 1, 2, 3, 4)): 1}), 1, ONE_WEEK
-        )
+        alloc = materialize_day((1, 1, 1, 1, 1, 0, 0), 1, ONE_WEEK)
         with pytest.raises(ValueError, match="shift units"):
-            materialize_shift(CountState("shift", {(0, 0): 2}), alloc)
+            materialize_shift(((2,),) + ((0,),) * 6, alloc)
+
+    def test_shift_expansion_rejects_wrong_length(self):
+        alloc = materialize_day((1, 1, 1, 1, 1, 0, 0), 1, ONE_WEEK)
+        with pytest.raises(ValueError, match="expected 7 shift splits, got 6"):
+            materialize_shift(((1,),) * 5 + ((0,),), alloc)
+
+    def test_day_then_shift_matches_week_plan_expansion(self):
+        # the two expanders in turn number agents in week-plan order, so they
+        # reproduce the week-plan expansion assignment for assignment
+        rng = random.Random(8128)
+        for _ in range(1200):
+            agents, weeks, head_counts, splits = random_week_plan_instance(rng)
+            schedule = materialize_shift(splits, materialize_day(head_counts, agents, weeks))
+            assert schedule == reference_materialize_single(head_counts, splits, agents, weeks)
 
 
 class TestBackendRegistry:
