@@ -66,7 +66,7 @@ shift = solve_shift_allocation(
     ShiftPhaseSpec(requirements=requirements, allocation=day.allocation, catalog=catalog),
     limits,
 )
-cov = coverage_from_schedule(shift.schedule, catalog, 7, scenario.agent_count)
+cov = coverage_from_schedule(shift.schedule, catalog)
 print()
 print(f"phase-2 objective:      {shift.objective} ({shift.status.value})")
 print("interval coverage vs need, Monday:")

@@ -43,18 +43,37 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _checked(kind, ok, need: str):
+    """An argparse type: ``kind`` parsed from the text, refused unless ``ok``."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the type in its messages
+    return parse
+
+
+_POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
+_NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "a positive number of seconds")
+_SHARE = _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1")
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group()
     group.add_argument(
         "--time-budget",
-        type=float,
+        type=_POSITIVE_SECONDS,
         default=60.0,
         metavar="SECONDS",
         help="wall-clock budget per solve (default 60)",
     )
     group.add_argument(
         "--move-cap",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         metavar="N",
         help="deterministic move-evaluation budget instead of wall clock",
@@ -88,17 +107,17 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="solve a scenario and write schedule + report")
     solve.add_argument("--scenario", required=True)
     solve.add_argument("--mode", choices=("single", "multi"), required=True)
-    solve.add_argument("--seed", type=int, default=0)
+    solve.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(solve)
     solve.add_argument(
         "--day-share",
-        type=float,
+        type=_SHARE,
         default=0.2,
         help="fraction of the budget held back for the day phase, which is exact and"
         " uses none of it; the shift phase gets the rest (multi mode)",
     )
     solve.add_argument(
-        "--penalty", type=int, default=0, help="day-balancing penalty factor K"
+        "--penalty", type=_NON_NEGATIVE_INT, default=0, help="day-balancing penalty factor K"
     )
     solve.add_argument(
         "--tune",
@@ -113,10 +132,10 @@ def build_parser() -> argparse.ArgumentParser:
         "tune-penalty", help="sweep the day-balancing penalty factor"
     )
     tune.add_argument("--scenario", required=True)
-    tune.add_argument("--seed", type=int, default=0)
+    tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(tune)  # per-K budget
-    tune.add_argument("--patience", type=int, default=2)
-    tune.add_argument("--k-max", type=int, default=50)
+    tune.add_argument("--patience", type=_POSITIVE_INT, default=2)
+    tune.add_argument("--k-max", type=_NON_NEGATIVE_INT, default=50)
     tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
     tune.add_argument("--out", default=None, help="chosen-K schedule CSV (default <name>-tuned-schedule.csv)")
     tune.add_argument("--report", default=None, help="optional report JSON for the tuned schedule")
@@ -128,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--scenario", required=True)
     metrics.add_argument("--schedule", required=True)
     metrics.add_argument("--mode", choices=("single", "multi"), required=True)
-    metrics.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
+    metrics.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="seed recorded in the report")
     metrics.add_argument("--out", default=None, help="report JSON (default <name>-metrics.json)")
     metrics.set_defaults(handler=_cmd_metrics)
 
@@ -136,11 +155,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", help="seeded repeat runs of both modes, with mean summary"
     )
     compare.add_argument("--scenario", required=True)
-    compare.add_argument("--runs", type=int, default=10)
-    compare.add_argument("--seed", type=int, default=0)
+    compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
+    compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(compare)
-    compare.add_argument("--day-share", type=float, default=0.2)
-    compare.add_argument("--penalty", type=int, default=0)
+    compare.add_argument("--day-share", type=_SHARE, default=0.2)
+    compare.add_argument("--penalty", type=_NON_NEGATIVE_INT, default=0)
     compare.add_argument("--out", default=None, help="comparison JSON (default <name>-compare.json)")
     compare.set_defaults(handler=_cmd_compare)
 
@@ -187,27 +206,19 @@ def _cmd_solve(args) -> int:
         result = solve_multi_phase(
             scenario, limits, penalty_factor=penalty, day_share=args.day_share
         )
-        schedule = result.schedule
-        status = result.shift.status
-        evaluations = result.evaluations
-        runtime = result.runtime_seconds
     else:
         result = solve_single_phase(scenario, limits)
-        schedule = result.schedule
-        status = result.status
-        evaluations = result.evaluations
-        runtime = result.runtime_seconds
     out = args.out or f"{scenario.name}-{args.mode}-schedule.csv"
     report_path = args.report or f"{scenario.name}-{args.mode}-report.json"
-    write_schedule(schedule, scenario.shift_catalog, out)
+    write_schedule(result.schedule, scenario.shift_catalog, out)
     report = build_report(
         scenario,
-        schedule,
+        result.schedule,
         args.mode,
         seed=args.seed,
-        runtime_seconds=runtime,
-        status=status,
-        evaluations=evaluations,
+        runtime_seconds=result.runtime_seconds,
+        status=result.status,
+        evaluations=result.evaluations,
     )
     write_report(report, report_path, deterministic=deterministic)
     print(f"wrote {out} and {report_path} (objective {report.objective_value})")
@@ -255,7 +266,7 @@ def _cmd_tune(args) -> int:
 
 def _cmd_metrics(args) -> int:
     scenario = load_scenario(args.scenario)
-    schedule = read_schedule(args.schedule, scenario.shift_catalog)
+    schedule = read_schedule(args.schedule, scenario)
     report = build_report(
         scenario, schedule, args.mode, seed=args.seed, runtime_seconds=0.0
     )

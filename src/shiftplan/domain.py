@@ -179,7 +179,12 @@ class CostMatrix:
         return self.cost.get((agent, day, shift), 0.0)
 
     def total(self, schedule: "Schedule") -> float:
-        return sum(self.value(a, d, s) for a, d, s in schedule.assignments)
+        """Summed cost of the entries whose (agent, day) cell holds their shift."""
+        grid = schedule.shifts
+        agents, days = grid.shape
+        held = [c for (a, d, s), c in self.cost.items()
+                if 0 <= a < agents and 0 <= d < days and grid[a, d] == s]
+        return float(sum(held))
 
     def agent_uniform_table(self, agent_count: int) -> dict | None:
         """Return {(day, shift): cost} when every agent is priced alike, else None."""
@@ -251,6 +256,13 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     return problems
 
 
+def require_valid(scenario: Scenario) -> None:
+    """Raise a ``ValueError`` naming every problem ``validate_scenario`` finds."""
+    problems = validate_scenario(scenario)
+    if problems:
+        raise ValueError("invalid scenario: " + "; ".join(problems))
+
+
 # ---------------------------------------------------------------------------
 # solution-side types
 # ---------------------------------------------------------------------------
@@ -282,12 +294,7 @@ class DayAllocation:
 
     def pairs(self) -> tuple[tuple[int, int], ...]:
         """Assigned (agent, day) pairs, sorted."""
-        agents, days = np.nonzero(self.works)
-        order = np.lexsort((days, agents))
-        return tuple((int(agents[i]), int(days[i])) for i in order)
-
-    def agents_on(self, day: int) -> list[int]:
-        return [int(a) for a in np.nonzero(self.works[:, day])[0]]
+        return tuple(zip(*(index.tolist() for index in np.nonzero(self.works))))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DayAllocation):
@@ -295,21 +302,58 @@ class DayAllocation:
         return np.array_equal(self.works, other.works)
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Sparse set of (agent, day, shift) assignment triples."""
+OFF = -1  # the shift index of a day off
 
-    assignments: frozenset[tuple[int, int, int]]
+
+class TripleError(ValueError):
+    """A triple no schedule grid can hold, at index ``position`` of the input."""
+
+    def __init__(self, position: int, message: str):
+        super().__init__(message)
+        self.position = position
+
+
+@dataclass(frozen=True, eq=False)
+class Schedule:
+    """Each agent's shift on each day: ``shifts[a, d]`` is a catalog index,
+    or ``OFF`` on a day off.  One cell per agent-day, so a double booking
+    cannot be represented."""
+
+    shifts: np.ndarray  # shape (agents, days), int64
+
+    def __post_init__(self):
+        grid = frozen_grid(self.shifts)
+        if grid.ndim != 2:
+            raise ValueError("schedule grid must be 2-dimensional")
+        object.__setattr__(self, "shifts", grid)
 
     @classmethod
-    def from_triples(cls, triples) -> "Schedule":
-        return cls(frozenset((int(a), int(d), int(s)) for a, d, s in triples))
-
-    def sorted_triples(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(self.assignments))
+    def from_triples(cls, triples, agent_count: int, day_count: int) -> "Schedule":
+        """The grid of sparse (agent, day, shift) triples; raises a
+        ``TripleError`` on the first triple outside the grid, with a negative
+        shift, or on an agent-day that already has a shift."""
+        grid = np.full((agent_count, day_count), OFF, dtype=np.int64)
+        for i, (a, d, s) in enumerate(triples):
+            a, d, s = int(a), int(d), int(s)
+            if not (0 <= a < agent_count and 0 <= d < day_count):
+                raise TripleError(
+                    i, f"agent {a}, day {d}: outside the {agent_count} x {day_count} grid"
+                )
+            if not 0 <= s < 2**63:
+                raise TripleError(i, f"agent {a}, day {d}: shift index {s} out of range")
+            if grid[a, d] != OFF:
+                raise TripleError(i, f"agent {a} has more than one shift on day {d}")
+            grid[a, d] = s
+        return cls(grid)
 
     def __len__(self) -> int:
-        return len(self.assignments)
+        """Working agent-days."""
+        return int(np.count_nonzero(self.shifts != OFF))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Schedule):
+            return NotImplemented
+        return np.array_equal(self.shifts, other.shifts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,26 +372,24 @@ class DeviationProfile:
     per_day: np.ndarray
 
 
-def coverage_from_schedule(
-    schedule: Schedule,
-    catalog: ShiftCatalog,
-    day_count: int,
-    agent_count: int,
-) -> CoverageProfile:
+def _shift_range_problems(schedule: Schedule, catalog: ShiftCatalog) -> list[str]:
+    grid = schedule.shifts
+    bad = grid[(grid < OFF) | (grid >= len(catalog))]
+    return [f"shift index {int(s)} out of range" for s in bad]
+
+
+def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> CoverageProfile:
     """Aggregate a schedule into interval-level and day-level head-counts."""
-    per_interval = np.zeros((day_count, catalog.intervals_per_day), dtype=np.int64)
-    day_agents: list[set[int]] = [set() for _ in range(day_count)]
-    for agent, day, shift in schedule.assignments:
-        if not 0 <= agent < agent_count:
-            raise ValueError(f"agent index {agent} out of range")
-        if not 0 <= day < day_count:
-            raise ValueError(f"day index {day} out of range")
-        if not 0 <= shift < len(catalog):
-            raise ValueError(f"shift index {shift} out of range")
-        start, length = catalog.shifts[shift]
-        per_interval[day, start : start + length] += 1
-        day_agents[day].add(agent)
-    per_day = np.array([len(s) for s in day_agents], dtype=np.int64)
+    problems = _shift_range_problems(schedule, catalog)
+    if problems:
+        raise ValueError(problems[0])
+    shifts, days = len(catalog), schedule.shifts.shape[1]
+    # agents per (day, shift + 1): column 0 counts the agents off that day
+    cells = (shifts + 1) * np.arange(days) + schedule.shifts + 1
+    tally = np.bincount(cells.ravel(), minlength=days * (shifts + 1)).reshape(days, shifts + 1)
+    per_shift = tally[:, 1:]
+    per_interval = per_shift @ catalog.coverage.astype(np.int64)
+    per_day = per_shift.sum(axis=1)
     per_interval.setflags(write=False)
     per_day.setflags(write=False)
     return CoverageProfile(per_interval, per_day)
@@ -366,6 +408,18 @@ def deviation_profiles(
     return DeviationProfile(per_interval, per_day)
 
 
+def _quota_problems(works: np.ndarray, weeks: WeekPartition, week_major: bool) -> list[str]:
+    """One problem per (agent, week) not worked exactly five days, ordered by
+    agent then week, or by week then agent."""
+    week_days = works.reshape(len(works), weeks.count, DAYS_PER_WEEK).sum(axis=2)
+    wrong = week_days != WORKDAYS_PER_WEEK
+    pairs = np.argwhere(wrong.T)[:, ::-1] if week_major else np.argwhere(wrong)
+    return [
+        f"agent {a} works {week_days[a, w]} days in week {w}, expected {WORKDAYS_PER_WEEK}"
+        for a, w in pairs
+    ]
+
+
 def validate_day_allocation(
     allocation: DayAllocation, agent_count: int, weeks: WeekPartition
 ) -> list[str]:
@@ -374,15 +428,7 @@ def validate_day_allocation(
         problems.append(
             f"allocation has {allocation.agent_count} agents, expected {agent_count}"
         )
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        week_days = allocation.works[:, days.start : days.stop].sum(axis=1)
-        for agent in np.nonzero(week_days != WORKDAYS_PER_WEEK)[0]:
-            problems.append(
-                f"agent {int(agent)} works {int(week_days[agent])} days in week {w},"
-                f" expected {WORKDAYS_PER_WEEK}"
-            )
-    return problems
+    return problems + _quota_problems(allocation.works, weeks, week_major=True)
 
 
 def validate_schedule(
@@ -393,31 +439,12 @@ def validate_schedule(
     catalog: ShiftCatalog,
     weeks: WeekPartition,
 ) -> list[str]:
-    """Check index ranges, one-shift-per-day, and the weekly workday quota."""
-    problems: list[str] = []
-    seen_pairs: set[tuple[int, int]] = set()
-    week_days = np.zeros((agent_count, weeks.count), dtype=np.int64)
-    for agent, day, shift in sorted(schedule.assignments):
-        if not 0 <= agent < agent_count:
-            problems.append(f"agent index {agent} out of range")
-            continue
-        if not 0 <= day < day_count:
-            problems.append(f"day index {day} out of range")
-            continue
-        if not 0 <= shift < len(catalog):
-            problems.append(f"shift index {shift} out of range")
-            continue
-        if (agent, day) in seen_pairs:
-            problems.append(f"agent {agent} has more than one shift on day {day}")
-            continue
-        seen_pairs.add((agent, day))
-        week_days[agent, weeks.week_of(day)] += 1
-    if not problems:
-        for agent in range(agent_count):
-            for w in range(weeks.count):
-                if week_days[agent, w] != WORKDAYS_PER_WEEK:
-                    problems.append(
-                        f"agent {agent} works {int(week_days[agent, w])} days in"
-                        f" week {w}, expected {WORKDAYS_PER_WEEK}"
-                    )
-    return problems
+    """Check the grid shape, the shift indices, and the weekly workday quota."""
+    agents, days = schedule.shifts.shape
+    if (agents, days) != (agent_count, day_count):
+        return [f"schedule covers {agents} agents x {days} days,"
+                f" expected {agent_count} x {day_count}"]
+    problems = _shift_range_problems(schedule, catalog)
+    if problems:
+        return problems
+    return _quota_problems(schedule.shifts != OFF, weeks, week_major=False)

@@ -7,7 +7,7 @@ not the squared objectives the solvers minimize): the day-level index sums
 schedule so no number in a report depends on solver bookkeeping.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .domain import (
     Schedule,
     coverage_from_schedule,
     deviation_profiles,
-    validate_scenario,
+    require_valid,
     validate_schedule,
 )
 from .model import SolveLimits, SolveStatus, count_variables
@@ -86,9 +86,7 @@ def build_report(
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    require_valid(scenario)
     problems = validate_schedule(
         schedule,
         agent_count=scenario.agent_count,
@@ -98,11 +96,9 @@ def build_report(
     )
     if problems:
         raise ValueError("infeasible schedule: " + "; ".join(problems))
-    coverage = coverage_from_schedule(
-        schedule, scenario.shift_catalog, scenario.num_days, scenario.agent_count
-    )
+    coverage = coverage_from_schedule(schedule, scenario.shift_catalog)
     deviations = deviation_profiles(scenario.requirements, coverage)
-    assigned_pairs = len(schedule.assignments)
+    assigned_pairs = len(schedule)
     variable_count = count_variables(
         scenario.agent_count,
         scenario.num_days,
@@ -193,12 +189,7 @@ def compare_modes(
         raise ValueError("runs must be at least 1")
     pairs: list[ComparisonRun] = []
     for i in range(runs):
-        run_limits = SolveLimits(
-            time_budget_seconds=limits.time_budget_seconds,
-            seed=limits.seed + i,
-            max_exact_nodes=limits.max_exact_nodes,
-            move_cap=limits.move_cap,
-        )
+        run_limits = replace(limits, seed=limits.seed + i)
         single = solve_single_phase(scenario, run_limits, backend=backend)
         multi = solve_multi_phase(
             scenario,
@@ -222,7 +213,7 @@ def compare_modes(
             "multi",
             seed=run_limits.seed,
             runtime_seconds=multi.runtime_seconds,
-            status=multi.shift.status,
+            status=multi.status,
             evaluations=multi.evaluations,
         )
         pairs.append(ComparisonRun(run_limits.seed, single_report, multi_report))

@@ -35,7 +35,7 @@ class SolveLimits:
     move_cap: int | None = None
 
     def __post_init__(self):
-        if self.time_budget_seconds <= 0:
+        if not self.time_budget_seconds > 0:  # NaN included
             raise ValueError("time budget must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")

@@ -18,6 +18,7 @@ import numpy as np
 
 from .domain import (
     DAYS_PER_WEEK,
+    OFF,
     WORKDAYS_PER_WEEK,
     CostMatrix,
     DayAllocation,
@@ -26,9 +27,8 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     WeekPartition,
-    coverage_from_schedule,
     frozen_grid,
-    validate_scenario,
+    require_valid,
 )
 from .model import (
     IntegerModel,
@@ -109,24 +109,17 @@ class DayPhaseResult:
 
 @dataclass(frozen=True)
 class ShiftPhaseResult:
+    """A solved schedule and its search record; the joint solve returns one too."""
+
     schedule: Schedule
-    objective: int
+    objective: float  # joint solve: deviation objective plus linear cost, when present
     status: SolveStatus
     trace: tuple
     evaluations: int
     runtime_seconds: float
 
 
-@dataclass(frozen=True)
-class SinglePhaseResult:
-    schedule: Schedule
-    objective: float  # deviation objective plus linear cost, when present
-    deviation_objective: int
-    cost_value: float
-    status: SolveStatus
-    trace: tuple
-    evaluations: int
-    runtime_seconds: float
+SinglePhaseResult = ShiftPhaseResult
 
 
 @dataclass(frozen=True)
@@ -140,6 +133,10 @@ class MultiPhaseResult:
     @property
     def objective(self) -> int:
         return self.shift.objective
+
+    @property
+    def status(self) -> SolveStatus:
+        return self.shift.status
 
     @property
     def runtime_seconds(self) -> float:
@@ -195,12 +192,6 @@ def solve_shift_allocation(
     )
 
 
-def _require_valid(scenario: Scenario) -> None:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
-
-
 def _uniform_cost_table(cost: CostMatrix | None, scenario: Scenario) -> dict | None:
     if cost is None:
         return None
@@ -220,7 +211,7 @@ def solve_single_phase(
     backend: str = "local",
 ) -> SinglePhaseResult:
     """Joint day-and-shift assignment against interval-level deviations."""
-    _require_valid(scenario)
+    require_valid(scenario)
     weeks = scenario.week_partition()
     table = _uniform_cost_table(cost, scenario)
     _, _, solve_single = get_backend(backend)
@@ -235,16 +226,9 @@ def solve_single_phase(
     schedule = materialize_shift(
         result.splits, materialize_day(result.head_counts, scenario.agent_count, weeks)
     )
-    cost_value = cost.total(schedule) if cost is not None else 0.0
-    coverage = coverage_from_schedule(
-        schedule, scenario.shift_catalog, scenario.num_days, scenario.agent_count
-    )
-    deviation = interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
     return SinglePhaseResult(
         schedule=schedule,
         objective=result.objective,
-        deviation_objective=deviation,
-        cost_value=cost_value,
         status=result.status,
         trace=result.trace,
         evaluations=result.evaluations,
@@ -264,7 +248,7 @@ def solve_multi_phase(
     The day phase gets ``limits.scaled(day_share)`` and the shift phase
     ``limits.scaled(1 - day_share)``.
     """
-    _require_valid(scenario)
+    require_valid(scenario)
     if not 0.0 < day_share < 1.0:
         raise ValueError("day_share must lie strictly between 0 and 1")
     weeks = scenario.week_partition()
@@ -370,11 +354,10 @@ def build_shift_model(spec: ShiftPhaseSpec) -> IntegerModel:
         constraints.append(
             LinearConstraint(terms, "=", 1, label=f"one shift a{a} d{d}")
         )
-    by_day: dict[int, list[int]] = {}
-    for a, d in pairs:
-        by_day.setdefault(d, []).append(a)
+    works = spec.allocation.works
+    by_day = [np.nonzero(works[:, d])[0].tolist() for d in range(works.shape[1])]
     for d in range(spec.requirements.days):
-        agents = by_day.get(d, [])
+        agents = by_day[d]
         terms = {f"x[{a},{d},{s}]": 1 for a in agents for s in range(S)}
         constraints.append(
             LinearConstraint(
@@ -384,7 +367,7 @@ def build_shift_model(spec: ShiftPhaseSpec) -> IntegerModel:
     squared = []
     cov = spec.catalog.coverage
     for d in range(spec.requirements.days):
-        agents = by_day.get(d, [])
+        agents = by_day[d]
         for t in range(spec.requirements.intervals):
             terms = {
                 f"x[{a},{d},{s}]": -1
@@ -458,33 +441,25 @@ def allocation_values(allocation: DayAllocation) -> dict:
     }
 
 
+def _cell_values(grid: np.ndarray, cells, shift_count: int) -> dict:
+    """``x[a,d,s]`` for each (a, d) of ``cells``: 1 where agent a has shift s on day d."""
+    return {f"x[{a},{d},{s}]": int(grid[a, d] == s) for a, d in cells for s in range(shift_count)}
+
+
 def schedule_values_shift(schedule: Schedule, spec: ShiftPhaseSpec) -> dict:
     """Variable assignment of a schedule for ``build_shift_model``."""
-    S = len(spec.catalog)
-    values = {
-        f"x[{a},{d},{s}]": 0 for a, d in spec.allocation.pairs() for s in range(S)
-    }
-    for a, d, s in schedule.assignments:
-        key = f"x[{a},{d},{s}]"
-        if key not in values:
-            raise ValueError(
-                f"schedule assigns agent {a} on day {d} outside the day allocation"
-            )
-        values[key] = 1
-    return values
+    grid = schedule.shifts
+    outside = np.argwhere((grid != OFF) & (spec.allocation.works == 0))
+    if len(outside):
+        a, d = outside[0]
+        raise ValueError(f"schedule assigns agent {a} on day {d} outside the day allocation")
+    return _cell_values(grid, spec.allocation.pairs(), len(spec.catalog))
 
 
 def schedule_values_single(schedule: Schedule, scenario: Scenario) -> dict:
     """Variable assignment of a schedule for ``build_single_model``."""
-    values = {
-        f"x[{a},{d},{s}]": 0
-        for a in range(scenario.agent_count)
-        for d in range(scenario.num_days)
-        for s in range(len(scenario.shift_catalog))
-    }
-    for a, d, s in schedule.assignments:
-        key = f"x[{a},{d},{s}]"
-        if key not in values:
-            raise ValueError(f"assignment ({a}, {d}, {s}) is out of range")
-        values[key] = 1
-    return values
+    grid = schedule.shifts
+    A, D, S = scenario.agent_count, scenario.num_days, len(scenario.shift_catalog)
+    if grid.shape != (A, D):
+        raise ValueError(f"schedule grid is {grid.shape}, the scenario has {A} agents x {D} days")
+    return _cell_values(grid, np.ndindex(A, D), S)

@@ -21,9 +21,13 @@ from datetime import date, timedelta
 import numpy as np
 
 from .domain import (
+    OFF,
     RequirementMatrix,
     Scenario,
+    Schedule,
     ShiftCatalog,
+    TripleError,
+    require_valid,
     validate_scenario,
 )
 from .erlang import SlaSpec, requirements_from_volumes
@@ -165,9 +169,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
+    require_valid(scenario)
     _atomic_write_text(path, json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
 
 
@@ -186,9 +188,14 @@ def _need(data: dict, key: str, kind, path: str):
     return value
 
 
+# Largest requirement cell accepted: far enough below int64 that the solvers'
+# day marginals and per-shift sums of a row cannot wrap.
+MAX_REQUIREMENT = 10**12
+
+
 def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
     """A (count x width) grid of finite numbers; an ``integral`` grid holds
-    whole numbers that fit int64."""
+    whole numbers of magnitude at most ``MAX_REQUIREMENT``."""
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(f"{path}: expected {count} rows")
     grid = np.zeros((count, width), dtype=np.int64 if integral else np.float64)
@@ -202,8 +209,8 @@ def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray
                 raise SchemaError(f"{path}[{i}][{j}]: expected a finite number")
             if integral and cell != int(cell):
                 raise SchemaError(f"{path}[{i}][{j}]: expected a whole number")
-            if integral and not -(2**63) <= cell < 2**63:
-                raise SchemaError(f"{path}[{i}][{j}]: outside the int64 range")
+            if integral and abs(cell) > MAX_REQUIREMENT:
+                raise SchemaError(f"{path}[{i}][{j}]: beyond {MAX_REQUIREMENT} agents")
             grid[i, j] = cell
     return grid
 
@@ -279,21 +286,23 @@ def load_scenario(path: str) -> Scenario:
 SCHEDULE_HEADER = ["agent", "day_index", "shift_start", "shift_length"]
 
 
-def write_schedule(schedule, catalog: ShiftCatalog, path: str) -> None:
+def write_schedule(schedule: Schedule, catalog: ShiftCatalog, path: str) -> None:
     """Rows sorted by (agent, day); shifts written as start/length pairs."""
+    agents, days = np.nonzero(schedule.shifts != OFF)
+    index = schedule.shifts[agents, days]
+    if ((index < 0) | (index >= len(catalog))).any():
+        raise ValueError("schedule holds a shift index outside the catalog")
+    blocks = np.array(catalog.shifts, dtype=np.int64).reshape(-1, 2)[index]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SCHEDULE_HEADER)
-    for agent, day, shift in schedule.sorted_triples():
-        start, length = catalog.shifts[shift]
-        writer.writerow([agent, day, start, length])
+    writer.writerows(zip(agents.tolist(), days.tolist(), *blocks.T.tolist()))
     _atomic_write_text(path, buffer.getvalue())
 
 
-def read_schedule(path: str, catalog: ShiftCatalog):
-    from .domain import Schedule
-
-    by_block = {block: idx for idx, block in enumerate(catalog.shifts)}
+def read_schedule(path: str, scenario: Scenario) -> Schedule:
+    """Parse a schedule CSV onto ``scenario``'s agents x days grid."""
+    by_block = {block: idx for idx, block in enumerate(scenario.shift_catalog.shifts)}
     triples = []
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
@@ -310,7 +319,10 @@ def read_schedule(path: str, catalog: ShiftCatalog):
             if (start, length) not in by_block:
                 raise SchemaError(f"$[{i}]: shift ({start}, {length}) not in catalog")
             triples.append((agent, day, by_block[(start, length)]))
-    return Schedule.from_triples(triples)
+    try:
+        return Schedule.from_triples(triples, scenario.agent_count, scenario.num_days)
+    except TripleError as exc:
+        raise SchemaError(f"$[{exc.position}]: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

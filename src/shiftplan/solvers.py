@@ -22,6 +22,7 @@ import numpy as np
 
 from .domain import (
     DAYS_PER_WEEK,
+    OFF,
     WORKDAYS_PER_WEEK,
     DayAllocation,
     Schedule,
@@ -659,18 +660,18 @@ def materialize_shift(splits, allocation: DayAllocation) -> Schedule:
     """
     if len(splits) != allocation.num_days:
         raise ValueError(f"expected {allocation.num_days} shift splits, got {len(splits)}")
-    triples: list[tuple[int, int, int]] = []
+    shifts = np.full(allocation.works.shape, OFF, dtype=np.int64)
     for d, split in enumerate(splits):
         if min(split, default=0) < 0:
             raise ValueError("negative shift count")
-        agents = allocation.agents_on(d)
-        units = [s for s, y in enumerate(split) for _ in range(y)]
+        agents = np.nonzero(allocation.works[:, d])[0]
+        units = np.repeat(np.arange(len(split)), split)
         if len(units) != len(agents):
             raise ValueError(
                 f"day {d} has {len(units)} shift units for {len(agents)} working agents"
             )
-        triples.extend((a, d, s) for a, s in zip(agents, units))
-    return Schedule.from_triples(triples)
+        shifts[agents, d] = units
+    return Schedule(shifts)
 
 
 # ---------------------------------------------------------------------------

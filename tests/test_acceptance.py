@@ -274,7 +274,7 @@ def test_criterion_3_constraint_invariants(
         )
         assert problems == []
         checked += 1
-        return coverage_from_schedule(schedule, catalog, day_count, agents)
+        return coverage_from_schedule(schedule, catalog)
 
     instances, _ = micro_instances
     for inst in instances:
@@ -335,7 +335,7 @@ def test_criterion_3_constraint_invariants(
         )
         assert (
             interval_objective_value(scn.requirements.per_interval, cov.per_interval)
-            == single.deviation_objective
+            == single.objective
         )
         cov = check_schedule(
             multi.schedule,
@@ -506,7 +506,7 @@ def test_criterion_8_determinism_and_round_trips(tmp_path, peak_artifacts):
     assert load_scenario(str(rewritten)) == scenario
 
     # schedule CSV round-trip
-    schedule = read_schedule(tmp_path / "a.csv", scenario.shift_catalog)
+    schedule = read_schedule(tmp_path / "a.csv", scenario)
     assert len(schedule) == scenario.agent_count * 5
     rewritten_csv = tmp_path / "rewritten.csv"
     write_schedule(schedule, scenario.shift_catalog, str(rewritten_csv))

@@ -177,6 +177,34 @@ class TestSolve:
         assert "not allowed with" in capsys.readouterr().err
 
 
+class TestFlagRanges:
+    """A flag value outside its range is a usage error (exit 1), refused
+    before any file is read or any solve starts."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--mode", "multi", "--move-cap", "0"],
+            ["solve", "--mode", "multi", "--time-budget", "-1"],
+            ["solve", "--mode", "multi", "--time-budget", "nan"],
+            ["solve", "--mode", "multi", "--seed", "-1"],
+            ["solve", "--mode", "multi", "--day-share", "1.5"],
+            ["solve", "--mode", "multi", "--penalty", "-1"],
+            ["compare", "--runs", "0"],
+            ["tune-penalty", "--patience", "0"],
+            ["tune-penalty", "--k-max", "-1"],
+        ],
+        ids=lambda argv: " ".join(argv[-2:]),
+    )
+    def test_out_of_range_flag_is_usage_error(self, tiny_scenario, tmp_path, capsys, argv):
+        outputs = ["--out", str(tmp_path / "out"), "--report", str(tmp_path / "rep.json")]
+        if argv[0] == "tune-penalty":
+            outputs += ["--trace", str(tmp_path / "trace.csv")]
+        code = main([argv[0], "--scenario", tiny_scenario] + argv[1:] + outputs)
+        assert code == 1
+        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+
+
 class TestRequirements:
     def test_writes_table(self, tiny_scenario, tmp_path):
         out = tmp_path / "req.csv"
@@ -251,7 +279,14 @@ class TestGridCells:
     def test_huge_requirement_is_schema_error(self, tmp_path):
         proc = run_requirements(tmp_path, self.requirements_with(1e300))
         assert proc.returncode == 2
-        assert "$.requirements[3][1]: outside the int64 range" in proc.stderr
+        assert "$.requirements[3][1]: beyond 1000000000000 agents" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_requirement_beyond_limit_is_schema_error(self, tmp_path):
+        # 5e18 fits int64, but the day marginals 2p + 1 - 2r do not
+        proc = run_requirements(tmp_path, self.requirements_with(5e18))
+        assert proc.returncode == 2
+        assert "$.requirements[3][1]: beyond 1000000000000 agents" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_fractional_volume_is_sized_as_given(self, tmp_path):

@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 from shiftplan.domain import (
+    OFF,
     CostMatrix,
     DayAllocation,
     RequirementMatrix,
     Scenario,
     Schedule,
     ShiftCatalog,
+    TripleError,
     build_week_partition,
     coverage_from_schedule,
     deviation_profiles,
@@ -102,8 +104,10 @@ class TestCostMatrix:
     def test_missing_entries_cost_zero(self):
         cost = CostMatrix({(0, 0, 0): 2.5})
         assert cost.value(1, 0, 0) == 0.0
-        sched = Schedule.from_triples([(0, 0, 0), (1, 0, 0)])
+        sched = Schedule.from_triples([(0, 0, 0), (1, 0, 0)], 2, 1)
         assert cost.total(sched) == 2.5
+        # entries off the grid or on another shift cost nothing
+        assert CostMatrix({(5, 0, 0): 1.0, (0, 0, 1): 1.0}).total(sched) == 0.0
 
     def test_negative_cost_rejected(self):
         with pytest.raises(ValueError, match="negative cost"):
@@ -160,7 +164,6 @@ class TestDayAllocation:
         alloc = DayAllocation.from_works([[1, 0, 1], [0, 1, 1]])
         assert alloc.day_counts.tolist() == [1, 1, 2]
         assert alloc.pairs() == ((0, 0), (0, 2), (1, 1), (1, 2))
-        assert alloc.agents_on(2) == [0, 1]
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0/1"):
@@ -182,34 +185,37 @@ class TestDayAllocation:
 def five_day_schedule(agents=2, shift=0):
     """Every agent on days 0..4 with one shift: satisfies the weekly quota."""
     return Schedule.from_triples(
-        [(a, d, shift) for a in range(agents) for d in range(5)]
+        [(a, d, shift) for a in range(agents) for d in range(5)], agents, 7
     )
 
 
 class TestSchedule:
     def test_coverage_counts_agents_once_per_day(self):
         cat = ShiftCatalog(((0, 2), (1, 2)), 4)
-        sched = Schedule.from_triples([(0, 0, 0), (1, 0, 1)])
-        cov = coverage_from_schedule(sched, cat, day_count=2, agent_count=2)
+        sched = Schedule.from_triples([(0, 0, 0), (1, 0, 1)], 2, 2)
+        cov = coverage_from_schedule(sched, cat)
         assert cov.per_interval.tolist() == [[1, 2, 1, 0], [0, 0, 0, 0]]
         assert cov.per_day.tolist() == [2, 0]
 
     def test_deviation_signs(self):
         cat = ShiftCatalog(((0, 1),), 2)
         req = RequirementMatrix.from_interval_grid([[2, 1]])
-        cov = coverage_from_schedule(
-            Schedule.from_triples([(0, 0, 0)]), cat, 1, 1
-        )
+        cov = coverage_from_schedule(Schedule.from_triples([(0, 0, 0)], 1, 1), cat)
         dev = deviation_profiles(req, cov)
         assert dev.per_interval.tolist() == [[1, 1]]
         assert dev.per_day.tolist() == [1]
 
     def test_out_of_range_raises(self):
+        with pytest.raises(TripleError, match="agent 5, day 0: outside the 2 x 1 grid"):
+            Schedule.from_triples([(0, 0, 0), (5, 0, 0)], 2, 1)
+        with pytest.raises(TripleError, match="agent 0, day 1: outside") as caught:
+            Schedule.from_triples([(0, 0, 0), (1, 0, 0), (0, 1, 0)], 2, 1)
+        assert caught.value.position == 2
+        with pytest.raises(TripleError, match="shift index -1 out of range"):
+            Schedule.from_triples([(0, 0, -1)], 1, 1)
         cat = ShiftCatalog(((0, 1),), 2)
-        with pytest.raises(ValueError, match="agent index"):
-            coverage_from_schedule(
-                Schedule.from_triples([(5, 0, 0)]), cat, 1, 2
-            )
+        with pytest.raises(ValueError, match="shift index 1 out of range"):
+            coverage_from_schedule(Schedule.from_triples([(0, 0, 1)], 1, 1), cat)
 
     def test_validate_schedule_accepts_quota(self):
         cat = ShiftCatalog(((0, 2),), 4)
@@ -225,21 +231,15 @@ class TestSchedule:
             == []
         )
 
-    def test_validate_schedule_rejects_double_booking(self):
-        cat = ShiftCatalog(((0, 2), (2, 2)), 4)
-        triples = list(five_day_schedule(agents=1).assignments) + [(0, 0, 1)]
-        problems = validate_schedule(
-            Schedule.from_triples(triples),
-            agent_count=1,
-            day_count=7,
-            catalog=cat,
-            weeks=build_week_partition(7),
-        )
-        assert any("more than one shift" in p for p in problems)
+    def test_from_triples_rejects_double_booking(self):
+        triples = [(0, d, 0) for d in range(5)] + [(0, 0, 1)]
+        with pytest.raises(TripleError, match="agent 0 has more than one shift on day 0") as caught:
+            Schedule.from_triples(triples, 1, 7)
+        assert caught.value.position == 5
 
     def test_validate_schedule_rejects_short_week(self):
         cat = ShiftCatalog(((0, 2),), 4)
-        sched = Schedule.from_triples([(0, d, 0) for d in range(4)])
+        sched = Schedule.from_triples([(0, d, 0) for d in range(4)], 1, 7)
         problems = validate_schedule(
             sched,
             agent_count=1,
@@ -249,7 +249,170 @@ class TestSchedule:
         )
         assert problems == ["agent 0 works 4 days in week 0, expected 5"]
 
-    def test_sorted_triples(self):
-        sched = Schedule.from_triples([(1, 0, 0), (0, 1, 0), (0, 0, 1)])
-        assert sched.sorted_triples() == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+    def test_grid_and_length(self):
+        sched = Schedule.from_triples([(1, 0, 0), (0, 1, 0), (0, 0, 1)], 2, 3)
+        assert sched.shifts.tolist() == [[1, 0, OFF], [0, OFF, OFF]]
         assert len(sched) == 3
+        assert sched == Schedule([[1, 0, OFF], [0, OFF, OFF]])
+        with pytest.raises(ValueError):
+            sched.shifts[0, 0] = 2
+
+    def test_validate_schedule_rejects_wrong_shape(self):
+        problems = validate_schedule(
+            five_day_schedule(agents=1),
+            agent_count=2,
+            day_count=7,
+            catalog=ShiftCatalog(((0, 2),), 4),
+            weeks=build_week_partition(7),
+        )
+        assert problems == ["schedule covers 1 agents x 7 days, expected 2 x 7"]
+
+
+# ---------------------------------------------------------------------------
+# the grid against the set of (agent, day, shift) triples it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_coverage(triples, catalog, day_count, agent_count):
+    """Coverage of a set of triples, one assignment at a time (reference)."""
+    per_interval = np.zeros((day_count, catalog.intervals_per_day), dtype=np.int64)
+    day_agents = [set() for _ in range(day_count)]
+    for agent, day, shift in triples:
+        if not 0 <= agent < agent_count:
+            raise ValueError(f"agent index {agent} out of range")
+        if not 0 <= day < day_count:
+            raise ValueError(f"day index {day} out of range")
+        if not 0 <= shift < len(catalog):
+            raise ValueError(f"shift index {shift} out of range")
+        start, length = catalog.shifts[shift]
+        per_interval[day, start : start + length] += 1
+        day_agents[day].add(agent)
+    return per_interval, np.array([len(s) for s in day_agents], dtype=np.int64)
+
+
+def reference_validate(triples, agent_count, day_count, catalog, weeks):
+    """Problems of a set of triples, in sorted-triple order (reference)."""
+    problems = []
+    seen_pairs = set()
+    week_days = np.zeros((agent_count, weeks.count), dtype=np.int64)
+    for agent, day, shift in sorted(triples):
+        if not 0 <= agent < agent_count:
+            problems.append(f"agent index {agent} out of range")
+            continue
+        if not 0 <= day < day_count:
+            problems.append(f"day index {day} out of range")
+            continue
+        if not 0 <= shift < len(catalog):
+            problems.append(f"shift index {shift} out of range")
+            continue
+        if (agent, day) in seen_pairs:
+            problems.append(f"agent {agent} has more than one shift on day {day}")
+            continue
+        seen_pairs.add((agent, day))
+        week_days[agent, weeks.week_of(day)] += 1
+    if not problems:
+        for agent in range(agent_count):
+            for w in range(weeks.count):
+                if week_days[agent, w] != 5:
+                    problems.append(
+                        f"agent {agent} works {int(week_days[agent, w])} days in"
+                        f" week {w}, expected 5"
+                    )
+    return problems
+
+
+def reference_csv(triples, catalog):
+    """The schedule CSV written from sorted triples (reference)."""
+    lines = ["agent,day_index,shift_start,shift_length"]
+    for agent, day, shift in sorted(triples):
+        start, length = catalog.shifts[shift]
+        lines.append(f"{agent},{day},{start},{length}")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def random_grid(rng, kind):
+    """A seeded random schedule grid and its catalog.
+
+    ``valid``: every agent works five days a week; ``short``: any days off,
+    so weeks may be short or long; ``bad``: a few shift indices outside the
+    catalog, above it or below ``OFF``.
+    """
+    agents, weeks, intervals = rng.integers(0, 7), rng.integers(1, 4), rng.integers(1, 7)
+    starts = rng.choice(intervals, size=rng.integers(1, intervals + 1), replace=False)
+    catalog = ShiftCatalog(
+        tuple((int(s), int(rng.integers(1, intervals - s + 1))) for s in sorted(starts)),
+        int(intervals),
+    )
+    shifts = rng.integers(0, len(catalog), size=(agents, 7 * weeks))
+    if kind == "valid":
+        works = np.zeros((agents, weeks, 7), dtype=bool)
+        for a in range(agents):
+            for w in range(weeks):
+                works[a, w, rng.choice(7, size=5, replace=False)] = True
+        works = works.reshape(agents, 7 * weeks)
+    else:
+        works = rng.random((agents, 7 * weeks)) < rng.random()
+    grid = np.where(works, shifts, OFF)
+    if kind == "bad" and grid.size:
+        cells = rng.integers(0, grid.size, size=rng.integers(1, 4))
+        grid.flat[cells] = rng.choice([len(catalog), len(catalog) + 3, -2, -5], size=len(cells))
+    return grid, catalog, build_week_partition(7 * weeks)
+
+
+class TestGridMatchesTriples:
+    """The grid functions against the parent's per-triple versions, kept above."""
+
+    @pytest.mark.parametrize("kind", ["valid", "short", "bad"])
+    def test_same_coverage_problems_and_csv(self, tmp_path, kind):
+        from shiftplan.scenario_io import write_schedule
+
+        rng = np.random.default_rng({"valid": 1, "short": 2, "bad": 3}[kind])
+        path = tmp_path / "s.csv"
+        for _ in range(400):
+            grid, catalog, weeks = random_grid(rng, kind)
+            agents, days = grid.shape
+            schedule = Schedule(grid)
+            triples = frozenset(
+                (int(a), int(d), int(grid[a, d])) for a, d in zip(*np.nonzero(grid != OFF))
+            )
+            assert validate_schedule(
+                schedule, agent_count=agents, day_count=days, catalog=catalog, weeks=weeks
+            ) == reference_validate(triples, agents, days, catalog, weeks)
+            if kind == "bad" and len(triples) and any(
+                not 0 <= s < len(catalog) for _, _, s in triples
+            ):
+                with pytest.raises(ValueError, match="shift index"):
+                    coverage_from_schedule(schedule, catalog)
+                continue
+            per_interval, per_day = reference_coverage(triples, catalog, days, agents)
+            cov = coverage_from_schedule(schedule, catalog)
+            assert np.array_equal(cov.per_interval, per_interval)
+            assert np.array_equal(cov.per_day, per_day)
+            assert Schedule.from_triples(sorted(triples, reverse=True), agents, days) == schedule
+            write_schedule(schedule, catalog, str(path))
+            assert path.read_bytes() == reference_csv(triples, catalog)
+
+    def test_day_allocation_quota_matches_week_loop(self):
+        def reference(works, agent_count, weeks):
+            problems = []
+            if works.shape[0] != agent_count:
+                problems.append(f"allocation has {works.shape[0]} agents, expected {agent_count}")
+            for w in range(weeks.count):
+                days = weeks.days_of(w)
+                week_days = works[:, days.start : days.stop].sum(axis=1)
+                for agent in np.nonzero(week_days != 5)[0]:
+                    problems.append(
+                        f"agent {int(agent)} works {int(week_days[agent])} days in week {w},"
+                        " expected 5"
+                    )
+            return problems
+
+        rng = np.random.default_rng(4)
+        for _ in range(300):
+            agents, weeks = int(rng.integers(0, 6)), int(rng.integers(1, 4))
+            works = (rng.random((agents, 7 * weeks)) < rng.random()).astype(np.int8)
+            partition = build_week_partition(7 * weeks)
+            expected_agents = agents + int(rng.integers(0, 2))
+            assert validate_day_allocation(
+                DayAllocation.from_works(works), expected_agents, partition
+            ) == reference(works, expected_agents, partition)

@@ -6,7 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
-from shiftplan.domain import Schedule, ShiftCatalog
+from shiftplan.domain import RequirementMatrix, Scenario, Schedule, ShiftCatalog
 from shiftplan.metrics import build_report
 from shiftplan.model import SolveLimits
 from shiftplan.phases import solve_multi_phase
@@ -28,6 +28,18 @@ from shiftplan.scenario_io import (
     write_sweep_trace,
 )
 from shiftplan.tuner import SweepEntry, SweepTrace
+
+
+def one_shift_scenario():
+    """One agent, one week of four intervals, and the single shift (0, 2)."""
+    return Scenario(
+        name="s",
+        days=tuple(date(2024, 1, 1 + d) for d in range(7)),
+        intervals_per_day=4,
+        agent_count=1,
+        shift_catalog=ShiftCatalog(((0, 2),), 4),
+        requirements=RequirementMatrix.from_interval_grid(np.ones((7, 4), dtype=np.int64)),
+    )
 
 
 class TestPeakPreset:
@@ -172,29 +184,50 @@ class TestScheduleCsv:
         result = solve_multi_phase(scn, SolveLimits(seed=0, move_cap=2000))
         path = tmp_path / "sched.csv"
         write_schedule(result.schedule, scn.shift_catalog, str(path))
-        loaded = read_schedule(str(path), scn.shift_catalog)
+        loaded = read_schedule(str(path), scn)
         assert loaded == result.schedule
 
     def test_header_and_ordering(self, tmp_path):
         cat = ShiftCatalog(((0, 2), (2, 2)), 4)
-        sched = Schedule.from_triples([(1, 0, 1), (0, 1, 0), (0, 0, 1)])
+        sched = Schedule.from_triples([(1, 0, 1), (0, 1, 0), (0, 0, 1)], 2, 2)
         path = tmp_path / "s.csv"
         write_schedule(sched, cat, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "agent,day_index,shift_start,shift_length"
         assert lines[1:] == ["0,0,2,2", "0,1,0,2", "1,0,2,2"]
 
+    @pytest.mark.parametrize("shift", [-2, 2])
+    def test_shift_outside_catalog_rejected_on_write(self, tmp_path, shift):
+        # numpy would read -2 as the second-to-last catalog shift
+        sched = Schedule([[0, shift]])
+        with pytest.raises(ValueError, match="shift index outside the catalog"):
+            write_schedule(sched, ShiftCatalog(((0, 2), (2, 2)), 4), str(tmp_path / "s.csv"))
+
     def test_unknown_shift_rejected_on_read(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("agent,day_index,shift_start,shift_length\n0,0,5,5\n")
         with pytest.raises(SchemaError, match="not in catalog"):
-            read_schedule(str(path), ShiftCatalog(((0, 2),), 4))
+            read_schedule(str(path), one_shift_scenario())
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["3,0,0,2"], r"\$\[0\]: agent 3, day 0: outside the 1 x 7 grid"),
+            (["0,0,0,2", "0,7,0,2"], r"\$\[1\]: agent 0, day 7: outside the 1 x 7 grid"),
+            (["0,0,0,2", "0,1,0,2", "0,0,0,2"], r"\$\[2\]: agent 0 has more than one shift on day 0"),
+        ],
+    )
+    def test_grid_errors_name_the_row(self, tmp_path, rows, message):
+        path = tmp_path / "s.csv"
+        path.write_text("agent,day_index,shift_start,shift_length\n" + "\n".join(rows) + "\n")
+        with pytest.raises(SchemaError, match=message):
+            read_schedule(str(path), one_shift_scenario())
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("a,b\n")
         with pytest.raises(SchemaError, match="expected header"):
-            read_schedule(str(path), ShiftCatalog(((0, 2),), 4))
+            read_schedule(str(path), one_shift_scenario())
 
 
 class TestSweepCsv:

@@ -102,14 +102,14 @@ class TestBuildReport:
 
     def test_refuses_infeasible_schedule(self):
         scn = micro_scenario()
-        bad = Schedule.from_triples([(0, 0, 0)])  # one workday in the week
+        bad = Schedule.from_triples([(0, 0, 0)], 2, 7)  # one workday in the week
         with pytest.raises(ValueError, match="infeasible schedule"):
             build_report(scn, bad, "multi", seed=0, runtime_seconds=0.0)
 
     def test_refuses_unknown_mode(self):
         scn = micro_scenario()
         with pytest.raises(ValueError, match="unknown mode"):
-            build_report(scn, Schedule.from_triples([]), "dual", seed=0, runtime_seconds=0.0)
+            build_report(scn, Schedule.from_triples([], 2, 7), "dual", seed=0, runtime_seconds=0.0)
 
     def test_kl_none_when_nothing_required(self):
         grid = np.zeros((7, 2), dtype=np.int64)

@@ -50,6 +50,11 @@ class TestSolveLimits:
         with pytest.raises(ValueError):
             SolveLimits(move_cap=0)
 
+    def test_nan_budget_rejected(self):
+        # NaN <= 0 is false: a plain sign check would accept a budget that never expires
+        with pytest.raises(ValueError, match="time budget"):
+            SolveLimits(time_budget_seconds=float("nan"))
+
     def test_scaled_splits_both_budgets(self):
         limits = SolveLimits(time_budget_seconds=10.0, seed=3, move_cap=1000)
         day = limits.scaled(0.2)

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from shiftplan.domain import (
+    OFF,
     CostMatrix,
     RequirementMatrix,
     Scenario,
+    Schedule,
     ShiftCatalog,
     build_week_partition,
     coverage_from_schedule,
@@ -47,6 +49,12 @@ def scenario_from_grid(grid, agents, shifts, name="t"):
         shift_catalog=ShiftCatalog(shifts, intervals),
         requirements=RequirementMatrix.from_interval_grid(grid),
     )
+
+
+def deviation(scenario, schedule):
+    """The interval objective recomputed from the schedule."""
+    coverage = coverage_from_schedule(schedule, scenario.shift_catalog)
+    return interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
 
 
 def weekday_micro():
@@ -121,10 +129,8 @@ class TestShiftPhase:
             backend="exact",
         )
         spec = ShiftPhaseSpec(scn.requirements, day.allocation, scn.shift_catalog)
-        from shiftplan.domain import Schedule
-
         off_day = int(np.nonzero(day.allocation.works[0] == 0)[0][0])
-        bad = Schedule.from_triples([(0, off_day, 0)])
+        bad = Schedule.from_triples([(0, off_day, 0)], 1, 7)
         with pytest.raises(ValueError, match="outside the day allocation"):
             schedule_values_shift(bad, spec)
 
@@ -141,9 +147,10 @@ class TestShiftPhase:
 
 class TestSinglePhase:
     def test_perfect_week_solves_to_zero(self):
-        result = solve_single_phase(weekday_micro(), SolveLimits(move_cap=5000))
+        scn = weekday_micro()
+        result = solve_single_phase(scn, SolveLimits(move_cap=5000))
         assert result.objective == 0
-        assert result.deviation_objective == 0
+        assert deviation(scn, result.schedule) == 0
         assert str(result.status) == "SolveStatus.OPTIMAL"
 
     def test_audit_model_agrees(self):
@@ -164,10 +171,11 @@ class TestSinglePhase:
         cost = CostMatrix({(0, d, 0): 9.0 for d in range(7)})
         free = solve_single_phase(scn, SolveLimits(), backend="exact")
         priced = solve_single_phase(scn, SolveLimits(), cost=cost, backend="exact")
-        assert free.cost_value == 0.0
+        assert free.objective == deviation(scn, free.schedule)
         # the full-day shift is now expensive: the solver books the short one
-        assert priced.objective == priced.deviation_objective + priced.cost_value
-        assert all(s == 1 for _, _, s in priced.schedule.assignments)
+        assert priced.objective == deviation(scn, priced.schedule) + cost.total(priced.schedule)
+        booked = priced.schedule.shifts
+        assert (booked[booked != OFF] == 1).all()
 
     def test_per_agent_cost_rejected(self):
         scn = weekday_micro()
@@ -217,10 +225,9 @@ class TestMultiPhase:
         scn = scenario_from_grid(grid, agents=3, shifts=((0, 2), (2, 2)))
         result = solve_multi_phase(scn, SolveLimits(move_cap=5000), penalty_factor=1)
         alloc = result.day.allocation
-        for a, d, _ in result.schedule.assignments:
-            assert alloc.works[a, d] == 1
+        assert np.array_equal(result.schedule.shifts != OFF, alloc.works == 1)
         # head-count conservation: coverage equals the day allocation per day
-        cov = coverage_from_schedule(result.schedule, scn.shift_catalog, 7, 3)
+        cov = coverage_from_schedule(result.schedule, scn.shift_catalog)
         assert cov.per_day.tolist() == alloc.day_counts.tolist()
         assert (
             validate_schedule(
@@ -236,10 +243,7 @@ class TestMultiPhase:
     def test_objective_is_shift_phase_objective(self):
         scn = weekday_micro()
         result = solve_multi_phase(scn, SolveLimits(move_cap=1000))
-        recomputed = interval_objective_value(
-            scn.requirements.per_interval,
-            coverage_from_schedule(result.schedule, scn.shift_catalog, 7, 1).per_interval,
-        )
+        recomputed = deviation(scn, result.schedule)
         assert result.objective == result.shift.objective == recomputed
 
     def test_runtime_and_evaluations_are_sums(self):

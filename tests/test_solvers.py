@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftplan.domain import (
+    OFF,
     Schedule,
     ShiftCatalog,
     build_week_partition,
@@ -144,14 +145,14 @@ def reference_materialize_single(head_counts, splits, agent_count, weeks):
             for _ in range(plans[plan]):
                 triples.extend((agent, days.start + d, s) for d, s in plan)
                 agent += 1
-    return Schedule.from_triples(triples)
+    return Schedule.from_triples(triples, agent_count, weeks.count * 7)
 
 
 def shift_tally(schedule, day_count, shift_count):
     """Agents per (day, shift) of a schedule, as nested tuples like ``splits``."""
     tally = np.zeros((day_count, shift_count), dtype=np.int64)
-    for _, d, s in schedule.assignments:
-        tally[d, s] += 1
+    agents, days = np.nonzero(schedule.shifts != OFF)
+    np.add.at(tally, (days, schedule.shifts[agents, days]), 1)
     return tuple(tuple(int(y) for y in row) for row in tally)
 
 
