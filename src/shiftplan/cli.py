@@ -17,7 +17,7 @@ import sys
 
 from .metrics import build_report, compare_modes
 from .model import SolveLimits
-from .phases import ShiftPhaseSpec, solve_multi_phase, solve_shift_allocation, solve_single_phase
+from .phases import finish_multi_phase, solve_multi_phase, solve_single_phase
 from .scenario_io import (
     PRESETS,
     SchemaError,
@@ -193,18 +193,21 @@ def _cmd_solve(args) -> int:
     deterministic = args.move_cap is not None
     if args.tune and args.mode != "multi":
         raise UsageError("--tune applies to --mode multi only")
-    penalty = args.penalty
-    if args.mode == "multi":
-        if args.tune:
-            tuned = tune_penalty(
-                scenario.requirements.per_day,
-                scenario.agent_count,
-                scenario.week_partition(),
-                limits.scaled(args.day_share),
-            )
-            penalty = tuned.trace.selected
+    if args.tune:
+        # the sweep's chosen day phase is the one the schedule keeps
+        day_limits = limits.scaled(args.day_share)
+        tuned = tune_penalty(
+            scenario.requirements.per_day,
+            scenario.agent_count,
+            scenario.week_partition(),
+            day_limits,
+        )
+        result = finish_multi_phase(
+            scenario, tuned.best, day_limits, limits.scaled(1.0 - args.day_share)
+        )
+    elif args.mode == "multi":
         result = solve_multi_phase(
-            scenario, limits, penalty_factor=penalty, day_share=args.day_share
+            scenario, limits, penalty_factor=args.penalty, day_share=args.day_share
         )
     else:
         result = solve_single_phase(scenario, limits)
@@ -239,25 +242,18 @@ def _cmd_tune(args) -> int:
     trace_path = args.trace or f"{scenario.name}-sweep.csv"
     write_sweep_trace(tuned.trace, trace_path)
     # finish the chosen-K day allocation into a full schedule
-    shift_result = solve_shift_allocation(
-        ShiftPhaseSpec(
-            requirements=scenario.requirements,
-            allocation=tuned.best.allocation,
-            catalog=scenario.shift_catalog,
-        ),
-        limits,
-    )
+    result = finish_multi_phase(scenario, tuned.best, limits, limits)
     out = args.out or f"{scenario.name}-tuned-schedule.csv"
-    write_schedule(shift_result.schedule, scenario.shift_catalog, out)
+    write_schedule(result.schedule, scenario.shift_catalog, out)
     if args.report:
         report = build_report(
             scenario,
-            shift_result.schedule,
+            result.schedule,
             "multi",
             seed=args.seed,
-            runtime_seconds=tuned.best.runtime_seconds + shift_result.runtime_seconds,
-            status=shift_result.status,
-            evaluations=tuned.best.evaluations + shift_result.evaluations,
+            runtime_seconds=result.runtime_seconds,
+            status=result.status,
+            evaluations=result.evaluations,
         )
         write_report(report, args.report, deterministic=deterministic)
     print(f"selected K={tuned.trace.selected}; wrote {trace_path} and {out}")

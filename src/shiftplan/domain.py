@@ -158,48 +158,25 @@ class RequirementMatrix:
         )
 
 
-@dataclass(frozen=True)
-class CostMatrix:
-    """Optional linear assignment costs, keyed by (agent, day, shift).
+def unit_cost_grid(unit_cost, day_count: int, shift_count: int) -> np.ndarray | None:
+    """Checked read-only copy of a (days x shifts) unit-cost grid.
 
-    Missing entries cost zero.  The bundled optimizers treat agents as
-    interchangeable, so they require a matrix whose cost depends on the
-    (day, shift) pair only; arbitrary per-agent matrices are still accepted
-    for evaluation and reporting.
+    ``unit_cost[d, s]`` is the price of one agent on shift ``s`` of day ``d``;
+    agents are interchangeable, so nothing else can carry a price.  ``None``
+    (no costs) passes through.
     """
-
-    cost: dict
-
-    def __post_init__(self):
-        for key, value in self.cost.items():
-            if value < 0:
-                raise ValueError(f"negative cost at {key}")
-
-    def value(self, agent: int, day: int, shift: int) -> float:
-        return self.cost.get((agent, day, shift), 0.0)
-
-    def total(self, schedule: "Schedule") -> float:
-        """Summed cost of the entries whose (agent, day) cell holds their shift."""
-        grid = schedule.shifts
-        agents, days = grid.shape
-        held = [c for (a, d, s), c in self.cost.items()
-                if 0 <= a < agents and 0 <= d < days and grid[a, d] == s]
-        return float(sum(held))
-
-    def agent_uniform_table(self, agent_count: int) -> dict | None:
-        """Return {(day, shift): cost} when every agent is priced alike, else None."""
-        table: dict[tuple[int, int], float] = {}
-        by_pair: dict[tuple[int, int], dict[int, float]] = {}
-        for (a, d, s), c in self.cost.items():
-            by_pair.setdefault((d, s), {})[a] = c
-        for pair, per_agent in by_pair.items():
-            values = {per_agent.get(a, 0.0) for a in range(agent_count)}
-            if len(values) > 1:
-                return None
-            cost = values.pop() if values else 0.0
-            if cost:
-                table[pair] = cost
-        return table
+    if unit_cost is None:
+        return None
+    grid = frozen_grid(unit_cost, dtype=np.float64)
+    if grid.shape != (day_count, shift_count):
+        raise ValueError(
+            f"unit costs are {grid.shape}, expected ({day_count}, {shift_count}) days x shifts"
+        )
+    if not np.isfinite(grid).all():
+        raise ValueError("unit costs must be finite")
+    if (grid < 0).any():
+        raise ValueError("negative unit cost")
+    return grid
 
 
 @dataclass(frozen=True)

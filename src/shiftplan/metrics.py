@@ -12,12 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
-    CostMatrix,
+    OFF,
     Scenario,
     Schedule,
     coverage_from_schedule,
     deviation_profiles,
     require_valid,
+    unit_cost_grid,
     validate_schedule,
 )
 from .model import SolveLimits, SolveStatus, count_variables
@@ -77,12 +78,14 @@ def build_report(
     runtime_seconds: float,
     status: SolveStatus | str = SolveStatus.FEASIBLE,
     evaluations: int = 0,
-    cost: CostMatrix | None = None,
+    unit_cost=None,
 ) -> SolveReport:
     """Recompute coverage, objective, and indices for a finished schedule.
 
     Refuses schedules that break the hard constraints; every reported number
-    is derived here from the scenario and schedule alone.
+    is derived here from the scenario and schedule alone.  ``cost_value`` is
+    ``unit_cost[d, s]`` summed over the schedule's working cells (0.0 when
+    unpriced), and ``objective_value`` adds it to the squared deviation.
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -107,7 +110,11 @@ def build_report(
         mode,
         assigned_pairs=assigned_pairs if mode == "multi" else None,
     )
-    cost_value = cost.total(schedule) if cost is not None else 0.0
+    unit_cost = unit_cost_grid(unit_cost, scenario.num_days, len(scenario.shift_catalog))
+    cost_value = 0.0
+    if unit_cost is not None:
+        agents, days = np.nonzero(schedule.shifts != OFF)
+        cost_value = float(unit_cost[days, schedule.shifts[agents, days]].sum())
     objective = interval_objective_value(
         scenario.requirements.per_interval, coverage.per_interval
     )
@@ -176,7 +183,6 @@ def compare_modes(
     *,
     day_share: float = 0.2,
     penalty_factor: int = 0,
-    backend: str = "local",
 ) -> ComparisonResult:
     """Benchmark both modes over seeded repeat runs with equal budgets.
 
@@ -190,13 +196,9 @@ def compare_modes(
     pairs: list[ComparisonRun] = []
     for i in range(runs):
         run_limits = replace(limits, seed=limits.seed + i)
-        single = solve_single_phase(scenario, run_limits, backend=backend)
+        single = solve_single_phase(scenario, run_limits)
         multi = solve_multi_phase(
-            scenario,
-            run_limits,
-            penalty_factor=penalty_factor,
-            day_share=day_share,
-            backend=backend,
+            scenario, run_limits, penalty_factor=penalty_factor, day_share=day_share
         )
         single_report = build_report(
             scenario,

@@ -4,8 +4,8 @@
 interval-level objective.  ``solve_multi_phase`` splits the work: a day
 allocation matched against per-day peak requirements (with an optional
 idle-day penalty), then a shift allocation for the fixed working days.
-The budget is split between the phases (20% / 80% by default); the local
-day phase is exact and spends none of its share.
+The budget is split between the phases (20% / 80% by default); the day
+phase is exact and spends none of its share.
 
 Each solve also has an explicit integer-model builder so results can be
 audited independently of the search path: rebuild the model, plug in the
@@ -20,7 +20,6 @@ from .domain import (
     DAYS_PER_WEEK,
     OFF,
     WORKDAYS_PER_WEEK,
-    CostMatrix,
     DayAllocation,
     RequirementMatrix,
     Scenario,
@@ -29,6 +28,7 @@ from .domain import (
     WeekPartition,
     frozen_grid,
     require_valid,
+    unit_cost_grid,
 )
 from .model import (
     IntegerModel,
@@ -40,9 +40,11 @@ from .model import (
 )
 from .solvers import (
     day_term,
-    get_backend,
     materialize_day,
     materialize_shift,
+    solve_local_day,
+    solve_local_shift,
+    solve_local_single,
     squared_norm,
 )
 
@@ -152,11 +154,8 @@ class MultiPhaseResult:
 # ---------------------------------------------------------------------------
 
 
-def solve_day_allocation(
-    spec: DayPhaseSpec, limits: SolveLimits, backend: str = "local"
-) -> DayPhaseResult:
-    solve_day, _, _ = get_backend(backend)
-    result = solve_day(
+def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> DayPhaseResult:
+    result = solve_local_day(
         spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
     )
     allocation = materialize_day(result.head_counts, spec.agent_count, spec.weeks)
@@ -171,11 +170,8 @@ def solve_day_allocation(
     )
 
 
-def solve_shift_allocation(
-    spec: ShiftPhaseSpec, limits: SolveLimits, backend: str = "local"
-) -> ShiftPhaseResult:
-    _, solve_shift, _ = get_backend(backend)
-    result = solve_shift(
+def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> ShiftPhaseResult:
+    result = solve_local_shift(
         spec.requirements.per_interval,
         [int(n) for n in spec.allocation.day_counts],
         spec.catalog,
@@ -192,36 +188,20 @@ def solve_shift_allocation(
     )
 
 
-def _uniform_cost_table(cost: CostMatrix | None, scenario: Scenario) -> dict | None:
-    if cost is None:
-        return None
-    table = cost.agent_uniform_table(scenario.agent_count)
-    if table is None:
-        raise ValueError(
-            "cost matrix prices agents differently; the bundled solvers treat"
-            " agents as interchangeable and need agent-uniform costs"
-        )
-    return table
-
-
 def solve_single_phase(
-    scenario: Scenario,
-    limits: SolveLimits,
-    cost: CostMatrix | None = None,
-    backend: str = "local",
+    scenario: Scenario, limits: SolveLimits, unit_cost=None
 ) -> SinglePhaseResult:
-    """Joint day-and-shift assignment against interval-level deviations."""
+    """Joint day-and-shift assignment against interval-level deviations, plus
+    ``unit_cost[d, s]`` per agent on shift ``s`` of day ``d`` when given."""
     require_valid(scenario)
     weeks = scenario.week_partition()
-    table = _uniform_cost_table(cost, scenario)
-    _, _, solve_single = get_backend(backend)
-    result = solve_single(
+    result = solve_local_single(
         scenario.requirements.per_interval,
         scenario.agent_count,
         weeks,
         scenario.shift_catalog,
         limits,
-        table,
+        unit_cost,
     )
     schedule = materialize_shift(
         result.splits, materialize_day(result.head_counts, scenario.agent_count, weeks)
@@ -241,7 +221,6 @@ def solve_multi_phase(
     limits: SolveLimits,
     penalty_factor: int = 0,
     day_share: float = DEFAULT_DAY_SHARE,
-    backend: str = "local",
 ) -> MultiPhaseResult:
     """Day allocation against daily peaks, then shift allocation within days.
 
@@ -251,35 +230,29 @@ def solve_multi_phase(
     require_valid(scenario)
     if not 0.0 < day_share < 1.0:
         raise ValueError("day_share must lie strictly between 0 and 1")
-    weeks = scenario.week_partition()
     day_limits = limits.scaled(day_share)
-    shift_limits = limits.scaled(1.0 - day_share)
     day_result = solve_day_allocation(
         DayPhaseSpec(
             day_requirements=scenario.requirements.per_day,
             agent_count=scenario.agent_count,
-            weeks=weeks,
+            weeks=scenario.week_partition(),
             penalty_factor=penalty_factor,
         ),
         day_limits,
-        backend=backend,
     )
-    shift_result = solve_shift_allocation(
-        ShiftPhaseSpec(
-            requirements=scenario.requirements,
-            allocation=day_result.allocation,
-            catalog=scenario.shift_catalog,
-        ),
+    return finish_multi_phase(scenario, day_result, day_limits, limits.scaled(1.0 - day_share))
+
+
+def finish_multi_phase(
+    scenario: Scenario, day: DayPhaseResult, day_limits: SolveLimits, shift_limits: SolveLimits
+) -> MultiPhaseResult:
+    """The shift phase on ``day``'s allocation, recorded with the day phase
+    that chose it (``day_limits`` is the budget that phase was given)."""
+    shift = solve_shift_allocation(
+        ShiftPhaseSpec(scenario.requirements, day.allocation, scenario.shift_catalog),
         shift_limits,
-        backend=backend,
     )
-    return MultiPhaseResult(
-        schedule=shift_result.schedule,
-        day=day_result,
-        shift=shift_result,
-        day_limits=day_limits,
-        shift_limits=shift_limits,
-    )
+    return MultiPhaseResult(shift.schedule, day, shift, day_limits, shift_limits)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +352,12 @@ def build_shift_model(spec: ShiftPhaseSpec) -> IntegerModel:
     return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
 
 
-def build_single_model(scenario: Scenario, cost: CostMatrix | None = None) -> IntegerModel:
-    """Per-agent binary model of the joint formulation."""
+def build_single_model(scenario: Scenario, unit_cost=None) -> IntegerModel:
+    """Per-agent binary model of the joint formulation; every agent on shift
+    ``s`` of day ``d`` costs ``unit_cost[d, s]``."""
     A, D = scenario.agent_count, scenario.num_days
     S = len(scenario.shift_catalog)
+    unit_cost = unit_cost_grid(unit_cost, D, S)
     weeks = scenario.week_partition()
     variables = tuple(
         (f"x[{a},{d},{s}]", 0, 1)
@@ -421,11 +396,12 @@ def build_single_model(scenario: Scenario, cost: CostMatrix | None = None) -> In
                 LinExpr(terms, int(scenario.requirements.per_interval[d, t]))
             )
     linear = None
-    if cost is not None:
-        cost_terms = {}
-        for (a, d, s), c in cost.cost.items():
-            if c:
-                cost_terms[f"x[{a},{d},{s}]"] = c
+    if unit_cost is not None:
+        cost_terms = {
+            f"x[{a},{d},{s}]": float(unit_cost[d, s])
+            for a in range(A)
+            for d, s in zip(*np.nonzero(unit_cost))
+        }
         linear = LinExpr(cost_terms, 0.0)
     return IntegerModel(
         variables, tuple(constraints), QuadraticObjective(tuple(squared), linear)

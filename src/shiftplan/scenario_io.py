@@ -191,6 +191,8 @@ def _need(data: dict, key: str, kind, path: str):
 # Largest requirement cell accepted: far enough below int64 that the solvers'
 # day marginals and per-shift sums of a row cannot wrap.
 MAX_REQUIREMENT = 10**12
+# Largest head-count accepted: every command builds agents x days grids.
+MAX_AGENTS = 100_000
 
 
 def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
@@ -233,6 +235,8 @@ def load_scenario(path: str) -> Scenario:
         raise SchemaError(f"$.days: expected ISO dates ({exc})") from exc
     intervals = _need(data, "intervals_per_day", int, "$")
     agents = _need(data, "agents", int, "$")
+    if agents > MAX_AGENTS:
+        raise SchemaError(f"$.agents: beyond {MAX_AGENTS} agents")
     raw_catalog = _need(data, "shift_catalog", list, "$")
     shifts = []
     for i, entry in enumerate(raw_catalog):

@@ -8,11 +8,16 @@ head-counts into per-agent working days, one week at a time, and
 ``materialize_shift`` hands each day's working agents their shifts; the
 joint solve is expanded by the two in turn.
 
-Two backends share each formulation: an exhaustive enumerator that refuses
-oversized spaces (the audit oracle) and the local backend.  The local backend
-solves the day problem exactly by greedy allocation, and the shift and joint
-problems with one per-day kernel: greedy splits of n agents over the shifts,
-improved by steepest swap descent within a wall-clock or move-cap budget.
+Each formulation has one solve, ``solve_local_day``, ``solve_local_shift``
+and ``solve_local_single``: the day problem is solved exactly by greedy
+allocation, and the shift and joint problems by one per-day kernel, greedy
+splits of n agents over the shifts improved by steepest swap descent within a
+wall-clock or move-cap budget.  The ``solve_exact_*`` enumerators return the
+same record and refuse oversized spaces; they are the audit oracles.
+
+Unit costs are one (days x shifts) grid, ``unit_cost[d, s]`` per agent on
+shift ``s`` of day ``d``, checked by ``domain.unit_cost_grid``; ``None`` means
+unpriced, and the objective stays an exact integer.
 """
 import itertools
 import math
@@ -28,6 +33,7 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     WeekPartition,
+    unit_cost_grid,
 )
 from .model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 
@@ -160,7 +166,7 @@ def _bounded_vectors(bound: int, total: int, length: int):
 
 
 # ---------------------------------------------------------------------------
-# exact backend
+# exact enumerators (audit oracles)
 # ---------------------------------------------------------------------------
 
 
@@ -231,13 +237,14 @@ def _compositions(total: int, parts: int):
 
 
 def _best_day_composition(
-    r_row: np.ndarray, n: int, catalog: ShiftCatalog, unit_cost_row, deadline: Deadline
+    r: np.ndarray, d: int, n: int, catalog: ShiftCatalog, unit_cost, deadline: Deadline
 ):
-    """Exhaustive best shift-count split of ``n`` agents on one day."""
+    """Exhaustive best shift-count split of ``n`` agents on day ``d``."""
     S = len(catalog)
     best_vec = None
     best_obj = None
-    scheduled = np.zeros(len(r_row), dtype=np.int64)
+    scheduled = np.zeros(r.shape[1], dtype=np.int64)
+    cost = None if unit_cost is None else unit_cost[d].tolist()
     for vec in _compositions(n, S):
         deadline.spend()
         scheduled[:] = 0
@@ -245,9 +252,9 @@ def _best_day_composition(
             if y:
                 span = catalog.covers(s)
                 scheduled[span.start : span.stop] += y
-        obj = squared_norm(r_row - scheduled)
-        if unit_cost_row is not None:
-            obj = obj + sum(vec[s] * unit_cost_row.get(s, 0.0) for s in range(S))
+        obj = squared_norm(r[d] - scheduled)
+        if cost is not None:
+            obj = obj + sum(vec[s] * cost[s] for s in range(S))
         if best_obj is None or obj < best_obj:
             best_obj = obj
             best_vec = vec
@@ -259,13 +266,14 @@ def solve_exact_shift(
     day_counts,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost: dict | None = None,
+    unit_cost=None,
 ) -> SearchResult:
     """Exhaustive shift-allocation optimum, day by day."""
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
     _check_shift_inputs(r, n_d, catalog)
     S = len(catalog)
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
     nodes = sum(math.comb(n + S - 1, S - 1) for n in n_d)
     if nodes > limits.max_exact_nodes:
         raise SearchSpaceError(
@@ -275,8 +283,7 @@ def solve_exact_shift(
     splits = []
     objective = 0
     for d in range(r.shape[0]):
-        cost_row = _cost_row(unit_cost, d)
-        vec, obj = _best_day_composition(r[d], n_d[d], catalog, cost_row, deadline)
+        vec, obj = _best_day_composition(r, d, n_d[d], catalog, unit_cost, deadline)
         splits.append(vec)
         objective = objective + obj
     return SearchResult(
@@ -296,7 +303,7 @@ def solve_exact_single(
     weeks: WeekPartition,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost: dict | None = None,
+    unit_cost=None,
 ) -> SearchResult:
     """Exhaustive joint optimum.
 
@@ -313,6 +320,7 @@ def solve_exact_single(
     S = len(catalog)
     if S == 0:
         raise ValueError("shift catalog is empty")
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
     table_nodes = r.shape[0] * math.comb(agent_count + S, S)
     vec_nodes = weeks.count * _count_bounded_vectors(
         agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
@@ -327,10 +335,9 @@ def solve_exact_single(
     best_comp: list[list[tuple]] = []
     best_val: list[list[float]] = []
     for d in range(r.shape[0]):
-        cost_row = _cost_row(unit_cost, d)
         comps, vals = [], []
         for n in range(agent_count + 1):
-            vec, obj = _best_day_composition(r[d], n, catalog, cost_row, deadline)
+            vec, obj = _best_day_composition(r, d, n, catalog, unit_cost, deadline)
             comps.append(vec)
             vals.append(obj)
         best_comp.append(comps)
@@ -362,15 +369,8 @@ def solve_exact_single(
     )
 
 
-def _cost_row(unit_cost: dict | None, day: int) -> dict | None:
-    if unit_cost is None:
-        return None
-    row = {s: c for (d, s), c in unit_cost.items() if d == day}
-    return row
-
-
 # ---------------------------------------------------------------------------
-# per-day shift kernel and the local backend
+# per-day shift kernel and the local solves
 # ---------------------------------------------------------------------------
 
 
@@ -483,18 +483,12 @@ class _DayKernel:
 
 
 def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> list:
-    """One kernel per day; days with equal requirement and cost rows share one,
-    built up to the largest head-count among them."""
+    """One kernel per day, its cost row ``unit_cost[d]`` (int64 zeros when
+    unpriced); days with equal requirement and cost rows share one, built up
+    to the largest head-count among them."""
     cover = catalog.coverage.astype(np.int64)
     overlap = cover @ cover.T
-    S = len(catalog)
-    costs = []
-    for d in range(r.shape[0]):
-        if unit_cost is None:
-            costs.append(np.zeros(S, dtype=np.int64))
-        else:
-            row = _cost_row(unit_cost, d)
-            costs.append(np.array([float(row.get(s, 0.0)) for s in range(S)]))
+    costs = np.zeros((r.shape[0], len(catalog)), dtype=np.int64) if unit_cost is None else unit_cost
     keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(r.shape[0])]
     caps: dict = {}
     for key, cap in zip(keys, head_caps):
@@ -561,13 +555,14 @@ def solve_local_shift(
     day_counts,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost: dict | None = None,
+    unit_cost=None,
 ) -> SearchResult:
     """Each day's greedy split at its head-count, improved by swap descent."""
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
     _check_shift_inputs(r, n_d, catalog)
     deadline = Deadline(limits)
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     kernels = _day_kernels(r, catalog, unit_cost, n_d)
     splits, objective, trace = _descend_days(kernels, n_d, deadline)
     return SearchResult(
@@ -587,7 +582,7 @@ def solve_local_single(
     weeks: WeekPartition,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost: dict | None = None,
+    unit_cost=None,
 ) -> SearchResult:
     """Joint day-and-shift choice over the per-day greedy tables.
 
@@ -602,6 +597,7 @@ def solve_local_single(
         raise ValueError("agent_count must be non-negative")
     _check_shift_inputs(r, [agent_count] * r.shape[0], catalog)
     deadline = Deadline(limits)
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     kernels = _day_kernels(r, catalog, unit_cost, [agent_count] * r.shape[0])
     head_counts: list[int] = []
     for w in range(weeks.count):
@@ -673,20 +669,3 @@ def materialize_shift(splits, allocation: DayAllocation) -> Schedule:
         shifts[agents, d] = units
     return Schedule(shifts)
 
-
-# ---------------------------------------------------------------------------
-# backends: (day, shift, single) solve functions sharing the signatures above
-# ---------------------------------------------------------------------------
-
-BACKENDS = {
-    "local": (solve_local_day, solve_local_shift, solve_local_single),
-    "exact": (solve_exact_day, solve_exact_shift, solve_exact_single),
-}
-
-
-def get_backend(name: str) -> tuple:
-    """The (day, shift, single) solve functions of a backend."""
-    if name not in BACKENDS:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown solver backend {name!r} (known: {known})")
-    return BACKENDS[name]

@@ -114,7 +114,6 @@ def tune_penalty(
     per_k_limits: SolveLimits,
     stop: StopConfig = StopConfig(),
     epsilon: float = DEFAULT_EPSILON,
-    backend: str = "local",
 ) -> TuneResult:
     """Sweep K = 0..k_max day solves, each with ``per_k_limits``.
 
@@ -132,7 +131,6 @@ def tune_penalty(
         result = solve_day_allocation(
             DayPhaseSpec(day_requirements, agent_count, weeks, k),
             per_k_limits,
-            backend=backend,
         )
         kl = kl_divergence(
             DistributionPair(day_distribution(result.day_counts), target, epsilon)

@@ -91,7 +91,7 @@ class MicroInstance:
 
 @pytest.fixture(scope="session")
 def micro_instances():
-    """60 randomized micro-instances solved by both backends (criterion 2)."""
+    """60 randomized micro-instances solved locally and exactly (criterion 2)."""
     rng = random.Random(20240811)
     instances = []
     t0 = time.monotonic()

@@ -308,6 +308,25 @@ class TestHugeVolumes:
         assert "Traceback" not in proc.stderr
 
 
+class TestAgentBound:
+    """Every command builds agents x days grids, so the head-count is capped."""
+
+    def test_huge_agent_count_is_schema_error(self, tmp_path):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(week_scenario(agents=10**9)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftplan.cli", "solve", "--scenario", str(path),
+             "--mode", "multi", "--move-cap", "100", "--out", str(tmp_path / "s.csv"),
+             "--report", str(tmp_path / "r.json")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "$.agents: beyond 100000 agents" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestObjectiveBeyondInt64:
     @pytest.mark.parametrize("mode", ["multi", "single"])
     def test_objective_is_exact(self, tmp_path, mode):

@@ -7,7 +7,6 @@ import pytest
 
 from shiftplan.domain import (
     OFF,
-    CostMatrix,
     DayAllocation,
     RequirementMatrix,
     Scenario,
@@ -98,30 +97,6 @@ class TestRequirementMatrix:
         b = RequirementMatrix.from_interval_grid([[1, 2]])
         c = RequirementMatrix.from_interval_grid([[2, 1]])
         assert a == b and a != c
-
-
-class TestCostMatrix:
-    def test_missing_entries_cost_zero(self):
-        cost = CostMatrix({(0, 0, 0): 2.5})
-        assert cost.value(1, 0, 0) == 0.0
-        sched = Schedule.from_triples([(0, 0, 0), (1, 0, 0)], 2, 1)
-        assert cost.total(sched) == 2.5
-        # entries off the grid or on another shift cost nothing
-        assert CostMatrix({(5, 0, 0): 1.0, (0, 0, 1): 1.0}).total(sched) == 0.0
-
-    def test_negative_cost_rejected(self):
-        with pytest.raises(ValueError, match="negative cost"):
-            CostMatrix({(0, 0, 0): -1.0})
-
-    def test_agent_uniform_table(self):
-        cost = CostMatrix({(0, 2, 1): 3.0, (1, 2, 1): 3.0})
-        assert cost.agent_uniform_table(2) == {(2, 1): 3.0}
-        # a third agent would get the implicit 0.0, breaking uniformity
-        assert cost.agent_uniform_table(3) is None
-
-    def test_nonuniform_returns_none(self):
-        cost = CostMatrix({(0, 0, 0): 1.0, (1, 0, 0): 2.0})
-        assert cost.agent_uniform_table(2) is None
 
 
 class TestScenarioValidation:

@@ -1,6 +1,7 @@
 """Fuzzed inputs: every malformed scenario or schedule file exits 0, 1 or 2.
 
-Each example changes one field of a valid scenario file, or one cell of a
+Each example changes one field of a valid scenario file (a requirements
+scenario, or the call-volume fields of a volumes scenario), or one cell of a
 valid schedule CSV, to a value drawn from a small pool of bad kinds (wrong
 type, NaN/infinity, negative, out of the grid) and runs the CLI in process.
 An exception escaping ``main`` fails the test.
@@ -28,8 +29,21 @@ TINY = PeakPresetSpec(
     shift_starts=(0, 1, 2, 3),
 )
 SCENARIO = scenario_to_dict(gen_peak_scenario(TINY))
+# At most 3 calls per interval: even an AHT of 10**6 s offers about 3300
+# erlangs, so Erlang-C sizing takes a few thousand steps at worst.
+VOLUMES_SCENARIO = {
+    "name": "tiny-volumes",
+    "days": [f"2024-01-0{i + 1}" for i in range(7)],
+    "intervals_per_day": 4,
+    "agents": 3,
+    "shift_catalog": [{"start": 0, "length": 2}, {"start": 2, "length": 2}],
+    "volumes": [[1, 3, 2, 0]] * 5 + [[0, 1, 1, 0]] * 2,
+    "interval_seconds": 900,
+    "sla": {"target": 0.8, "threshold_seconds": 20.0},
+    "aht_seconds": 300.0,
+}
 
-# Agent counts stay at or below 100, so no value allocates a large grid.
+# 10**6 agents is beyond the loader's bound, so no value allocates a large grid.
 BAD_JSON_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -7, 2.5, 100, 10**6)
 BAD_CSV_CELLS = ("x", "", "nan", "inf", "-1", "2.5", "7", "100", "99999999999999999999999")
 
@@ -47,6 +61,11 @@ def leaf_paths(value, path=()):
 
 
 SCENARIO_PATHS = leaf_paths(SCENARIO)
+VOLUME_PATHS = [
+    path
+    for path in leaf_paths(VOLUMES_SCENARIO)
+    if path[0] in ("volumes", "interval_seconds", "aht_seconds", "sla")
+]
 
 
 def replaced(value, path, new):
@@ -73,12 +92,24 @@ def solve(workdir: Path, scenario_path: Path, mode: str) -> int:
 )
 @settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 def test_mutated_scenario_exits_cleanly(path, value, mode):
-    if path == ("agents",) and isinstance(value, int) and value > 100:
-        value = 100
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         scenario_path = workdir / "scenario.json"
         scenario_path.write_text(json.dumps(replaced(SCENARIO, path, value)))
+        assert solve(workdir, scenario_path, mode) in (0, 1, 2)
+
+
+@given(
+    path=st.sampled_from(VOLUME_PATHS),
+    value=st.sampled_from(BAD_JSON_VALUES),
+    mode=st.sampled_from(["multi", "single"]),
+)
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+def test_mutated_volume_scenario_exits_cleanly(path, value, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        scenario_path = workdir / "scenario.json"
+        scenario_path.write_text(json.dumps(replaced(VOLUMES_SCENARIO, path, value)))
         assert solve(workdir, scenario_path, mode) in (0, 1, 2)
 
 

@@ -7,7 +7,6 @@ import pytest
 
 from shiftplan.domain import (
     OFF,
-    CostMatrix,
     RequirementMatrix,
     Scenario,
     Schedule,
@@ -31,8 +30,14 @@ from shiftplan.phases import (
     schedule_values_single,
     solve_day_allocation,
     solve_multi_phase,
-    solve_shift_allocation,
     solve_single_phase,
+)
+from shiftplan.solvers import (
+    materialize_day,
+    materialize_shift,
+    solve_exact_day,
+    solve_exact_shift,
+    solve_exact_single,
 )
 
 ONE_WEEK = build_week_partition(7)
@@ -57,6 +62,41 @@ def deviation(scenario, schedule):
     return interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
 
 
+def solve_exact(problem, unit_cost=None):
+    """The exact enumerator of a day spec, shift spec or scenario, expanded as
+    the phase solves expand theirs: (allocation or schedule, objective)."""
+    limits = SolveLimits()
+    if isinstance(problem, DayPhaseSpec):
+        result = solve_exact_day(
+            problem.day_requirements, problem.agent_count, problem.weeks,
+            problem.penalty_factor, limits,
+        )
+        return materialize_day(result.head_counts, problem.agent_count, problem.weeks), result.objective
+    if isinstance(problem, ShiftPhaseSpec):
+        result = solve_exact_shift(
+            problem.requirements.per_interval, problem.allocation.day_counts, problem.catalog, limits
+        )
+        return materialize_shift(result.splits, problem.allocation), result.objective
+    weeks = problem.week_partition()
+    result = solve_exact_single(
+        problem.requirements.per_interval, problem.agent_count, weeks,
+        problem.shift_catalog, limits, unit_cost,
+    )
+    allocation = materialize_day(result.head_counts, problem.agent_count, weeks)
+    return materialize_shift(result.splits, allocation), result.objective
+
+
+def schedule_cost(schedule, unit_cost):
+    """``unit_cost[d, s]`` summed over the schedule's working cells, cell by cell."""
+    agents, days = schedule.shifts.shape
+    return sum(
+        unit_cost[d, schedule.shifts[a, d]]
+        for a in range(agents)
+        for d in range(days)
+        if schedule.shifts[a, d] != OFF
+    )
+
+
 def weekday_micro():
     """1 agent, Mon-Fri needs one head all day: a perfectly solvable week."""
     grid = [[1, 1]] * 5 + [[0, 0]] * 2
@@ -71,12 +111,12 @@ class TestDayPhase:
             weeks=ONE_WEEK,
             penalty_factor=1,
         )
-        result = solve_day_allocation(spec, SolveLimits(), backend="exact")
-        assert validate_day_allocation(result.allocation, 2, ONE_WEEK) == []
+        allocation, objective = solve_exact(spec)
+        assert validate_day_allocation(allocation, 2, ONE_WEEK) == []
         model = build_day_model(spec)
-        values = allocation_values(result.allocation)
+        values = allocation_values(allocation)
         assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == result.objective
+        assert evaluate_objective(model, values) == objective
 
     def test_local_backend_matches_exact_here(self):
         spec = DayPhaseSpec(
@@ -85,9 +125,9 @@ class TestDayPhase:
             weeks=ONE_WEEK,
             penalty_factor=0,
         )
-        exact = solve_day_allocation(spec, SolveLimits(), backend="exact")
-        local = solve_day_allocation(spec, SolveLimits(move_cap=10_000), backend="local")
-        assert local.objective == exact.objective
+        _, exact_objective = solve_exact(spec)
+        local = solve_day_allocation(spec, SolveLimits(move_cap=10_000))
+        assert local.objective == exact_objective
 
     def test_recompute_helper(self):
         assert day_objective_value([3, 0], [1, 1], 2, 2) == (4 + 4) + (1 + 4)
@@ -105,44 +145,32 @@ class TestShiftPhase:
             [[2, 1, 0, 1], [1, 1, 1, 1], [0, 2, 2, 0], [1, 0, 0, 1], [2, 2, 1, 1], [0, 0, 0, 0], [1, 1, 1, 1]]
         )
         scn = scenario_from_grid(grid, agents=2, shifts=((0, 2), (2, 2), (1, 2)))
-        day = solve_day_allocation(
-            DayPhaseSpec(scn.requirements.per_day, 2, ONE_WEEK),
-            SolveLimits(),
-            backend="exact",
-        )
+        allocation, _ = solve_exact(DayPhaseSpec(scn.requirements.per_day, 2, ONE_WEEK))
         spec = ShiftPhaseSpec(
             requirements=scn.requirements,
-            allocation=day.allocation,
+            allocation=allocation,
             catalog=scn.shift_catalog,
         )
-        result = solve_shift_allocation(spec, SolveLimits(), backend="exact")
+        schedule, objective = solve_exact(spec)
         model = build_shift_model(spec)
-        values = schedule_values_shift(result.schedule, spec)
+        values = schedule_values_shift(schedule, spec)
         assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == result.objective
+        assert evaluate_objective(model, values) == objective
 
     def test_schedule_outside_allocation_rejected(self):
         scn = weekday_micro()
-        day = solve_day_allocation(
-            DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK),
-            SolveLimits(),
-            backend="exact",
-        )
-        spec = ShiftPhaseSpec(scn.requirements, day.allocation, scn.shift_catalog)
-        off_day = int(np.nonzero(day.allocation.works[0] == 0)[0][0])
+        allocation, _ = solve_exact(DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK))
+        spec = ShiftPhaseSpec(scn.requirements, allocation, scn.shift_catalog)
+        off_day = int(np.nonzero(allocation.works[0] == 0)[0][0])
         bad = Schedule.from_triples([(0, off_day, 0)], 1, 7)
         with pytest.raises(ValueError, match="outside the day allocation"):
             schedule_values_shift(bad, spec)
 
     def test_spec_validation(self):
         scn = weekday_micro()
-        day = solve_day_allocation(
-            DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK),
-            SolveLimits(),
-            backend="exact",
-        )
+        allocation, _ = solve_exact(DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK))
         with pytest.raises(ValueError, match="interval grid"):
-            ShiftPhaseSpec(scn.requirements, day.allocation, ShiftCatalog(((0, 3),), 3))
+            ShiftPhaseSpec(scn.requirements, allocation, ShiftCatalog(((0, 3),), 3))
 
 
 class TestSinglePhase:
@@ -156,11 +184,11 @@ class TestSinglePhase:
     def test_audit_model_agrees(self):
         grid = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 0], [2, 1, 0], [0, 1, 2]])
         scn = scenario_from_grid(grid, agents=2, shifts=((0, 2), (1, 2)))
-        result = solve_single_phase(scn, SolveLimits(), backend="exact")
+        schedule, objective = solve_exact(scn)
         model = build_single_model(scn)
-        values = schedule_values_single(result.schedule, scn)
+        values = schedule_values_single(schedule, scn)
         assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == result.objective
+        assert evaluate_objective(model, values) == objective
 
     def test_uniform_cost_steers_and_reports(self):
         # two identical shifts except one is priced; optimizer must avoid it
@@ -168,25 +196,27 @@ class TestSinglePhase:
         scn = scenario_from_grid(grid, agents=1, shifts=((0, 2), (0, 2)))
         # duplicate shifts are invalid; use two overlapping but distinct ones
         scn = scenario_from_grid(grid, agents=1, shifts=((0, 2), (0, 1)))
-        cost = CostMatrix({(0, d, 0): 9.0 for d in range(7)})
-        free = solve_single_phase(scn, SolveLimits(), backend="exact")
-        priced = solve_single_phase(scn, SolveLimits(), cost=cost, backend="exact")
-        assert free.objective == deviation(scn, free.schedule)
+        unit_cost = np.zeros((7, 2))
+        unit_cost[:, 0] = 9.0
+        free, free_objective = solve_exact(scn)
+        priced, priced_objective = solve_exact(scn, unit_cost)
+        assert free_objective == deviation(scn, free)
         # the full-day shift is now expensive: the solver books the short one
-        assert priced.objective == deviation(scn, priced.schedule) + cost.total(priced.schedule)
-        booked = priced.schedule.shifts
+        assert priced_objective == deviation(scn, priced) + schedule_cost(priced, unit_cost)
+        booked = priced.shifts
         assert (booked[booked != OFF] == 1).all()
 
     def test_per_agent_cost_rejected(self):
         scn = weekday_micro()
-        cost = CostMatrix({(0, 0, 0): 1.0})  # implicit 0.0 for other agents
+        per_agent = np.zeros((2, 7, 1))  # (agent, day, shift)
+        per_agent[0, 0, 0] = 1.0
         scn2 = scenario_from_grid(
             np.ones((7, 2), dtype=np.int64), agents=2, shifts=((0, 2),)
         )
-        with pytest.raises(ValueError, match="interchangeable"):
-            solve_single_phase(scn2, SolveLimits(), cost=cost)
-        # one agent: the same matrix is uniform, so it is accepted
-        solve_single_phase(scn, SolveLimits(move_cap=100), cost=cost)
+        with pytest.raises(ValueError, match="days x shifts"):
+            solve_single_phase(scn2, SolveLimits(), unit_cost=per_agent)
+        # one (day, shift) grid prices every agent alike, so it is accepted
+        solve_single_phase(scn, SolveLimits(move_cap=100), unit_cost=per_agent[0])
 
     def test_invalid_scenario_refused(self):
         scn = weekday_micro()

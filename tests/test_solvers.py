@@ -1,4 +1,4 @@
-"""Search backends, cross-checked against explicit per-agent enumeration.
+"""Solvers, cross-checked against explicit per-agent enumeration.
 
 The brute-force oracles here enumerate raw per-agent choices (patterns,
 shift tuples), deliberately sharing no code with the solvers' count-based
@@ -26,7 +26,6 @@ from shiftplan.solvers import (
     DAY_PATTERNS,
     _day_kernels,
     day_term,
-    get_backend,
     materialize_day,
     materialize_shift,
     patterns_from_day_counts,
@@ -351,7 +350,7 @@ def draw_kernel_case(data, priced):
         halves = data.draw(
             st.lists(st.integers(0, 6), min_size=len(spans), max_size=len(spans))
         )
-        unit_cost = {(0, s): h / 2 for s, h in enumerate(halves)}
+        unit_cost = np.array([halves]) / 2
     return np.array([row], dtype=np.int64), catalog, unit_cost
 
 
@@ -361,7 +360,7 @@ def split_objective(r_row, catalog, unit_cost, split):
         span = catalog.covers(s)
         cov[span.start : span.stop] += y
     diff = r_row - cov
-    cost = sum(y * unit_cost[(0, s)] for s, y in enumerate(split)) if unit_cost else 0
+    cost = 0 if unit_cost is None else sum(y * unit_cost[0, s] for s, y in enumerate(split))
     return int(diff @ diff) + cost
 
 
@@ -658,12 +657,3 @@ class TestMaterialization:
             schedule = materialize_shift(splits, materialize_day(head_counts, agents, weeks))
             assert schedule == reference_materialize_single(head_counts, splits, agents, weeks)
 
-
-class TestBackendRegistry:
-    def test_known_backends(self):
-        assert get_backend("local") == (solve_local_day, solve_local_shift, solve_local_single)
-        assert get_backend("exact") == (solve_exact_day, solve_exact_shift, solve_exact_single)
-
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="unknown solver backend"):
-            get_backend("annealer")
