@@ -361,10 +361,10 @@ def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> Coverag
     if problems:
         raise ValueError(problems[0])
     shifts, days = len(catalog), schedule.shifts.shape[1]
-    # agents per (day, shift + 1): column 0 counts the agents off that day
-    cells = (shifts + 1) * np.arange(days) + schedule.shifts + 1
-    tally = np.bincount(cells.ravel(), minlength=days * (shifts + 1)).reshape(days, shifts + 1)
-    per_shift = tally[:, 1:]
+    # agents per (day, shift), one day's column at a time; OFF tallies at index 0
+    per_shift = np.zeros((days, shifts), dtype=np.int64)
+    for d in range(days):
+        per_shift[d] = np.bincount(schedule.shifts[:, d] + 1, minlength=shifts + 1)[1:]
     per_interval = per_shift @ catalog.coverage.astype(np.int64)
     per_day = per_shift.sum(axis=1)
     per_interval.setflags(write=False)

@@ -39,6 +39,7 @@ from .model import (
     SolveStatus,
 )
 from .solvers import (
+    SearchResult,
     day_term,
     materialize_day,
     materialize_shift,
@@ -158,9 +159,14 @@ def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> DayPhaseRes
     result = solve_local_day(
         spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
     )
-    allocation = materialize_day(result.head_counts, spec.agent_count, spec.weeks)
+    return day_phase_result(spec, result)
+
+
+def day_phase_result(spec: DayPhaseSpec, result: SearchResult) -> DayPhaseResult:
+    """``result``, the day solve of ``spec``, with its head-counts expanded to
+    per-agent working days."""
     return DayPhaseResult(
-        allocation=allocation,
+        allocation=materialize_day(result.head_counts, spec.agent_count, spec.weeks),
         objective=result.objective,
         status=result.status,
         trace=result.trace,

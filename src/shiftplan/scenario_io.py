@@ -9,8 +9,8 @@ A scenario file carries either an explicit ``requirements`` grid or raw call
 are derived on load via the Erlang-C sizing rule.
 """
 
+import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -130,17 +130,26 @@ def gen_preset_scenario(preset: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 
-def _atomic_write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text handle on a temp file beside ``path``; the file replaces ``path``
+    when the block exits cleanly and is removed on any exception."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            handle.write(text)
+            yield handle
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_json(data: dict, path: str) -> None:
+    with _atomic_open(path) as handle:
+        json.dump(data, handle, indent=2)
+        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +179,21 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 def save_scenario(scenario: Scenario, path: str) -> None:
     require_valid(scenario)
-    _atomic_write_text(path, json.dumps(scenario_to_dict(scenario), indent=2) + "\n")
+    _write_json(scenario_to_dict(scenario), path)
+
+
+def _finite_number(value, where: str) -> float:
+    """A JSON number as a finite float; an integer literal beyond float range
+    is refused, not crashed on."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise SchemaError(f"{where}: expected a number")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}: beyond the float range") from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number")
+    return number
 
 
 def _need(data: dict, key: str, kind, path: str):
@@ -178,11 +201,7 @@ def _need(data: dict, key: str, kind, path: str):
         raise SchemaError(f"{path}.{key}: missing")
     value = data[key]
     if kind is float:
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise SchemaError(f"{path}.{key}: expected a number")
-        if not math.isfinite(value):
-            raise SchemaError(f"{path}.{key}: expected a finite number")
-        return float(value)
+        return _finite_number(value, f"{path}.{key}")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}")
     return value
@@ -197,18 +216,17 @@ MAX_AGENTS = 100_000
 
 def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
     """A (count x width) grid of finite numbers; an ``integral`` grid holds
-    whole numbers of magnitude at most ``MAX_REQUIREMENT``."""
+    whole numbers of magnitude at most ``MAX_REQUIREMENT``; rows are checked
+    for shape before the grid is allocated."""
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(f"{path}: expected {count} rows")
-    grid = np.zeros((count, width), dtype=np.int64 if integral else np.float64)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{path}[{i}]: expected {width} entries")
+    grid = np.zeros((count, width), dtype=np.int64 if integral else np.float64)
+    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
-            if not isinstance(cell, (int, float)) or isinstance(cell, bool):
-                raise SchemaError(f"{path}[{i}][{j}]: expected a number")
-            if not math.isfinite(cell):
-                raise SchemaError(f"{path}[{i}][{j}]: expected a finite number")
+            _finite_number(cell, f"{path}[{i}][{j}]")
             if integral and cell != int(cell):
                 raise SchemaError(f"{path}[{i}][{j}]: expected a whole number")
             if integral and abs(cell) > MAX_REQUIREMENT:
@@ -288,20 +306,24 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------------------
 
 SCHEDULE_HEADER = ["agent", "day_index", "shift_start", "shift_length"]
+# Agents formatted per write: the writer's memory is bounded by a block's
+# rows, not by the roster.
+SCHEDULE_BLOCK_AGENTS = 256
 
 
 def write_schedule(schedule: Schedule, catalog: ShiftCatalog, path: str) -> None:
     """Rows sorted by (agent, day); shifts written as start/length pairs."""
-    agents, days = np.nonzero(schedule.shifts != OFF)
-    index = schedule.shifts[agents, days]
-    if ((index < 0) | (index >= len(catalog))).any():
+    grid = schedule.shifts
+    if grid.size and (grid.min() < OFF or grid.max() >= len(catalog)):
         raise ValueError("schedule holds a shift index outside the catalog")
-    blocks = np.array(catalog.shifts, dtype=np.int64).reshape(-1, 2)[index]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SCHEDULE_HEADER)
-    writer.writerows(zip(agents.tolist(), days.tolist(), *blocks.T.tolist()))
-    _atomic_write_text(path, buffer.getvalue())
+    spans = np.array(catalog.shifts, dtype=np.int64).reshape(-1, 2)
+    with _atomic_open(path) as handle:
+        handle.write(",".join(SCHEDULE_HEADER) + "\n")
+        for first in range(0, grid.shape[0], SCHEDULE_BLOCK_AGENTS):
+            block = grid[first : first + SCHEDULE_BLOCK_AGENTS]
+            agents, days = np.nonzero(block != OFF)
+            rows = np.column_stack((agents + first, days, spans[block[agents, days]]))
+            handle.write(("%d,%d,%d,%d\n" * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def read_schedule(path: str, scenario: Scenario) -> Schedule:
@@ -338,14 +360,13 @@ def write_sweep_trace(trace: SweepTrace, path: str) -> None:
     if not trace.entries:
         raise ValueError("cannot write an empty sweep trace")
     day_count = len(trace.entries[0].day_counts)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["k", "kl"] + [f"p_d{d}" for d in range(day_count)])
-    for entry in trace.entries:
-        writer.writerow(
-            [entry.penalty_factor, repr(entry.kl)] + [int(x) for x in entry.day_counts]
-        )
-    _atomic_write_text(path, buffer.getvalue())
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["k", "kl"] + [f"p_d{d}" for d in range(day_count)])
+        for entry in trace.entries:
+            writer.writerow(
+                [entry.penalty_factor, repr(entry.kl)] + [int(x) for x in entry.day_counts]
+            )
 
 
 def read_sweep_trace(path: str) -> SweepTrace:
@@ -402,9 +423,7 @@ def report_to_dict(report: SolveReport, deterministic: bool = False) -> dict:
 
 
 def write_report(report: SolveReport, path: str, deterministic: bool = False) -> None:
-    _atomic_write_text(
-        path, json.dumps(report_to_dict(report, deterministic), indent=2) + "\n"
-    )
+    _write_json(report_to_dict(report, deterministic), path)
 
 
 def comparison_to_dict(result: ComparisonResult, deterministic: bool = False) -> dict:
@@ -431,9 +450,7 @@ def comparison_to_dict(result: ComparisonResult, deterministic: bool = False) ->
 def write_comparison(
     result: ComparisonResult, path: str, deterministic: bool = False
 ) -> None:
-    _atomic_write_text(
-        path, json.dumps(comparison_to_dict(result, deterministic), indent=2) + "\n"
-    )
+    _write_json(comparison_to_dict(result, deterministic), path)
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +459,14 @@ def write_comparison(
 
 
 def write_requirements(requirements: RequirementMatrix, path: str) -> None:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        ["day_index"] + [f"i{t}" for t in range(requirements.intervals)] + ["peak"]
-    )
-    for d in range(requirements.days):
+    with _atomic_open(path) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
-            [d]
-            + [int(x) for x in requirements.per_interval[d]]
-            + [int(requirements.per_day[d])]
+            ["day_index"] + [f"i{t}" for t in range(requirements.intervals)] + ["peak"]
         )
-    _atomic_write_text(path, buffer.getvalue())
+        for d in range(requirements.days):
+            writer.writerow(
+                [d]
+                + [int(x) for x in requirements.per_interval[d]]
+                + [int(requirements.per_day[d])]
+            )

@@ -415,29 +415,22 @@ class _DayKernel:
     coverage ``C`` (shifts x intervals), overlap ``O = C Cᵀ`` and the residual
     ``u = r - Cᵀy`` of a split ``y``, adding one agent to shift ``s`` changes
     the objective ``|u|² + cost·y`` by ``len_s - 2(C·u)_s + cost_s``.  The
-    greedy pass adds agents one at a time to the cheapest shift and records
-    ``values[n]``, the objective of the greedy split of ``n``.  Every add lowers
-    ``C·u`` by a column of ``O >= 0``, so ``marginals`` never decrease.
+    greedy pass adds agents one at a time to the cheapest shift (``picks``,
+    ``marginals``); ``values[n]`` is the objective of the greedy split of
+    ``n``.  Every add lowers ``C·u`` by a column of ``O >= 0``, so
+    ``marginals`` never decrease.
     """
 
-    def __init__(self, r_row, cover, overlap, cost, n_max: int):
+    def __init__(self, overlap, cost, cr, picks, marginals, empty_value):
         self.overlap = overlap
         self.cost = cost
         self.lengths = np.diag(overlap)
         # Δ[o, i] of moving one agent from o to i, less its (C·u) and cost terms
         self.swap_base = self.lengths[:, None] + self.lengths[None, :] - 2 * overlap
-        self.cr = cover @ r_row  # C·u of the empty split
-        cu = self.cr.copy()
-        picks, adds = [], []
-        for _ in range(n_max):
-            add = self.add_deltas(cu)
-            s = int(np.argmin(add))
-            picks.append(s)
-            adds.append(add[s].item())
-            cu -= overlap[s]
-        self.picks = np.array(picks, dtype=np.int64)
-        self.marginals = np.array(adds)
-        self.values = list(itertools.accumulate(adds, initial=squared_norm(r_row)))
+        self.cr = cr  # C·u of the empty split
+        self.picks = picks
+        self.marginals = marginals
+        self.values = list(itertools.accumulate(marginals.tolist(), initial=empty_value))
         self._splits: dict[int, tuple] = {}
 
     def add_deltas(self, cu: np.ndarray) -> np.ndarray:
@@ -482,6 +475,29 @@ class _DayKernel:
         return self._splits[n]
 
 
+def _greedy_passes(cr, overlap, costs, caps) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's greedy pass at once, one argmin per step over the rows
+    still below their cap: row ``k`` starts from ``C·u = cr[k]`` and adds
+    ``caps[k]`` agents; ``picks[k, t]`` and ``adds[k, t]`` are step ``t``'s
+    shift and objective change (zero past the row's cap)."""
+    order = np.argsort([-cap for cap in caps], kind="stable")  # under-cap rows: a prefix
+    caps_desc, cost, rows = [caps[k] for k in order], costs[order], np.arange(len(caps))
+    base = np.diag(overlap) - 2 * cr[order]  # exact int64, so + cost rounds as per row
+    steps = caps_desc[0] if caps_desc else 0
+    picks = np.zeros((steps, len(caps)), dtype=np.int64)
+    adds = np.zeros((steps, len(caps)), dtype=np.result_type(base, costs))
+    active = len(caps)
+    for t in range(steps):
+        while caps_desc[active - 1] <= t:
+            active -= 1
+        add = base[:active] + cost[:active]
+        picks[t, :active] = s = add.argmin(axis=1)
+        adds[t, :active] = add[rows[:active], s]
+        base[:active] += 2 * overlap[s]
+    unsort = np.argsort(order)
+    return picks.T[unsort], adds.T[unsort]
+
+
 def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> list:
     """One kernel per day, its cost row ``unit_cost[d]`` (int64 zeros when
     unpriced); days with equal requirement and cost rows share one, built up
@@ -491,12 +507,17 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> 
     costs = np.zeros((r.shape[0], len(catalog)), dtype=np.int64) if unit_cost is None else unit_cost
     keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(r.shape[0])]
     caps: dict = {}
-    for key, cap in zip(keys, head_caps):
+    first: dict = {}  # each distinct row's first day
+    for d, (key, cap) in enumerate(zip(keys, head_caps)):
         caps[key] = max(caps.get(key, 0), cap)
-    built: dict = {}
-    for d, key in enumerate(keys):
-        if key not in built:
-            built[key] = _DayKernel(r[d], cover, overlap, costs[d], caps[key])
+        first.setdefault(key, d)
+    days = list(first.values())
+    cr = r[days] @ cover.T
+    picks, adds = _greedy_passes(cr, overlap, costs[days], list(caps.values()))
+    built = {
+        key: _DayKernel(overlap, costs[d], cr[k], picks[k, :n], adds[k, :n], squared_norm(r[d]))
+        for k, (key, d, n) in enumerate(zip(caps, days, caps.values()))
+    }
     return [built[key] for key in keys]
 
 

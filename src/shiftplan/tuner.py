@@ -8,13 +8,14 @@ profile, stopping after a configurable run of non-improving steps.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .model import SolveLimits
-from .phases import DayPhaseResult, DayPhaseSpec, solve_day_allocation
 from .domain import WeekPartition
+from .model import SolveLimits
+from .phases import DayPhaseResult, DayPhaseSpec, day_phase_result
+from .solvers import SearchResult, solve_local_day
 
 DEFAULT_EPSILON = 1e-9
 
@@ -122,22 +123,18 @@ def tune_penalty(
     if agent_count < 1:
         raise ValueError("tuning needs at least one agent")
     target = target_distribution(day_requirements)
+    spec = DayPhaseSpec(day_requirements, agent_count, weeks)
     entries: list[SweepEntry] = []
     best_kl: float | None = None
-    best_result: DayPhaseResult | None = None
+    best_result: SearchResult | None = None
     selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
-        result = solve_day_allocation(
-            DayPhaseSpec(day_requirements, agent_count, weeks, k),
-            per_k_limits,
-        )
+        result = solve_local_day(spec.day_requirements, agent_count, weeks, k, per_k_limits)
         kl = kl_divergence(
-            DistributionPair(day_distribution(result.day_counts), target, epsilon)
+            DistributionPair(day_distribution(result.head_counts), target, epsilon)
         )
-        entries.append(
-            SweepEntry(k, kl, tuple(int(x) for x in result.day_counts))
-        )
+        entries.append(SweepEntry(k, kl, result.head_counts))
         if best_kl is None or kl < best_kl:
             best_kl = kl
             best_result = result
@@ -147,4 +144,6 @@ def tune_penalty(
             stagnant += 1
             if stagnant >= stop.patience:
                 break
-    return TuneResult(SweepTrace(tuple(entries), selected), best_result)
+    # only the chosen K is expanded to per-agent working days
+    best = day_phase_result(replace(spec, penalty_factor=selected), best_result)
+    return TuneResult(SweepTrace(tuple(entries), selected), best)

@@ -308,6 +308,51 @@ class TestHugeVolumes:
         assert "Traceback" not in proc.stderr
 
 
+class TestHugeLiterals:
+    """JSON integers have no size limit; one beyond float range is a schema
+    error naming its path, not an ``OverflowError``."""
+
+    HUGE = 10**400
+
+    @pytest.mark.parametrize(
+        "fields, where",
+        [
+            ({"sla": {"target": HUGE, "threshold_seconds": 20.0}}, "$.sla.target"),
+            ({"aht_seconds": HUGE}, "$.aht_seconds"),
+            ({"interval_seconds": HUGE}, "$.interval_seconds"),
+            ({"volumes": [[10, HUGE]] + [[10, 20]] * 6}, "$.volumes[0][1]"),
+        ],
+        ids=["sla-target", "aht", "interval", "volume-cell"],
+    )
+    def test_huge_number_is_schema_error(self, tmp_path, fields, where):
+        proc = run_requirements(tmp_path, week_scenario(**fields))
+        assert proc.returncode == 2
+        assert f"{where}: beyond the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_huge_requirement_cell_is_schema_error(self, tmp_path):
+        proc = run_requirements(tmp_path, TestGridCells.requirements_with(self.HUGE))
+        assert proc.returncode == 2
+        assert "$.requirements[3][1]: beyond the float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestGridShape:
+    """The rows are checked against ``intervals_per_day`` before any grid of
+    that width is allocated."""
+
+    @pytest.mark.parametrize("intervals", [10**12, 10**400], ids=["1e12", "1e400"])
+    @pytest.mark.parametrize("grid", ["volumes", "requirements"])
+    def test_huge_interval_count_is_schema_error(self, tmp_path, intervals, grid):
+        scenario = week_scenario(intervals_per_day=intervals)
+        if grid == "requirements":
+            scenario["requirements"] = scenario.pop("volumes")
+        proc = run_requirements(tmp_path, scenario)
+        assert proc.returncode == 2
+        assert f"$.{grid}[0]: expected {intervals} entries" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestAgentBound:
     """Every command builds agents x days grids, so the head-count is capped."""
 

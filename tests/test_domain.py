@@ -305,14 +305,16 @@ def reference_csv(triples, catalog):
     return ("\n".join(lines) + "\n").encode()
 
 
-def random_grid(rng, kind):
-    """A seeded random schedule grid and its catalog.
+def random_grid(rng, kind, weeks=(1, 3)):
+    """A seeded random schedule grid and its catalog, over ``weeks[0]`` to
+    ``weeks[1]`` weeks.
 
     ``valid``: every agent works five days a week; ``short``: any days off,
     so weeks may be short or long; ``bad``: a few shift indices outside the
     catalog, above it or below ``OFF``.
     """
-    agents, weeks, intervals = rng.integers(0, 7), rng.integers(1, 4), rng.integers(1, 7)
+    agents = rng.integers(0, 7)
+    weeks, intervals = rng.integers(weeks[0], weeks[1] + 1), rng.integers(1, 7)
     starts = rng.choice(intervals, size=rng.integers(1, intervals + 1), replace=False)
     catalog = ShiftCatalog(
         tuple((int(s), int(rng.integers(1, intervals - s + 1))) for s in sorted(starts)),
@@ -366,6 +368,21 @@ class TestGridMatchesTriples:
             assert Schedule.from_triples(sorted(triples, reverse=True), agents, days) == schedule
             write_schedule(schedule, catalog, str(path))
             assert path.read_bytes() == reference_csv(triples, catalog)
+
+    @pytest.mark.parametrize("kind", ["valid", "short"])
+    def test_same_coverage_over_four_weeks_and_more(self, kind):
+        rng = np.random.default_rng({"valid": 5, "short": 6}[kind])
+        for _ in range(100):
+            grid, catalog, _ = random_grid(rng, kind, weeks=(4, 6))
+            agents, days = grid.shape
+            triples = frozenset(
+                (int(a), int(d), int(grid[a, d])) for a, d in zip(*np.nonzero(grid != OFF))
+            )
+            per_interval, per_day = reference_coverage(triples, catalog, days, agents)
+            cov = coverage_from_schedule(Schedule(grid), catalog)
+            assert days >= 28
+            assert np.array_equal(cov.per_interval, per_interval)
+            assert np.array_equal(cov.per_day, per_day)
 
     def test_day_allocation_quota_matches_week_loop(self):
         def reference(works, agent_count, weeks):

@@ -3,7 +3,7 @@
 Each example changes one field of a valid scenario file (a requirements
 scenario, or the call-volume fields of a volumes scenario), or one cell of a
 valid schedule CSV, to a value drawn from a small pool of bad kinds (wrong
-type, NaN/infinity, negative, out of the grid) and runs the CLI in process.
+type, NaN/infinity, negative, out of the grid, huge integers) and runs the CLI in process.
 An exception escaping ``main`` fails the test.
 """
 
@@ -44,7 +44,12 @@ VOLUMES_SCENARIO = {
 }
 
 # 10**6 agents is beyond the loader's bound, so no value allocates a large grid.
-BAD_JSON_VALUES = ("x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -7, 2.5, 100, 10**6)
+# 10**13 intervals a day would be a 70 TB grid unless the rows are checked
+# first; 10**400 is beyond float range and beyond any numpy dimension.
+BAD_JSON_VALUES = (
+    "x", None, [], {}, True, math.nan, math.inf, -math.inf, -1, -7, 2.5, 100, 10**6,
+    10**13, 10**400,
+)
 BAD_CSV_CELLS = ("x", "", "nan", "inf", "-1", "2.5", "7", "100", "99999999999999999999999")
 
 

@@ -1,18 +1,23 @@
 """File formats: scenario JSON, schedule CSV, sweep CSV, report JSON."""
 
+import csv
+import io
 import json
+import tracemalloc
 from datetime import date
 
 import numpy as np
 import pytest
 
-from shiftplan.domain import RequirementMatrix, Scenario, Schedule, ShiftCatalog
+from shiftplan.domain import OFF, RequirementMatrix, Scenario, Schedule, ShiftCatalog
 from shiftplan.metrics import build_report
 from shiftplan.model import SolveLimits
 from shiftplan.phases import solve_multi_phase
 from shiftplan.scenario_io import (
     DEFAULT_INTRADAY_PROFILE,
     PRESETS,
+    SCHEDULE_BLOCK_AGENTS,
+    SCHEDULE_HEADER,
     PeakPresetSpec,
     SchemaError,
     gen_peak_scenario,
@@ -202,6 +207,7 @@ class TestScheduleCsv:
         sched = Schedule([[0, shift]])
         with pytest.raises(ValueError, match="shift index outside the catalog"):
             write_schedule(sched, ShiftCatalog(((0, 2), (2, 2)), 4), str(tmp_path / "s.csv"))
+        assert list(tmp_path.iterdir()) == []  # refused before any temp file exists
 
     def test_unknown_shift_rejected_on_read(self, tmp_path):
         path = tmp_path / "s.csv"
@@ -228,6 +234,89 @@ class TestScheduleCsv:
         path.write_text("a,b\n")
         with pytest.raises(SchemaError, match="expected header"):
             read_schedule(str(path), one_shift_scenario())
+
+
+def csv_module_schedule(schedule: Schedule, catalog: ShiftCatalog) -> bytes:
+    """The schedule CSV as the csv module wrote it from one whole-file
+    buffer, before the writer streamed agent blocks (reference)."""
+    agents, days = np.nonzero(schedule.shifts != OFF)
+    blocks = np.array(catalog.shifts, dtype=np.int64).reshape(-1, 2)[
+        schedule.shifts[agents, days]
+    ]
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SCHEDULE_HEADER)
+    writer.writerows(zip(agents.tolist(), days.tolist(), *blocks.T.tolist()))
+    return buffer.getvalue().encode()
+
+
+def random_schedule(rng, agents: int, days: int, shifts: int) -> Schedule:
+    """Random shifts with random days off; some agents never work."""
+    grid = rng.integers(0, shifts, size=(agents, days))
+    grid[rng.random((agents, days)) < 0.3] = OFF
+    grid[rng.random(agents) < 0.2] = OFF
+    return Schedule(grid)
+
+
+WIDE_CATALOG = ShiftCatalog(((0, 34), (8, 34), (30, 60), (62, 34)), 96)
+
+
+class TestScheduleBlocks:
+    """The block-streamed schedule CSV against the whole-file csv writer."""
+
+    B = SCHEDULE_BLOCK_AGENTS
+
+    @pytest.mark.parametrize("agents", [0, 1, B - 1, B, B + 1, 3 * B + 7])
+    def test_bytes_match_the_csv_module(self, tmp_path, agents):
+        rng = np.random.default_rng(agents)
+        path = tmp_path / "s.csv"
+        for days in (7, 28):
+            schedule = random_schedule(rng, agents, days, len(WIDE_CATALOG))
+            write_schedule(schedule, WIDE_CATALOG, str(path))
+            assert path.read_bytes() == csv_module_schedule(schedule, WIDE_CATALOG)
+
+    def test_all_off_blocks_are_skipped(self, tmp_path):
+        rng = np.random.default_rng(9)
+        grid = random_schedule(rng, 3 * self.B + 7, 14, len(WIDE_CATALOG)).shifts.copy()
+        grid[self.B : 2 * self.B] = OFF  # the whole second block
+        grid[-7:] = OFF  # the whole short last block
+        schedule = Schedule(grid)
+        path = tmp_path / "s.csv"
+        write_schedule(schedule, WIDE_CATALOG, str(path))
+        assert path.read_bytes() == csv_module_schedule(schedule, WIDE_CATALOG)
+        write_schedule(Schedule(np.full((2 * self.B, 7), OFF)), WIDE_CATALOG, str(path))
+        assert path.read_text() == "agent,day_index,shift_start,shift_length\n"
+
+    def test_heap_peak_is_bounded_by_the_block(self, tmp_path):
+        # a whole-file buffer of this roster peaks near 50 MB
+        schedule = random_schedule(np.random.default_rng(1), 20_000, 28, len(WIDE_CATALOG))
+        tracemalloc.start()
+        try:
+            write_schedule(schedule, WIDE_CATALOG, str(tmp_path / "s.csv"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_failure_after_a_block_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.csv"
+        path.write_text("old\n")
+        real_column_stack = np.column_stack
+        calls = []
+
+        def fail_on_second_block(arrays):
+            calls.append(len(arrays))
+            if len(calls) == 2:
+                raise RuntimeError("disk full")
+            return real_column_stack(arrays)
+
+        monkeypatch.setattr(np, "column_stack", fail_on_second_block)
+        schedule = random_schedule(np.random.default_rng(2), 2 * self.B, 7, len(WIDE_CATALOG))
+        with pytest.raises(RuntimeError, match="disk full"):
+            write_schedule(schedule, WIDE_CATALOG, str(path))
+        assert len(calls) == 2
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
 
 class TestSweepCsv:

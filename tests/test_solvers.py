@@ -35,6 +35,7 @@ from shiftplan.solvers import (
     solve_local_day,
     solve_local_shift,
     solve_local_single,
+    squared_norm,
     week_optimal_day_counts,
 )
 
@@ -362,6 +363,67 @@ def split_objective(r_row, catalog, unit_cost, split):
     diff = r_row - cov
     cost = 0 if unit_cost is None else sum(y * unit_cost[0, s] for s, y in enumerate(split))
     return int(diff @ diff) + cost
+
+
+def reference_greedy(r_row, catalog, cost, n_max):
+    """One row's greedy pass as a per-row loop, the form the batched pass
+    replaced (reference): picks, marginals and values."""
+    cover = catalog.coverage.astype(np.int64)
+    overlap = cover @ cover.T
+    lengths = np.diag(overlap)
+    cu = cover @ r_row
+    picks, adds = [], []
+    for _ in range(n_max):
+        add = lengths - 2 * cu + cost
+        s = int(np.argmin(add))
+        picks.append(s)
+        adds.append(add[s].item())
+        cu -= overlap[s]
+    return picks, np.array(adds), list(itertools.accumulate(adds, initial=squared_norm(r_row)))
+
+
+def random_kernel_case(rng):
+    """Seeded day rows drawn from a small pool, so that some repeat, with
+    unequal caps (0 included), 1 to 5 shifts, and unpriced or arbitrary
+    float costs, shared by some repeated rows."""
+    width, S = int(rng.integers(1, 10)), int(rng.integers(1, 6))
+    starts = rng.integers(0, width, size=S)
+    catalog = ShiftCatalog(
+        tuple((int(a), int(rng.integers(1, width - a + 1))) for a in starts), width
+    )
+    days = int(rng.integers(1, 9))
+    pool = rng.integers(0, 12, size=(int(rng.integers(1, 4)), width))
+    r = pool[rng.integers(0, len(pool), size=days)]
+    unit_cost = None
+    if rng.random() < 0.6:
+        cost_pool = rng.random((2, S)) * rng.choice([1.0, 7.3, 1e3])
+        unit_cost = cost_pool[rng.integers(0, 2, size=days)]
+    caps = [int(c) for c in rng.integers(0, 15, size=days)]
+    return r, catalog, unit_cost, caps
+
+
+class TestBatchedGreedy:
+    """The batched greedy pass against the per-row loop, kept above."""
+
+    def test_same_picks_marginals_and_values(self):
+        rng = np.random.default_rng(8)
+        for case in range(300):
+            r, catalog, unit_cost, caps = random_kernel_case(rng)
+            if case % 10 == 0:
+                catalog = ShiftCatalog(((0, catalog.intervals_per_day),), catalog.intervals_per_day)
+                unit_cost = None if unit_cost is None else unit_cost[:, :1]
+            costs = np.zeros((len(r), len(catalog))) if unit_cost is None else unit_cost
+            keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(len(r))]
+            kernels = _day_kernels(r, catalog, unit_cost, caps)
+            for d, kernel in enumerate(kernels):
+                cap = max(c for k, c in zip(keys, caps) if k == keys[d])
+                cost = np.zeros(len(catalog), dtype=np.int64) if unit_cost is None else unit_cost[d]
+                picks, marginals, values = reference_greedy(r[d], catalog, cost, cap)
+                assert kernel.picks.tolist() == picks
+                assert np.array_equal(kernel.marginals, marginals)
+                assert kernel.values == values
+                for e in range(d):
+                    assert (kernels[e] is kernel) == (keys[e] == keys[d])
 
 
 class TestDayKernel:
