@@ -19,7 +19,11 @@ WORKDAYS_PER_WEEK = 5
 
 
 def frozen_grid(values, dtype=np.int64) -> np.ndarray:
-    """Copy ``values`` into a read-only numpy array."""
+    """Copy ``values`` into a read-only numpy array; one that already is
+    read-only, of ``dtype``, and owns its memory is returned as it is."""
+    owned = isinstance(values, np.ndarray) and values.base is None
+    if owned and values.dtype == dtype and not values.flags.writeable:
+        return values
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -321,6 +325,7 @@ class Schedule:
             if grid[a, d] != OFF:
                 raise TripleError(i, f"agent {a} has more than one shift on day {d}")
             grid[a, d] = s
+        grid.setflags(write=False)  # frozen already, so not copied
         return cls(grid)
 
     def __len__(self) -> int:

@@ -44,7 +44,7 @@ class SolveLimits:
         if self.move_cap is not None and self.move_cap <= 0:
             raise ValueError("move_cap must be positive when given")
 
-    def scaled(self, fraction: float, seed: int | None = None) -> "SolveLimits":
+    def scaled(self, fraction: float) -> "SolveLimits":
         """A proportional slice of this budget (used for phase splits)."""
         if not 0 < fraction <= 1:
             raise ValueError("fraction must lie in (0, 1]")
@@ -53,7 +53,7 @@ class SolveLimits:
             cap = max(1, int(cap * fraction))
         return SolveLimits(
             time_budget_seconds=self.time_budget_seconds * fraction,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
             max_exact_nodes=self.max_exact_nodes,
             move_cap=cap,
         )
@@ -62,38 +62,25 @@ class SolveLimits:
 class Deadline:
     """Tracks whichever budget a ``SolveLimits`` expresses.
 
-    In move-cap mode ``spend`` counts evaluations; in wall-clock mode
-    ``exhausted`` reads the monotonic clock once at least ``_CLOCK_STRIDE``
-    evaluations have been spent since it last did, to stay cheap.
+    ``spend`` counts evaluations.  ``affords`` checks them against a move cap
+    when one is set, and otherwise reads the monotonic clock once per call:
+    each call already prices a whole batch of candidates.
     """
-
-    _CLOCK_STRIDE = 64
 
     def __init__(self, limits: SolveLimits):
         self.limits = limits
         self.evaluations = 0
         self._t0 = time.monotonic()
         self._stop = self._t0 + limits.time_budget_seconds
-        self._next_check = 0
-        self._expired = False
 
     def spend(self, units: int = 1) -> None:
         self.evaluations += units
-
-    @property
-    def exhausted(self) -> bool:
-        if self.limits.move_cap is not None:
-            return self.evaluations >= self.limits.move_cap
-        if self.evaluations >= self._next_check:
-            self._next_check = self.evaluations + self._CLOCK_STRIDE
-            self._expired = time.monotonic() >= self._stop
-        return self._expired
 
     def affords(self, units: int) -> bool:
         """Whether ``units`` more evaluations stay within the budget."""
         if self.limits.move_cap is not None:
             return self.evaluations + units <= self.limits.move_cap
-        return not self.exhausted
+        return time.monotonic() < self._stop
 
     def elapsed(self) -> float:
         return time.monotonic() - self._t0

@@ -7,12 +7,16 @@ idle-day penalty), then a shift allocation for the fixed working days.
 The budget is split between the phases (20% / 80% by default); the day
 phase is exact and spends none of its share.
 
+Every phase returns the solver's ``SearchResult`` with its expansion filled
+in (the day phase's ``allocation`` feeds the shift phase, which carries the
+``schedule``); ``MultiPhaseResult`` pairs the two records of a multi solve.
+
 Each solve also has an explicit integer-model builder so results can be
 audited independently of the search path: rebuild the model, plug in the
 returned assignment, and re-check feasibility and objective.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,7 +57,7 @@ DEFAULT_DAY_SHARE = 0.2
 
 
 # ---------------------------------------------------------------------------
-# phase specs and results
+# phase specs and the multi-phase record
 # ---------------------------------------------------------------------------
 
 
@@ -96,40 +100,10 @@ class ShiftPhaseSpec:
 
 
 @dataclass(frozen=True)
-class DayPhaseResult:
-    allocation: DayAllocation
-    objective: int
-    status: SolveStatus
-    trace: tuple
-    evaluations: int
-    runtime_seconds: float
-    penalty_factor: int
-
-    @property
-    def day_counts(self) -> np.ndarray:
-        return self.allocation.day_counts
-
-
-@dataclass(frozen=True)
-class ShiftPhaseResult:
-    """A solved schedule and its search record; the joint solve returns one too."""
-
-    schedule: Schedule
-    objective: float  # joint solve: deviation objective plus linear cost, when present
-    status: SolveStatus
-    trace: tuple
-    evaluations: int
-    runtime_seconds: float
-
-
-SinglePhaseResult = ShiftPhaseResult
-
-
-@dataclass(frozen=True)
 class MultiPhaseResult:
     schedule: Schedule
-    day: DayPhaseResult
-    shift: ShiftPhaseResult
+    day: SearchResult
+    shift: SearchResult
     day_limits: SolveLimits
     shift_limits: SolveLimits
 
@@ -155,28 +129,18 @@ class MultiPhaseResult:
 # ---------------------------------------------------------------------------
 
 
-def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> DayPhaseResult:
+def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> SearchResult:
+    """The day solve of ``spec``, with its per-agent working days."""
     result = solve_local_day(
         spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
     )
-    return day_phase_result(spec, result)
-
-
-def day_phase_result(spec: DayPhaseSpec, result: SearchResult) -> DayPhaseResult:
-    """``result``, the day solve of ``spec``, with its head-counts expanded to
-    per-agent working days."""
-    return DayPhaseResult(
-        allocation=materialize_day(result.head_counts, spec.agent_count, spec.weeks),
-        objective=result.objective,
-        status=result.status,
-        trace=result.trace,
-        evaluations=result.evaluations,
-        runtime_seconds=result.wall_seconds,
-        penalty_factor=spec.penalty_factor,
+    return replace(
+        result, allocation=materialize_day(result.head_counts, spec.agent_count, spec.weeks)
     )
 
 
-def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> ShiftPhaseResult:
+def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> SearchResult:
+    """The shift solve on ``spec``'s working days, with its schedule."""
     result = solve_local_shift(
         spec.requirements.per_interval,
         [int(n) for n in spec.allocation.day_counts],
@@ -184,21 +148,13 @@ def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> ShiftPh
         limits,
     )
     schedule = materialize_shift(result.splits, spec.allocation)
-    return ShiftPhaseResult(
-        schedule=schedule,
-        objective=result.objective,
-        status=result.status,
-        trace=result.trace,
-        evaluations=result.evaluations,
-        runtime_seconds=result.wall_seconds,
-    )
+    return replace(result, allocation=spec.allocation, schedule=schedule)
 
 
-def solve_single_phase(
-    scenario: Scenario, limits: SolveLimits, unit_cost=None
-) -> SinglePhaseResult:
+def solve_single_phase(scenario: Scenario, limits: SolveLimits, unit_cost=None) -> SearchResult:
     """Joint day-and-shift assignment against interval-level deviations, plus
-    ``unit_cost[d, s]`` per agent on shift ``s`` of day ``d`` when given."""
+    ``unit_cost[d, s]`` per agent on shift ``s`` of day ``d`` when given;
+    the objective includes that linear cost."""
     require_valid(scenario)
     weeks = scenario.week_partition()
     result = solve_local_single(
@@ -209,16 +165,9 @@ def solve_single_phase(
         limits,
         unit_cost,
     )
-    schedule = materialize_shift(
-        result.splits, materialize_day(result.head_counts, scenario.agent_count, weeks)
-    )
-    return SinglePhaseResult(
-        schedule=schedule,
-        objective=result.objective,
-        status=result.status,
-        trace=result.trace,
-        evaluations=result.evaluations,
-        runtime_seconds=result.wall_seconds,
+    allocation = materialize_day(result.head_counts, scenario.agent_count, weeks)
+    return replace(
+        result, allocation=allocation, schedule=materialize_shift(result.splits, allocation)
     )
 
 
@@ -250,9 +199,9 @@ def solve_multi_phase(
 
 
 def finish_multi_phase(
-    scenario: Scenario, day: DayPhaseResult, day_limits: SolveLimits, shift_limits: SolveLimits
+    scenario: Scenario, day: SearchResult, day_limits: SolveLimits, shift_limits: SolveLimits
 ) -> MultiPhaseResult:
-    """The shift phase on ``day``'s allocation, recorded with the day phase
+    """The shift phase on ``day.allocation``, recorded with the day phase
     that chose it (``day_limits`` is the budget that phase was given)."""
     shift = solve_shift_allocation(
         ShiftPhaseSpec(scenario.requirements, day.allocation, scenario.shift_catalog),

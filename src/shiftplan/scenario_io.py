@@ -27,6 +27,7 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     TripleError,
+    build_week_partition,
     require_valid,
     validate_scenario,
 )
@@ -251,6 +252,10 @@ def load_scenario(path: str) -> Scenario:
         days = tuple(date.fromisoformat(d) for d in raw_days)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"$.days: expected ISO dates ({exc})") from exc
+    try:  # no row bounds intervals_per_day until the horizon has days
+        build_week_partition(len(days))
+    except ValueError as exc:
+        raise SchemaError(f"$.days: invalid scenario: {exc}") from exc
     intervals = _need(data, "intervals_per_day", int, "$")
     agents = _need(data, "agents", int, "$")
     if agents > MAX_AGENTS:
@@ -327,28 +332,35 @@ def write_schedule(schedule: Schedule, catalog: ShiftCatalog, path: str) -> None
 
 
 def read_schedule(path: str, scenario: Scenario) -> Schedule:
-    """Parse a schedule CSV onto ``scenario``'s agents x days grid."""
-    by_block = {block: idx for idx, block in enumerate(scenario.shift_catalog.shifts)}
-    triples = []
+    """Parse a schedule CSV onto ``scenario``'s agents x days grid.
+
+    Rows stream into the grid one at a time, so memory is bounded by the
+    grid, and the first bad row in file order is the one reported."""
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header != SCHEDULE_HEADER:
             raise SchemaError(f"$: expected header {','.join(SCHEDULE_HEADER)}")
-        for i, row in enumerate(reader):
-            if len(row) != 4:
-                raise SchemaError(f"$[{i}]: expected 4 fields")
-            try:
-                agent, day, start, length = (int(x) for x in row)
-            except ValueError as exc:
-                raise SchemaError(f"$[{i}]: expected integers ({exc})") from exc
-            if (start, length) not in by_block:
-                raise SchemaError(f"$[{i}]: shift ({start}, {length}) not in catalog")
-            triples.append((agent, day, by_block[(start, length)]))
-    try:
-        return Schedule.from_triples(triples, scenario.agent_count, scenario.num_days)
-    except TripleError as exc:
-        raise SchemaError(f"$[{exc.position}]: {exc}") from exc
+        triples = _schedule_triples(reader, scenario.shift_catalog)
+        try:
+            return Schedule.from_triples(triples, scenario.agent_count, scenario.num_days)
+        except TripleError as exc:
+            raise SchemaError(f"$[{exc.position}]: {exc}") from exc
+
+
+def _schedule_triples(rows, catalog: ShiftCatalog):
+    """Each CSV row's (agent, day, shift index), checked as it is read."""
+    by_block = {block: idx for idx, block in enumerate(catalog.shifts)}
+    for i, row in enumerate(rows):
+        if len(row) != 4:
+            raise SchemaError(f"$[{i}]: expected 4 fields")
+        try:
+            agent, day, start, length = map(int, row)
+        except ValueError as exc:
+            raise SchemaError(f"$[{i}]: expected integers ({exc})") from exc
+        if (start, length) not in by_block:
+            raise SchemaError(f"$[{i}]: shift ({start}, {length}) not in catalog")
+        yield agent, day, by_block[(start, length)]
 
 
 # ---------------------------------------------------------------------------

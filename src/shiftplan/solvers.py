@@ -45,12 +45,15 @@ DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
 
 @dataclass(frozen=True)
 class SearchResult:
-    """One solve's outcome as head-counts and shift splits.
+    """One solve's outcome: the record every solve entry point returns.
 
     ``head_counts[d]`` is the number of agents working day ``d`` of the
     horizon.  ``splits[d][s]`` is the number of them on shift ``s``, so each
     split sums to its day's head-count; a day-phase result has no splits
-    (``None``).
+    (``None``).  ``allocation`` and ``schedule`` expand the counts:
+    ``solve_day_allocation`` and ``tune_penalty`` fill the allocation,
+    ``solve_shift_allocation`` and ``solve_single_phase`` both, and the
+    ``solve_local_*`` and ``solve_exact_*`` solvers neither.
     """
 
     status: SolveStatus
@@ -59,7 +62,9 @@ class SearchResult:
     splits: tuple[tuple[int, ...], ...] | None
     trace: tuple
     evaluations: int
-    wall_seconds: float
+    runtime_seconds: float
+    allocation: DayAllocation | None = None
+    schedule: Schedule | None = None
 
 
 # ---------------------------------------------------------------------------

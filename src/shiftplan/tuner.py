@@ -14,8 +14,7 @@ import numpy as np
 
 from .domain import WeekPartition
 from .model import SolveLimits
-from .phases import DayPhaseResult, DayPhaseSpec, day_phase_result
-from .solvers import SearchResult, solve_local_day
+from .solvers import SearchResult, materialize_day, solve_local_day
 
 DEFAULT_EPSILON = 1e-9
 
@@ -105,7 +104,7 @@ class SweepTrace:
 @dataclass(frozen=True)
 class TuneResult:
     trace: SweepTrace
-    best: DayPhaseResult
+    best: SearchResult  # the chosen K's day solve, with its allocation
 
 
 def tune_penalty(
@@ -123,14 +122,13 @@ def tune_penalty(
     if agent_count < 1:
         raise ValueError("tuning needs at least one agent")
     target = target_distribution(day_requirements)
-    spec = DayPhaseSpec(day_requirements, agent_count, weeks)
     entries: list[SweepEntry] = []
     best_kl: float | None = None
     best_result: SearchResult | None = None
     selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
-        result = solve_local_day(spec.day_requirements, agent_count, weeks, k, per_k_limits)
+        result = solve_local_day(day_requirements, agent_count, weeks, k, per_k_limits)
         kl = kl_divergence(
             DistributionPair(day_distribution(result.head_counts), target, epsilon)
         )
@@ -145,5 +143,7 @@ def tune_penalty(
             if stagnant >= stop.patience:
                 break
     # only the chosen K is expanded to per-agent working days
-    best = day_phase_result(replace(spec, penalty_factor=selected), best_result)
+    best = replace(
+        best_result, allocation=materialize_day(best_result.head_counts, agent_count, weeks)
+    )
     return TuneResult(SweepTrace(tuple(entries), selected), best)

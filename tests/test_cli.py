@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
 import json
+import resource
 import subprocess
 import sys
 
@@ -214,6 +215,14 @@ class TestRequirements:
         assert lines[1] == "0,2,4,4,4,2,1,4"
 
 
+def cap_address_space() -> None:
+    """Child-process hook: at most 2 GiB of address space, so an oversized
+    allocation fails at once rather than as the host's overcommit decides."""
+    _, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = 2 * 1024**3 if hard == resource.RLIM_INFINITY else min(2 * 1024**3, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+
 def week_scenario(**fields) -> dict:
     """A one-week, two-interval scenario dict; ``fields`` replace its keys."""
     scenario = {
@@ -350,6 +359,29 @@ class TestGridShape:
         proc = run_requirements(tmp_path, scenario)
         assert proc.returncode == 2
         assert f"$.{grid}[0]: expected {intervals} entries" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "intervals, command",
+        [(10**12, ["requirements"]), (10**400, ["solve", "--mode", "multi", "--move-cap", "100"])],
+        ids=["1e12", "1e400"],
+    )
+    def test_empty_horizon_is_schema_error(self, tmp_path, intervals, command):
+        # with no days no row bounds the width, so the horizon is checked first
+        path = tmp_path / "scenario.json"
+        scenario = week_scenario(days=[], intervals_per_day=intervals, requirements=[])
+        del scenario["volumes"]
+        path.write_text(json.dumps(scenario))
+        proc = subprocess.run(
+            [sys.executable, "-m", "shiftplan.cli", *command, "--scenario", str(path),
+             "--out", str(tmp_path / "out.csv")],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            preexec_fn=cap_address_space,  # a 931 GiB request fails whatever the overcommit
+        )
+        assert proc.returncode == 2
+        assert "$.days: invalid scenario: horizon not a multiple of 7: got 0 days" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -4,12 +4,19 @@ import csv
 import io
 import json
 import tracemalloc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from shiftplan.domain import OFF, RequirementMatrix, Scenario, Schedule, ShiftCatalog
+from shiftplan.domain import (
+    OFF,
+    RequirementMatrix,
+    Scenario,
+    Schedule,
+    ShiftCatalog,
+    TripleError,
+)
 from shiftplan.metrics import build_report
 from shiftplan.model import SolveLimits
 from shiftplan.phases import solve_multi_phase
@@ -317,6 +324,96 @@ class TestScheduleBlocks:
         assert len(calls) == 2
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def list_read_schedule(path: str, scenario: Scenario) -> Schedule:
+    """The schedule reader that builds every row's triple before the grid
+    (reference for the streaming reader's messages)."""
+    by_block = {block: idx for idx, block in enumerate(scenario.shift_catalog.shifts)}
+    triples = []
+    with open(path, "r", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != SCHEDULE_HEADER:
+            raise SchemaError(f"$: expected header {','.join(SCHEDULE_HEADER)}")
+        for i, row in enumerate(reader):
+            if len(row) != 4:
+                raise SchemaError(f"$[{i}]: expected 4 fields")
+            try:
+                agent, day, start, length = (int(x) for x in row)
+            except ValueError as exc:
+                raise SchemaError(f"$[{i}]: expected integers ({exc})") from exc
+            if (start, length) not in by_block:
+                raise SchemaError(f"$[{i}]: shift ({start}, {length}) not in catalog")
+            triples.append((agent, day, by_block[(start, length)]))
+    try:
+        return Schedule.from_triples(triples, scenario.agent_count, scenario.num_days)
+    except TripleError as exc:
+        raise SchemaError(f"$[{exc.position}]: {exc}") from exc
+
+
+def wide_scenario(agents: int, days: int) -> Scenario:
+    return Scenario(
+        name="wide",
+        days=tuple(date(2024, 1, 1) + timedelta(days=d) for d in range(days)),
+        intervals_per_day=96,
+        agent_count=agents,
+        shift_catalog=WIDE_CATALOG,
+        requirements=RequirementMatrix.from_interval_grid(np.zeros((days, 96), dtype=np.int64)),
+    )
+
+
+def read_outcome(reader, path: str, scenario: Scenario):
+    try:
+        return reader(path, scenario).shifts.tolist()
+    except SchemaError as exc:
+        return str(exc)
+
+
+class TestScheduleRead:
+    """The row-streaming reader against the reader that lists every row."""
+
+    MUTANTS = ("x", "", "-1", "0", "1", "3", "7", "8", "34", "2.5", "99999999999999999999")
+
+    def test_single_mutations_keep_their_messages(self, tmp_path):
+        rng = np.random.default_rng(5)
+        scenario = wide_scenario(6, 14)
+        path = str(tmp_path / "s.csv")
+        for _ in range(300):
+            write_schedule(random_schedule(rng, 6, 14, len(WIDE_CATALOG)), WIDE_CATALOG, path)
+            lines = [line.split(",") for line in open(path).read().splitlines()]
+            row = int(rng.integers(1, len(lines)))
+            column = int(rng.integers(0, 5))  # column 4 adds a fifth field
+            cell = str(rng.choice(self.MUTANTS))
+            if column == 4:
+                lines[row].append(cell)
+            else:
+                lines[row][column] = cell
+            with open(path, "w") as handle:
+                handle.write("\n".join(",".join(line) for line in lines) + "\n")
+            expected = read_outcome(list_read_schedule, path, scenario)
+            assert read_outcome(read_schedule, path, scenario) == expected
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("agent,day_index,shift_start,shift_length\n3,0,0,2\n0,0,5,5\n")
+        with pytest.raises(SchemaError, match=r"^\$\[0\]: agent 3, day 0: outside the 1 x 7 grid"):
+            read_schedule(str(path), one_shift_scenario())
+
+    def test_heap_peak_is_bounded_by_the_grid(self, tmp_path):
+        # the int64 grid is 4.5 MB; one triple per row peaked near 47 MiB
+        schedule = random_schedule(np.random.default_rng(1), 20_000, 28, len(WIDE_CATALOG))
+        path = str(tmp_path / "s.csv")
+        write_schedule(schedule, WIDE_CATALOG, path)
+        scenario = wide_scenario(20_000, 28)
+        tracemalloc.start()
+        try:
+            loaded = read_schedule(path, scenario)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded == schedule
+        assert peak < 8 * 2**20
 
 
 class TestSweepCsv:

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from shiftplan import model
 from shiftplan.model import (
     Deadline,
     IntegerModel,
@@ -75,20 +76,22 @@ class TestSolveLimits:
 
 
 class TestDeadline:
-    def test_move_cap_mode_never_reads_clock(self):
+    def test_move_cap_mode_never_reads_clock(self, monkeypatch):
         deadline = Deadline(SolveLimits(time_budget_seconds=1e-9, move_cap=5))
         # in cap mode even an expired clock budget does not matter
+        time.sleep(0.001)
+        monkeypatch.setattr(model, "time", None)  # any clock read would raise
         for _ in range(4):
             deadline.spend()
-            assert not deadline.exhausted
+            assert deadline.affords(1)
         deadline.spend()
-        assert deadline.exhausted
+        assert not deadline.affords(1)
         assert deadline.evaluations == 5
 
     def test_wall_clock_mode(self):
         deadline = Deadline(SolveLimits(time_budget_seconds=1000.0))
-        deadline.spend(64)  # stride boundary forces a clock check
-        assert not deadline.exhausted
+        deadline.spend(64)
+        assert deadline.affords(10**9)  # no cap: only the clock decides
 
     def test_affords_checks_the_move_cap_ahead(self):
         deadline = Deadline(SolveLimits(move_cap=10))
@@ -97,16 +100,14 @@ class TestDeadline:
         assert not deadline.affords(7)
 
     def test_bulk_spends_still_read_the_clock(self):
-        # odd totals never land on a multiple of the clock stride
         deadline = Deadline(SolveLimits(time_budget_seconds=0.01))
         deadline.spend(1)
         time.sleep(0.02)
         seen = []
         for _ in range(100):
             deadline.spend(2)
-            seen.append(deadline.exhausted)
-        assert any(seen)
-        assert seen[-1]  # once the clock has run out it stays out
+            seen.append(deadline.affords(2))
+        assert not any(seen)  # once the clock has run out it stays out
 
 
 class TestFeasibilityAndObjective:

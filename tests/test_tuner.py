@@ -82,14 +82,14 @@ class TestTunePenalty:
         r = np.array([10, 10, 10, 10, 10, 10, 10])
         result = tune_penalty(r, 14, ONE_WEEK, SolveLimits(move_cap=5000))
         assert result.trace.selected == 0
-        assert result.best.penalty_factor == 0
+        assert result.trace.selected == 0
 
     def test_peaked_demand_selects_positive_k(self):
         # heavy weekdays starve the weekend at K=0
         r = np.array([22, 22, 22, 22, 23, 11, 11])
         result = tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=20_000))
         assert result.trace.selected > 0
-        counts = result.best.day_counts
+        counts = result.best.allocation.day_counts
         assert int(min(counts)) > 0
         kls = {e.penalty_factor: e.kl for e in result.trace.entries}
         assert kls[result.trace.selected] < kls[0]
