@@ -20,11 +20,21 @@ WORKDAYS_PER_WEEK = 5
 
 def frozen_grid(values, dtype=np.int64) -> np.ndarray:
     """Copy ``values`` into a read-only numpy array; one that already is
-    read-only, of ``dtype``, and owns its memory is returned as it is."""
+    read-only, of ``dtype``, and owns its memory is returned as it is.
+
+    Raises ``ValueError`` if the conversion to ``dtype`` would change a cell:
+    a fraction, a value out of range, NaN or infinity.
+    """
     owned = isinstance(values, np.ndarray) and values.base is None
     if owned and values.dtype == dtype and not values.flags.writeable:
         return values
-    arr = np.array(values, dtype=dtype)
+    source = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # a cell that does not fit is refused below
+        arr = source.astype(dtype)
+        if source.dtype != arr.dtype and not (
+            np.array_equal(arr, source) and np.array_equal(arr.astype(source.dtype), source)
+        ):
+            raise ValueError(f"grid values do not convert to {arr.dtype} unchanged")
     arr.setflags(write=False)
     return arr
 

@@ -3,10 +3,10 @@
 The search itself runs over compact count structures (see ``solvers``); this
 module keeps the explicit binary formulation around so any reported solution
 can be re-checked against it: feasibility constraint by constraint, and the
-objective re-evaluated in exact integer arithmetic.
+objective re-evaluated in exact integer arithmetic.  Nothing here searches the
+per-agent grid: a one-week day model of 3 agents already has 2^21 assignments.
 """
 
-import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
@@ -15,7 +15,6 @@ from enum import Enum
 class SolveStatus(str, Enum):
     OPTIMAL = "optimal"
     FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -24,14 +23,12 @@ class SolveLimits:
 
     ``move_cap`` switches the local solvers from wall-clock mode to an exact
     move-evaluation budget, which makes runs bit-reproducible; when it is set
-    the wall clock is never consulted.  ``max_exact_nodes`` bounds exhaustive
-    enumeration.  ``seed`` is recorded in reports; the bundled solvers are
-    deterministic and draw nothing from it.
+    the wall clock is never consulted.  ``seed`` is recorded in reports; the
+    bundled solvers are deterministic and draw nothing from it.
     """
 
     time_budget_seconds: float = 60.0
     seed: int = 0
-    max_exact_nodes: int = 2_000_000
     move_cap: int | None = None
 
     def __post_init__(self):
@@ -39,8 +36,6 @@ class SolveLimits:
             raise ValueError("time budget must be positive")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.max_exact_nodes <= 0:
-            raise ValueError("max_exact_nodes must be positive")
         if self.move_cap is not None and self.move_cap <= 0:
             raise ValueError("move_cap must be positive when given")
 
@@ -54,7 +49,6 @@ class SolveLimits:
         return SolveLimits(
             time_budget_seconds=self.time_budget_seconds * fraction,
             seed=self.seed,
-            max_exact_nodes=self.max_exact_nodes,
             move_cap=cap,
         )
 
@@ -150,13 +144,6 @@ class IntegerModel:
         return self._bounds
 
 
-@dataclass(frozen=True)
-class Solution:
-    values: dict
-    objective_value: float
-    status: SolveStatus
-
-
 def check_feasible(model: IntegerModel, values: dict) -> list[str]:
     """List every violated bound or constraint (empty list means feasible)."""
     problems: list[str] = []
@@ -228,58 +215,6 @@ def count_variables(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def dump_model(model: IntegerModel) -> str:
-    """Plain-text dump: one line per variable, then one per constraint."""
-    lines = [f"variables {len(model.variables)}"]
-    for name, lo, hi in model.variables:
-        lines.append(f"{name} {lo} {hi}")
-    lines.append(f"constraints {len(model.constraints)}")
-    for constraint in model.constraints:
-        lhs = " + ".join(
-            f"{coef}*{name}" for name, coef in sorted(constraint.terms.items())
-        )
-        label = f"  # {constraint.label}" if constraint.label else ""
-        lines.append(f"{lhs} {constraint.relation} {constraint.rhs}{label}")
-    return "\n".join(lines) + "\n"
-
-
 class SearchSpaceError(RuntimeError):
-    """Exhaustive enumeration refused: the search space exceeds the node cap."""
-
-
-def solve_model_exhaustive(model: IntegerModel, limits: SolveLimits) -> Solution:
-    """Brute-force enumeration over the full variable grid.
-
-    Only suitable for toy models; refuses when the grid exceeds
-    ``limits.max_exact_nodes``.  Ties keep the first minimum in lexicographic
-    value order, so results are deterministic.
-    """
-    names = [name for name, _, _ in model.variables]
-    spans = [hi - lo + 1 for _, lo, hi in model.variables]
-    space = math.prod(spans) if spans else 1
-    if space > limits.max_exact_nodes:
-        raise SearchSpaceError(
-            f"model grid has {space} assignments, cap is {limits.max_exact_nodes}"
-        )
-    best: Solution | None = None
-    assignment = [lo for _, lo, _ in model.variables]
-    while True:
-        values = dict(zip(names, assignment))
-        if not check_feasible(model, values):
-            objective = evaluate_objective(model, values)
-            if best is None or objective < best.objective_value:
-                best = Solution(values, objective, SolveStatus.OPTIMAL)
-        # odometer increment in lexicographic order
-        pos = len(assignment) - 1
-        while pos >= 0:
-            name, lo, hi = model.variables[pos]
-            if assignment[pos] < hi:
-                assignment[pos] += 1
-                break
-            assignment[pos] = lo
-            pos -= 1
-        if pos < 0:
-            break
-    if best is None:
-        return Solution({}, math.inf, SolveStatus.INFEASIBLE)
-    return best
+    """Exhaustive enumeration refused: the search space exceeds
+    ``solvers.MAX_EXACT_NODES``."""

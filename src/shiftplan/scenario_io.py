@@ -257,6 +257,8 @@ def load_scenario(path: str) -> Scenario:
     except ValueError as exc:
         raise SchemaError(f"$.days: invalid scenario: {exc}") from exc
     intervals = _need(data, "intervals_per_day", int, "$")
+    if intervals < 1:
+        raise SchemaError("$.intervals_per_day: must be at least 1")
     agents = _need(data, "agents", int, "$")
     if agents > MAX_AGENTS:
         raise SchemaError(f"$.agents: beyond {MAX_AGENTS} agents")

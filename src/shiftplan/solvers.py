@@ -13,7 +13,9 @@ and ``solve_local_single``: the day problem is solved exactly by greedy
 allocation, and the shift and joint problems by one per-day kernel, greedy
 splits of n agents over the shifts improved by steepest swap descent within a
 wall-clock or move-cap budget.  The ``solve_exact_*`` enumerators return the
-same record and refuse oversized spaces; they are the audit oracles.
+same record and are the audit oracles: the day and joint ones share one
+exhaustive week choice over per-day tables, and each refuses a space of more
+than ``MAX_EXACT_NODES`` states.
 
 Unit costs are one (days x shifts) grid, ``unit_cost[d, s]`` per agent on
 shift ``s`` of day ``d``, checked by ``domain.unit_cost_grid``; ``None`` means
@@ -175,70 +177,73 @@ def _bounded_vectors(bound: int, total: int, length: int):
 # ---------------------------------------------------------------------------
 
 
-def solve_exact_day(
-    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
-) -> SearchResult:
-    """Exhaustive day-allocation optimum, week by week.
+MAX_EXACT_NODES = 2_000_000  # states an exact enumerator may visit before it refuses
 
-    Enumerates every per-day head-count vector (the objective depends on
-    nothing else).  First-found minima make ties lexicographic.
-    """
-    r = np.asarray(r_day, dtype=np.int64)
-    _check_day_inputs(r, agent_count, weeks, penalty_factor)
-    per_week = _count_bounded_vectors(
-        agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
-    )
-    nodes = per_week * weeks.count
-    if nodes > limits.max_exact_nodes:
+
+def _refuse_oversized(space: str, nodes: int) -> None:
+    if nodes > MAX_EXACT_NODES:
         raise SearchSpaceError(
-            f"day search space has {nodes} states, cap is {limits.max_exact_nodes}"
+            f"{space} search space has {nodes} states, cap is {MAX_EXACT_NODES}"
         )
-    deadline = Deadline(limits)
+
+
+def _week_vector_count(agent_count: int) -> int:
+    """Per-day head-count vectors of one week."""
+    return _count_bounded_vectors(agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK)
+
+
+def _exact_week_choice(values, agent_count: int, weeks: WeekPartition, deadline: Deadline):
+    """Each week's best per-day head-counts over the tables ``values[d][n]``.
+
+    Every vector costs one evaluation; the first minimum found is kept, so
+    ties go to the lexicographically smallest vector.
+    """
     head_counts: list[int] = []
     objective = 0
     for w in range(weeks.count):
-        base = weeks.days_of(w).start
-        r_week = [int(r[base + d]) for d in range(DAYS_PER_WEEK)]
+        days = weeks.days_of(w)
+        table = values[days.start : days.stop]
         best_vec = None
         best_obj = None
         for vec in _bounded_vectors(
             agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
         ):
             deadline.spend()
-            obj = sum(
-                day_term(r_week[d], vec[d], agent_count, penalty_factor)
-                for d in range(DAYS_PER_WEEK)
-            )
+            obj = sum(table[d][n] for d, n in enumerate(vec))
             if best_obj is None or obj < best_obj:
                 best_obj = obj
                 best_vec = vec
         head_counts.extend(best_vec)
-        objective += best_obj
+        objective = objective + best_obj
+    return tuple(head_counts), objective
+
+
+def solve_exact_day(
+    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
+) -> SearchResult:
+    """Exhaustive day-allocation optimum, week by week.
+
+    Enumerates every per-day head-count vector (the objective depends on
+    nothing else) over the tables ``day_term(r[d], n)``.
+    """
+    r = np.asarray(r_day, dtype=np.int64)
+    _check_day_inputs(r, agent_count, weeks, penalty_factor)
+    _refuse_oversized("day", weeks.count * _week_vector_count(agent_count))
+    deadline = Deadline(limits)
+    values = [
+        [day_term(required, n, agent_count, penalty_factor) for n in range(agent_count + 1)]
+        for required in r.tolist()
+    ]
+    head_counts, objective = _exact_week_choice(values, agent_count, weeks, deadline)
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        tuple(head_counts),
+        head_counts,
         None,
         (objective,),
         deadline.evaluations,
         deadline.elapsed(),
     )
-
-
-def _compositions(total: int, parts: int):
-    """All ways to split ``total`` over ``parts`` non-negative slots, lexicographic."""
-    vec = [0] * parts
-
-    def rec(pos: int, left: int):
-        if pos == parts - 1:
-            vec[pos] = left
-            yield tuple(vec)
-            return
-        for v in range(left + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, left - v)
-
-    yield from rec(0, total)
 
 
 def _best_day_composition(
@@ -250,7 +255,7 @@ def _best_day_composition(
     best_obj = None
     scheduled = np.zeros(r.shape[1], dtype=np.int64)
     cost = None if unit_cost is None else unit_cost[d].tolist()
-    for vec in _compositions(n, S):
+    for vec in _bounded_vectors(n, n, S):
         deadline.spend()
         scheduled[:] = 0
         for s, y in enumerate(vec):
@@ -279,11 +284,7 @@ def solve_exact_shift(
     _check_shift_inputs(r, n_d, catalog)
     S = len(catalog)
     unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
-    nodes = sum(math.comb(n + S - 1, S - 1) for n in n_d)
-    if nodes > limits.max_exact_nodes:
-        raise SearchSpaceError(
-            f"shift search space has {nodes} states, cap is {limits.max_exact_nodes}"
-        )
+    _refuse_oversized("shift", sum(math.comb(n + S - 1, S - 1) for n in n_d))
     deadline = Deadline(limits)
     splits = []
     objective = 0
@@ -318,23 +319,14 @@ def solve_exact_single(
     head-count vectors.
     """
     r = np.asarray(r_dt, dtype=np.int64)
-    if agent_count < 0:
-        raise ValueError("agent_count must be non-negative")
-    if r.shape[0] != weeks.count * DAYS_PER_WEEK:
-        raise ValueError("requirement rows do not match the week partition")
+    _check_joint_inputs(r, agent_count, weeks, catalog)
     S = len(catalog)
-    if S == 0:
-        raise ValueError("shift catalog is empty")
     unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
-    table_nodes = r.shape[0] * math.comb(agent_count + S, S)
-    vec_nodes = weeks.count * _count_bounded_vectors(
-        agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
+    _refuse_oversized(
+        "joint",
+        r.shape[0] * math.comb(agent_count + S, S)
+        + weeks.count * _week_vector_count(agent_count),
     )
-    if table_nodes + vec_nodes > limits.max_exact_nodes:
-        raise SearchSpaceError(
-            f"joint search space has {table_nodes + vec_nodes} states,"
-            f" cap is {limits.max_exact_nodes}"
-        )
     deadline = Deadline(limits)
     # per-day tables: best composition and value for each possible head-count
     best_comp: list[list[tuple]] = []
@@ -347,26 +339,11 @@ def solve_exact_single(
             vals.append(obj)
         best_comp.append(comps)
         best_val.append(vals)
-    head_counts: list[int] = []
-    objective = 0
-    for w in range(weeks.count):
-        base = weeks.days_of(w).start
-        best_vec = None
-        best_obj = None
-        for vec in _bounded_vectors(
-            agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
-        ):
-            deadline.spend()
-            obj = sum(best_val[base + d][vec[d]] for d in range(DAYS_PER_WEEK))
-            if best_obj is None or obj < best_obj:
-                best_obj = obj
-                best_vec = vec
-        objective = objective + best_obj
-        head_counts.extend(best_vec)
+    head_counts, objective = _exact_week_choice(best_val, agent_count, weeks, deadline)
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        tuple(head_counts),
+        head_counts,
         tuple(best_comp[d][n] for d, n in enumerate(head_counts)),
         (objective,),
         deadline.evaluations,
@@ -386,6 +363,14 @@ def _check_day_inputs(r, agent_count, weeks, penalty_factor):
         raise ValueError("penalty_factor must be non-negative")
     if r.ndim != 1 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
         raise ValueError("day requirements do not match the week partition")
+
+
+def _check_joint_inputs(r, agent_count, weeks, catalog):
+    if r.ndim != 2 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
+        raise ValueError("requirement rows do not match the week partition")
+    if agent_count < 0:
+        raise ValueError("agent_count must be non-negative")
+    _check_shift_inputs(r, [agent_count] * r.shape[0], catalog)
 
 
 def _check_shift_inputs(r, n_d, catalog):
@@ -617,11 +602,7 @@ def solve_local_single(
     The chosen splits are then descended.
     """
     r = np.asarray(r_dt, dtype=np.int64)
-    if r.ndim != 2 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
-        raise ValueError("requirement rows do not match the week partition")
-    if agent_count < 0:
-        raise ValueError("agent_count must be non-negative")
-    _check_shift_inputs(r, [agent_count] * r.shape[0], catalog)
+    _check_joint_inputs(r, agent_count, weeks, catalog)
     deadline = Deadline(limits)
     unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     kernels = _day_kernels(r, catalog, unit_cost, [agent_count] * r.shape[0])

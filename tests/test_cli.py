@@ -385,6 +385,22 @@ class TestGridShape:
         assert "Traceback" not in proc.stderr
 
 
+class TestIntervalCount:
+    """A day needs at least one interval; the count is checked before any grid."""
+
+    @pytest.mark.parametrize(
+        "grid, intervals", [("volumes", 0), ("requirements", 0), ("requirements", -1)]
+    )
+    def test_non_positive_interval_count_is_schema_error(self, tmp_path, grid, intervals):
+        scenario = week_scenario(intervals_per_day=intervals, volumes=[[]] * 7)
+        if grid == "requirements":
+            scenario["requirements"] = scenario.pop("volumes")
+        proc = run_requirements(tmp_path, scenario)
+        assert proc.returncode == 2
+        assert "$.intervals_per_day: must be at least 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
 class TestAgentBound:
     """Every command builds agents x days grids, so the head-count is capped."""
 

@@ -20,6 +20,7 @@ from shiftplan.domain import (
     validate_scenario,
     validate_schedule,
 )
+from shiftplan.phases import DayPhaseSpec
 
 
 def make_scenario(days=7, intervals=4, agents=3, shifts=((0, 2), (2, 2))):
@@ -408,3 +409,27 @@ class TestGridMatchesTriples:
             assert validate_day_allocation(
                 DayAllocation.from_works(works), expected_agents, partition
             ) == reference(works, expected_agents, partition)
+
+
+class TestExactConversion:
+    """A grid converted to its dtype keeps every cell or is refused."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: Schedule(np.array([[1.9, -1.0]])),
+            lambda: RequirementMatrix.from_interval_grid([[2.7, 1.2]]),
+            lambda: DayPhaseSpec([2.5] * 7, 2, build_week_partition(7)),
+            lambda: DayAllocation.from_works(np.array([[257, 256]])),
+            lambda: Schedule(np.array([[2**64 - 1]], dtype=np.uint64)),
+        ],
+        ids=["fraction", "fraction-list", "day-requirements", "int8-wrap", "uint64-wrap"],
+    )
+    def test_changed_cell_is_refused(self, build):
+        with pytest.raises(ValueError, match="unchanged"):
+            build()
+
+    def test_whole_numbers_of_another_dtype_convert(self):
+        assert Schedule(np.array([[1.0, -1.0]])).shifts.tolist() == [[1, OFF]]
+        assert DayAllocation.from_works(np.array([[1, 0]])).works.dtype == np.int8
+

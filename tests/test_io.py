@@ -5,6 +5,7 @@ import io
 import json
 import tracemalloc
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -381,7 +382,7 @@ class TestScheduleRead:
         path = str(tmp_path / "s.csv")
         for _ in range(300):
             write_schedule(random_schedule(rng, 6, 14, len(WIDE_CATALOG)), WIDE_CATALOG, path)
-            lines = [line.split(",") for line in open(path).read().splitlines()]
+            lines = [line.split(",") for line in Path(path).read_text().splitlines()]
             row = int(rng.integers(1, len(lines)))
             column = int(rng.integers(0, 5))  # column 4 adds a fifth field
             cell = str(rng.choice(self.MUTANTS))

@@ -11,15 +11,10 @@ from shiftplan.model import (
     LinearConstraint,
     LinExpr,
     QuadraticObjective,
-    SearchSpaceError,
-    Solution,
     SolveLimits,
-    SolveStatus,
     check_feasible,
     count_variables,
-    dump_model,
     evaluate_objective,
-    solve_model_exhaustive,
 )
 
 
@@ -169,34 +164,6 @@ class TestFeasibilityAndObjective:
             )
 
 
-class TestExhaustiveSolve:
-    def test_finds_optimum(self):
-        solution = solve_model_exhaustive(toy_model(), SolveLimits())
-        # x + y = 1 zeroes the first term but costs 1 on the second; so does 0
-        assert solution.objective_value == 1
-        assert solution.status == SolveStatus.OPTIMAL
-        # lexicographic tie-break keeps (0, 0)
-        assert solution.values == {"x": 0, "y": 0}
-
-    def test_infeasible_model(self):
-        model = IntegerModel(
-            variables=(("x", 0, 1),),
-            constraints=(LinearConstraint({"x": 1}, ">=", 5),),
-            objective=QuadraticObjective(squared_terms=()),
-        )
-        solution = solve_model_exhaustive(model, SolveLimits())
-        assert solution.status == SolveStatus.INFEASIBLE
-
-    def test_node_cap_refusal(self):
-        model = IntegerModel(
-            variables=tuple((f"x{i}", 0, 9) for i in range(12)),
-            constraints=(),
-            objective=QuadraticObjective(squared_terms=()),
-        )
-        with pytest.raises(SearchSpaceError, match="cap"):
-            solve_model_exhaustive(model, SolveLimits(max_exact_nodes=1000))
-
-
 class TestVariableCounting:
     def test_single_mode_reference_sizes(self):
         assert count_variables(250, 30, 15, 24, "single") == 113_940
@@ -224,13 +191,3 @@ class TestVariableCounting:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_variables(-1, 7, 1, 1, "single")
-
-
-class TestDump:
-    def test_round_trippable_text(self):
-        text = dump_model(toy_model())
-        lines = text.splitlines()
-        assert lines[0] == "variables 2"
-        assert lines[1] == "x 0 1"
-        assert lines[3] == "constraints 1"
-        assert lines[4] == "1*x + 1*y <= 1  # cap"

@@ -18,12 +18,14 @@ from shiftplan.domain import (
     Schedule,
     ShiftCatalog,
     build_week_partition,
+    unit_cost_grid,
     validate_day_allocation,
     validate_schedule,
 )
 from shiftplan.model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 from shiftplan.solvers import (
     DAY_PATTERNS,
+    _bounded_vectors,
     _day_kernels,
     day_term,
     materialize_day,
@@ -105,7 +107,7 @@ def week_counts_loop(r_week, agent_count, penalty_factor):
     return tuple(counts), objective
 
 
-def reference_plans_from_week(day_head_counts, day_compositions, agent_count):
+def reference_plans_from_week(day_head_counts, day_splits, agent_count):
     """Week-plan counts of one week's head-counts and splits (reference).
 
     The expansion the solvers used before they returned splits: patterns to
@@ -120,7 +122,7 @@ def reference_plans_from_week(day_head_counts, day_compositions, agent_count):
     for d in range(7):
         working = [a for a in range(agent_count) if d in agent_patterns[a]]
         units = []
-        for s, y in enumerate(day_compositions[d]):
+        for s, y in enumerate(day_splits[d]):
             units.extend([s] * y)
         assert len(units) == len(working)
         for agent, shift in zip(working, units):
@@ -221,7 +223,7 @@ class TestExactDay:
             r = [rng.randint(0, 7) for _ in range(7)]
             penalty = rng.randint(0, 2)
             result = solve_exact_day(
-                r, agents, ONE_WEEK, penalty, SolveLimits(max_exact_nodes=200_000)
+                r, agents, ONE_WEEK, penalty, SolveLimits()
             )
             assert result.status == SolveStatus.OPTIMAL
             assert result.objective == brute_force_day(r, agents, penalty)
@@ -237,7 +239,7 @@ class TestExactDay:
     def test_node_cap(self):
         with pytest.raises(SearchSpaceError):
             solve_exact_day(
-                [5] * 7, 40, ONE_WEEK, 0, SolveLimits(max_exact_nodes=100)
+                [5] * 7, 40, ONE_WEEK, 0, SolveLimits()
             )
 
     def test_materializes_validly(self):
@@ -274,7 +276,7 @@ class TestExactShift:
         big_cat = ShiftCatalog(tuple((i, 1) for i in range(12)), 12)
         with pytest.raises(SearchSpaceError):
             solve_exact_shift(
-                [[1] * 12], [30], big_cat, SolveLimits(max_exact_nodes=1000)
+                [[1] * 12], [30], big_cat, SolveLimits()
             )
 
 
@@ -323,8 +325,185 @@ class TestExactSingle:
                 25,
                 ONE_WEEK,
                 cat,
-                SolveLimits(max_exact_nodes=10_000),
+                SolveLimits(),
             )
+
+
+
+# The exact enumerators as they were before they shared one week choice
+# (references): each kept its own week loop, and the shift enumerator split
+# ``n`` agents with its own generator rather than ``_bounded_vectors``.
+
+
+def reference_splits_of(total, parts):
+    vec = [0] * parts
+
+    def rec(pos, left):
+        if pos == parts - 1:
+            vec[pos] = left
+            yield tuple(vec)
+            return
+        for v in range(left + 1):
+            vec[pos] = v
+            yield from rec(pos + 1, left - v)
+
+    yield from rec(0, total)
+
+
+def reference_best_split(r, d, n, catalog, unit_cost, deadline):
+    S = len(catalog)
+    best_vec = None
+    best_obj = None
+    scheduled = np.zeros(r.shape[1], dtype=np.int64)
+    cost = None if unit_cost is None else unit_cost[d].tolist()
+    for vec in reference_splits_of(n, S):
+        deadline.spend()
+        scheduled[:] = 0
+        for s, y in enumerate(vec):
+            if y:
+                span = catalog.covers(s)
+                scheduled[span.start : span.stop] += y
+        obj = squared_norm(r[d] - scheduled)
+        if cost is not None:
+            obj = obj + sum(vec[s] * cost[s] for s in range(S))
+        if best_obj is None or obj < best_obj:
+            best_obj = obj
+            best_vec = vec
+    return best_vec, best_obj
+
+
+def reference_exact_day(r_day, agent_count, weeks, penalty_factor):
+    r = np.asarray(r_day, dtype=np.int64)
+    deadline = Deadline(SolveLimits())
+    head_counts = []
+    objective = 0
+    for w in range(weeks.count):
+        base = weeks.days_of(w).start
+        r_week = [int(r[base + d]) for d in range(7)]
+        best_vec = None
+        best_obj = None
+        for vec in _bounded_vectors(agent_count, 5 * agent_count, 7):
+            deadline.spend()
+            obj = sum(day_term(r_week[d], vec[d], agent_count, penalty_factor) for d in range(7))
+            if best_obj is None or obj < best_obj:
+                best_obj = obj
+                best_vec = vec
+        head_counts.extend(best_vec)
+        objective += best_obj
+    return SolveStatus.OPTIMAL, objective, tuple(head_counts), None, (objective,), deadline.evaluations
+
+
+def reference_exact_shift(r_dt, day_counts, catalog, unit_cost):
+    r = np.asarray(r_dt, dtype=np.int64)
+    n_d = [int(x) for x in day_counts]
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
+    deadline = Deadline(SolveLimits())
+    splits = []
+    objective = 0
+    for d in range(r.shape[0]):
+        vec, obj = reference_best_split(r, d, n_d[d], catalog, unit_cost, deadline)
+        splits.append(vec)
+        objective = objective + obj
+    return SolveStatus.OPTIMAL, objective, tuple(n_d), tuple(splits), (objective,), deadline.evaluations
+
+
+def reference_exact_single(r_dt, agent_count, weeks, catalog, unit_cost):
+    r = np.asarray(r_dt, dtype=np.int64)
+    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
+    deadline = Deadline(SolveLimits())
+    best_comp = []
+    best_val = []
+    for d in range(r.shape[0]):
+        comps, vals = [], []
+        for n in range(agent_count + 1):
+            vec, obj = reference_best_split(r, d, n, catalog, unit_cost, deadline)
+            comps.append(vec)
+            vals.append(obj)
+        best_comp.append(comps)
+        best_val.append(vals)
+    head_counts = []
+    objective = 0
+    for w in range(weeks.count):
+        base = weeks.days_of(w).start
+        best_vec = None
+        best_obj = None
+        for vec in _bounded_vectors(agent_count, 5 * agent_count, 7):
+            deadline.spend()
+            obj = sum(best_val[base + d][vec[d]] for d in range(7))
+            if best_obj is None or obj < best_obj:
+                best_obj = obj
+                best_vec = vec
+        objective = objective + best_obj
+        head_counts.extend(best_vec)
+    splits = tuple(best_comp[d][n] for d, n in enumerate(head_counts))
+    return SolveStatus.OPTIMAL, objective, tuple(head_counts), splits, (objective,), deadline.evaluations
+
+
+def exact_record(result):
+    """Every ``SearchResult`` field an exact solve fixes: all but the clock."""
+    return (
+        result.status,
+        result.objective,
+        result.head_counts,
+        result.splits,
+        result.trace,
+        result.evaluations,
+    )
+
+
+class TestExactRecords:
+    """The exact enumerators against the references above: same optimum,
+    same tie-break and same evaluation count, on seeded micro instances."""
+
+    def test_records_match_the_references(self):
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            agents, week_count = int(rng.integers(0, 4)), int(rng.integers(1, 3))
+            weeks = build_week_partition(7 * week_count)
+            width = int(rng.integers(1, 5))
+            starts = rng.integers(0, width, size=int(rng.integers(1, 4)))
+            catalog = ShiftCatalog(
+                tuple((int(a), int(rng.integers(1, width - a + 1))) for a in starts), width
+            )
+            days = weeks.count * 7
+            r = rng.integers(0, 4, size=(days, width))
+            unit_cost = None
+            if rng.random() < 0.5:
+                unit_cost = rng.choice([0, 0.5, 1, 2.5], size=(days, len(catalog)))
+            r_day, penalty = r.max(axis=1), int(rng.integers(0, 3))
+            day_counts = rng.integers(0, agents + 1, size=days)
+            assert exact_record(
+                solve_exact_day(r_day, agents, weeks, penalty, SolveLimits())
+            ) == reference_exact_day(r_day, agents, weeks, penalty)
+            assert exact_record(
+                solve_exact_shift(r, day_counts, catalog, SolveLimits(), unit_cost)
+            ) == reference_exact_shift(r, day_counts, catalog, unit_cost)
+            assert exact_record(
+                solve_exact_single(r, agents, weeks, catalog, SolveLimits(), unit_cost)
+            ) == reference_exact_single(r, agents, weeks, catalog, unit_cost)
+
+    def test_splits_of_match_bounded_vectors(self):
+        for total in range(7):
+            for parts in range(1, 5):
+                assert list(_bounded_vectors(total, total, parts)) == list(
+                    reference_splits_of(total, parts)
+                )
+
+
+class TestJointInputChecks:
+    """The exact and local joint solves refuse the same malformed inputs."""
+
+    @pytest.mark.parametrize("solve", [solve_exact_single, solve_local_single])
+    def test_interval_grid_mismatch(self, solve):
+        catalog = ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6)
+        with pytest.raises(ValueError, match="catalog interval grid differs from requirements"):
+            solve(np.ones((7, 3), dtype=np.int64), 2, ONE_WEEK, catalog, SolveLimits(move_cap=100))
+
+    @pytest.mark.parametrize("solve", [solve_exact_single, solve_local_single])
+    def test_one_dimensional_grid(self, solve):
+        catalog = ShiftCatalog(((0, 1),), intervals_per_day=1)
+        with pytest.raises(ValueError, match="requirement rows do not match the week partition"):
+            solve(np.ones(7, dtype=np.int64), 2, ONE_WEEK, catalog, SolveLimits(move_cap=100))
 
 
 def draw_kernel_case(data, priced):
