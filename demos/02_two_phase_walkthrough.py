@@ -80,5 +80,4 @@ assert cov.per_day.tolist() == day.allocation.day_counts.tolist()
 both = solve_multi_phase(scenario, limits)
 print()
 print(f"solve_multi_phase objective: {both.objective}")
-print(f"  day-phase evaluations:   {both.day.evaluations}")
-print(f"  shift-phase evaluations: {both.shift.evaluations}")
+print(f"  evaluations (both phases): {both.evaluations}")

@@ -17,7 +17,7 @@ import sys
 
 from .metrics import build_report, compare_modes
 from .model import SolveLimits
-from .phases import finish_multi_phase, solve_multi_phase, solve_single_phase
+from .phases import solve_multi_phase, solve_single_phase
 from .scenario_io import (
     PRESETS,
     SchemaError,
@@ -59,7 +59,6 @@ def _checked(kind, ok, need: str):
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "a positive number of seconds")
-_SHARE = _checked(float, lambda v: 0 < v < 1, "strictly between 0 and 1")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -109,17 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--mode", choices=("single", "multi"), required=True)
     solve.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(solve)
-    solve.add_argument(
-        "--day-share",
-        type=_SHARE,
-        default=0.2,
-        help="fraction of the budget held back for the day phase, which is exact and"
-        " uses none of it; the shift phase gets the rest (multi mode)",
-    )
-    solve.add_argument(
+    penalty = solve.add_mutually_exclusive_group()
+    penalty.add_argument(
         "--penalty", type=_NON_NEGATIVE_INT, default=0, help="day-balancing penalty factor K"
     )
-    solve.add_argument(
+    penalty.add_argument(
         "--tune",
         action="store_true",
         help="sweep K and use the best factor instead of --penalty (multi mode)",
@@ -133,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune.add_argument("--scenario", required=True)
     tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
-    _add_budget_flags(tune)  # per-K budget
+    _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
     tune.add_argument("--patience", type=_POSITIVE_INT, default=2)
     tune.add_argument("--k-max", type=_NON_NEGATIVE_INT, default=50)
     tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
@@ -158,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
     compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(compare)
-    compare.add_argument("--day-share", type=_SHARE, default=0.2)
     compare.add_argument("--penalty", type=_NON_NEGATIVE_INT, default=0)
     compare.add_argument("--out", default=None, help="comparison JSON (default <name>-compare.json)")
     compare.set_defaults(handler=_cmd_compare)
@@ -187,75 +179,63 @@ def _cmd_requirements(args) -> int:
     return 0
 
 
-def _cmd_solve(args) -> int:
-    scenario = load_scenario(args.scenario)
-    limits = _limits(args)
-    deterministic = args.move_cap is not None
-    if args.tune and args.mode != "multi":
-        raise UsageError("--tune applies to --mode multi only")
-    if args.tune:
-        # the sweep's chosen day phase is the one the schedule keeps
-        day_limits = limits.scaled(args.day_share)
-        tuned = tune_penalty(
-            scenario.requirements.per_day,
-            scenario.agent_count,
-            scenario.week_partition(),
-            day_limits,
-        )
-        result = finish_multi_phase(
-            scenario, tuned.best, day_limits, limits.scaled(1.0 - args.day_share)
-        )
-    elif args.mode == "multi":
-        result = solve_multi_phase(
-            scenario, limits, penalty_factor=args.penalty, day_share=args.day_share
-        )
-    else:
-        result = solve_single_phase(scenario, limits)
-    out = args.out or f"{scenario.name}-{args.mode}-schedule.csv"
-    report_path = args.report or f"{scenario.name}-{args.mode}-report.json"
+def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
+    """Write ``result``'s schedule to ``out`` and, unless ``report_path`` is
+    None, its report; returns the report or None."""
     write_schedule(result.schedule, scenario.shift_catalog, out)
+    if report_path is None:
+        return None
     report = build_report(
         scenario,
         result.schedule,
-        args.mode,
+        mode,
         seed=args.seed,
         runtime_seconds=result.runtime_seconds,
         status=result.status,
         evaluations=result.evaluations,
     )
-    write_report(report, report_path, deterministic=deterministic)
+    write_report(report, report_path, deterministic=args.move_cap is not None)
+    return report
+
+
+def _tune_and_solve(args, scenario, stop: StopConfig = StopConfig()):
+    """The K sweep, then the multi solve at the chosen K with the whole budget."""
+    limits = _limits(args)
+    tuned = tune_penalty(
+        scenario.requirements.per_day,
+        scenario.agent_count,
+        scenario.week_partition(),
+        limits,
+        stop,
+    )
+    return tuned, solve_multi_phase(scenario, limits, tuned.trace.selected)
+
+
+def _cmd_solve(args) -> int:
+    scenario = load_scenario(args.scenario)
+    if args.tune and args.mode != "multi":
+        raise UsageError("--tune applies to --mode multi only")
+    if args.tune:
+        _, result = _tune_and_solve(args, scenario)
+    elif args.mode == "multi":
+        result = solve_multi_phase(scenario, _limits(args), args.penalty)
+    else:
+        result = solve_single_phase(scenario, _limits(args))
+    out = args.out or f"{scenario.name}-{args.mode}-schedule.csv"
+    report_path = args.report or f"{scenario.name}-{args.mode}-report.json"
+    report = _write_outputs(args, scenario, result, args.mode, out, report_path)
     print(f"wrote {out} and {report_path} (objective {report.objective_value})")
     return 0
 
 
 def _cmd_tune(args) -> int:
     scenario = load_scenario(args.scenario)
-    limits = _limits(args)
-    deterministic = args.move_cap is not None
-    tuned = tune_penalty(
-        scenario.requirements.per_day,
-        scenario.agent_count,
-        scenario.week_partition(),
-        limits,
-        StopConfig(patience=args.patience, k_max=args.k_max),
-    )
+    stop = StopConfig(patience=args.patience, k_max=args.k_max)
+    tuned, result = _tune_and_solve(args, scenario, stop)
     trace_path = args.trace or f"{scenario.name}-sweep.csv"
     write_sweep_trace(tuned.trace, trace_path)
-    # finish the chosen-K day allocation into a full schedule
-    result = finish_multi_phase(scenario, tuned.best, limits, limits)
     out = args.out or f"{scenario.name}-tuned-schedule.csv"
-    write_schedule(result.schedule, scenario.shift_catalog, out)
-    if args.report:
-        report = build_report(
-            scenario,
-            result.schedule,
-            "multi",
-            seed=args.seed,
-            runtime_seconds=result.runtime_seconds,
-            status=result.status,
-            evaluations=result.evaluations,
-        )
-        write_report(report, args.report, deterministic=deterministic)
+    _write_outputs(args, scenario, result, "multi", out, args.report)
     print(f"selected K={tuned.trace.selected}; wrote {trace_path} and {out}")
     return 0
 
@@ -275,13 +255,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_compare(args) -> int:
     scenario = load_scenario(args.scenario)
     limits = _limits(args)
-    result = compare_modes(
-        scenario,
-        args.runs,
-        limits,
-        day_share=args.day_share,
-        penalty_factor=args.penalty,
-    )
+    result = compare_modes(scenario, args.runs, limits, penalty_factor=args.penalty)
     out = args.out or f"{scenario.name}-compare.json"
     write_comparison(result, out, deterministic=args.move_cap is not None)
     wins = result.wins("ivdi")

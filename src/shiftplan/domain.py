@@ -29,12 +29,16 @@ def frozen_grid(values, dtype=np.int64) -> np.ndarray:
     if owned and values.dtype == dtype and not values.flags.writeable:
         return values
     source = np.asarray(values)
-    with np.errstate(invalid="ignore"):  # a cell that does not fit is refused below
-        arr = source.astype(dtype)
-        if source.dtype != arr.dtype and not (
-            np.array_equal(arr, source) and np.array_equal(arr.astype(source.dtype), source)
-        ):
-            raise ValueError(f"grid values do not convert to {arr.dtype} unchanged")
+    try:
+        with np.errstate(invalid="ignore"):  # a cell that does not fit is refused below
+            arr = source.astype(dtype)
+            unchanged = source.dtype == arr.dtype or (
+                np.array_equal(arr, source) and np.array_equal(arr.astype(source.dtype), source)
+            )
+    except (OverflowError, TypeError):  # an object cell: an int beyond 64 bits, None
+        unchanged = False
+    if not unchanged:
+        raise ValueError(f"grid values do not convert to {np.dtype(dtype)} unchanged")
     arr.setflags(write=False)
     return arr
 

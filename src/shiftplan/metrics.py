@@ -181,7 +181,6 @@ def compare_modes(
     runs: int,
     limits: SolveLimits,
     *,
-    day_share: float = 0.2,
     penalty_factor: int = 0,
 ) -> ComparisonResult:
     """Benchmark both modes over seeded repeat runs with equal budgets.
@@ -196,29 +195,23 @@ def compare_modes(
     pairs: list[ComparisonRun] = []
     for i in range(runs):
         run_limits = replace(limits, seed=limits.seed + i)
-        single = solve_single_phase(scenario, run_limits)
-        multi = solve_multi_phase(
-            scenario, run_limits, penalty_factor=penalty_factor, day_share=day_share
-        )
-        single_report = build_report(
-            scenario,
-            single.schedule,
-            "single",
-            seed=run_limits.seed,
-            runtime_seconds=single.runtime_seconds,
-            status=single.status,
-            evaluations=single.evaluations,
-        )
-        multi_report = build_report(
-            scenario,
-            multi.schedule,
-            "multi",
-            seed=run_limits.seed,
-            runtime_seconds=multi.runtime_seconds,
-            status=multi.status,
-            evaluations=multi.evaluations,
-        )
-        pairs.append(ComparisonRun(run_limits.seed, single_report, multi_report))
+        results = {
+            "single": solve_single_phase(scenario, run_limits),
+            "multi": solve_multi_phase(scenario, run_limits, penalty_factor),
+        }
+        reports = {
+            mode: build_report(
+                scenario,
+                result.schedule,
+                mode,
+                seed=run_limits.seed,
+                runtime_seconds=result.runtime_seconds,
+                status=result.status,
+                evaluations=result.evaluations,
+            )
+            for mode, result in results.items()
+        }
+        pairs.append(ComparisonRun(run_limits.seed, **reports))
     means = {
         mode: {
             metric: sum(getattr(getattr(run, mode), metric) for run in pairs) / len(pairs)

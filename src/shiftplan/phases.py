@@ -4,12 +4,13 @@
 interval-level objective.  ``solve_multi_phase`` splits the work: a day
 allocation matched against per-day peak requirements (with an optional
 idle-day penalty), then a shift allocation for the fixed working days.
-The budget is split between the phases (20% / 80% by default); the day
-phase is exact and spends none of its share.
+The budget is split between the phases, ``DAY_SHARE`` to the day phase,
+which is exact and spends none of it, and the rest to the shift phase.
 
-Every phase returns the solver's ``SearchResult`` with its expansion filled
-in (the day phase's ``allocation`` feeds the shift phase, which carries the
-``schedule``); ``MultiPhaseResult`` pairs the two records of a multi solve.
+Every solve returns the solver's ``SearchResult`` with its expansion filled
+in: the day phase's ``allocation`` feeds the shift phase, which carries the
+``schedule``, and a multi solve returns the shift phase's record with both
+phases' evaluations and runtime.
 
 Each solve also has an explicit integer-model builder so results can be
 audited independently of the search path: rebuild the model, plug in the
@@ -40,10 +41,11 @@ from .model import (
     LinExpr,
     QuadraticObjective,
     SolveLimits,
-    SolveStatus,
 )
 from .solvers import (
     SearchResult,
+    _check_day_inputs,
+    _check_shift_inputs,
     day_term,
     materialize_day,
     materialize_shift,
@@ -53,11 +55,14 @@ from .solvers import (
     squared_norm,
 )
 
-DEFAULT_DAY_SHARE = 0.2
+# The day phase's share of a multi solve's budget.  perfbench/traced.py copies
+# the value to replay the CLI byte for byte, so the two change together
+# (ROADMAP item 2).
+DAY_SHARE = 0.2
 
 
 # ---------------------------------------------------------------------------
-# phase specs and the multi-phase record
+# phase specs
 # ---------------------------------------------------------------------------
 
 
@@ -72,14 +77,7 @@ class DayPhaseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "day_requirements", frozen_grid(self.day_requirements))
-        if self.day_requirements.ndim != 1:
-            raise ValueError("day requirements must be one value per day")
-        if self.agent_count < 0:
-            raise ValueError("agent_count must be non-negative")
-        if self.penalty_factor < 0:
-            raise ValueError("penalty_factor must be non-negative")
-        if self.day_requirements.shape[0] != self.weeks.count * DAYS_PER_WEEK:
-            raise ValueError("day requirements do not match the week partition")
+        _check_day_inputs(self.day_requirements, self.agent_count, self.weeks, self.penalty_factor)
 
 
 @dataclass(frozen=True)
@@ -91,37 +89,9 @@ class ShiftPhaseSpec:
     catalog: ShiftCatalog
 
     def __post_init__(self):
-        if self.allocation.num_days != self.requirements.days:
-            raise ValueError("allocation and requirements disagree on day count")
-        if self.catalog.intervals_per_day != self.requirements.intervals:
-            raise ValueError("catalog interval grid differs from requirements")
-        if len(self.catalog) == 0:
-            raise ValueError("shift catalog is empty")
-
-
-@dataclass(frozen=True)
-class MultiPhaseResult:
-    schedule: Schedule
-    day: SearchResult
-    shift: SearchResult
-    day_limits: SolveLimits
-    shift_limits: SolveLimits
-
-    @property
-    def objective(self) -> int:
-        return self.shift.objective
-
-    @property
-    def status(self) -> SolveStatus:
-        return self.shift.status
-
-    @property
-    def runtime_seconds(self) -> float:
-        return self.day.runtime_seconds + self.shift.runtime_seconds
-
-    @property
-    def evaluations(self) -> int:
-        return self.day.evaluations + self.shift.evaluations
+        _check_shift_inputs(
+            self.requirements.per_interval, self.allocation.day_counts, self.catalog
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -172,42 +142,33 @@ def solve_single_phase(scenario: Scenario, limits: SolveLimits, unit_cost=None) 
 
 
 def solve_multi_phase(
-    scenario: Scenario,
-    limits: SolveLimits,
-    penalty_factor: int = 0,
-    day_share: float = DEFAULT_DAY_SHARE,
-) -> MultiPhaseResult:
+    scenario: Scenario, limits: SolveLimits, penalty_factor: int = 0
+) -> SearchResult:
     """Day allocation against daily peaks, then shift allocation within days.
 
-    The day phase gets ``limits.scaled(day_share)`` and the shift phase
-    ``limits.scaled(1 - day_share)``.
+    The day phase gets ``limits.scaled(DAY_SHARE)`` and the shift phase the
+    rest.  The record is the shift phase's, whose ``head_counts`` are the day
+    phase's, with ``evaluations`` and ``runtime_seconds`` summed over both.
     """
     require_valid(scenario)
-    if not 0.0 < day_share < 1.0:
-        raise ValueError("day_share must lie strictly between 0 and 1")
-    day_limits = limits.scaled(day_share)
-    day_result = solve_day_allocation(
+    day = solve_day_allocation(
         DayPhaseSpec(
             day_requirements=scenario.requirements.per_day,
             agent_count=scenario.agent_count,
             weeks=scenario.week_partition(),
             penalty_factor=penalty_factor,
         ),
-        day_limits,
+        limits.scaled(DAY_SHARE),
     )
-    return finish_multi_phase(scenario, day_result, day_limits, limits.scaled(1.0 - day_share))
-
-
-def finish_multi_phase(
-    scenario: Scenario, day: SearchResult, day_limits: SolveLimits, shift_limits: SolveLimits
-) -> MultiPhaseResult:
-    """The shift phase on ``day.allocation``, recorded with the day phase
-    that chose it (``day_limits`` is the budget that phase was given)."""
     shift = solve_shift_allocation(
         ShiftPhaseSpec(scenario.requirements, day.allocation, scenario.shift_catalog),
-        shift_limits,
+        limits.scaled(1.0 - DAY_SHARE),
     )
-    return MultiPhaseResult(shift.schedule, day, shift, day_limits, shift_limits)
+    return replace(
+        shift,
+        evaluations=day.evaluations + shift.evaluations,
+        runtime_seconds=day.runtime_seconds + shift.runtime_seconds,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@ class SearchResult:
     horizon.  ``splits[d][s]`` is the number of them on shift ``s``, so each
     split sums to its day's head-count; a day-phase result has no splits
     (``None``).  ``allocation`` and ``schedule`` expand the counts:
-    ``solve_day_allocation`` and ``tune_penalty`` fill the allocation,
-    ``solve_shift_allocation`` and ``solve_single_phase`` both, and the
-    ``solve_local_*`` and ``solve_exact_*`` solvers neither.
+    ``solve_day_allocation`` and ``tune_penalty`` fill the allocation, the
+    shift, multi and single phases both, and the ``solve_local_*`` and
+    ``solve_exact_*`` solvers neither.
     """
 
     status: SolveStatus
@@ -79,30 +79,6 @@ def day_term(required: int, scheduled: int, agent_count: int, penalty_factor: in
     u = required - scheduled
     v = penalty_factor * (agent_count - scheduled)
     return u * u + v * v
-
-
-def week_optimal_day_counts(
-    r_week, agent_count: int, penalty_factor: int
-) -> tuple[tuple[int, ...], int]:
-    """Best per-day head-counts for one week, by greedy marginal allocation.
-
-    The objective is separable and convex in the day counts, and any
-    head-count vector with row sum 5*agents and per-day cap agents is
-    realizable by 5-day patterns, so taking the 5*agents cheapest unit
-    increments (ties to the earliest day) is exact.
-    """
-    r = np.asarray(r_week, dtype=np.int64)[:, None]
-    p = np.arange(agent_count, dtype=np.int64)[None, :]
-    # day_term(r, p + 1, ...) - day_term(r, p, ...)
-    marginals = 2 * p + 1 - 2 * r + penalty_factor**2 * (2 * p + 1 - 2 * agent_count)
-    counts = tuple(
-        int(n) for n in _take_smallest(marginals, WORKDAYS_PER_WEEK * agent_count)
-    )
-    objective = sum(
-        day_term(int(r[d, 0]), counts[d], agent_count, penalty_factor)
-        for d in range(DAYS_PER_WEEK)
-    )
-    return counts, objective
 
 
 def patterns_from_day_counts(day_counts, agent_count: int) -> dict[tuple, int]:
@@ -398,6 +374,18 @@ def _take_smallest(marginals, total: int) -> np.ndarray:
     return np.bincount(taken // table.shape[1], minlength=table.shape[0])
 
 
+def _week_head_counts(marginals, agent_count: int, weeks: WeekPartition) -> tuple[int, ...]:
+    """Each week's per-day head-counts: its 5A cheapest increments over the
+    non-decreasing rows ``marginals[d]`` of A entries each, so at most A per
+    day and ties to the earliest day."""
+    head_counts: list[int] = []
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        taken = _take_smallest(marginals[days.start : days.stop], WORKDAYS_PER_WEEK * agent_count)
+        head_counts.extend(int(n) for n in taken)
+    return tuple(head_counts)
+
+
 class _DayKernel:
     """Splits of n agents over the shifts of one day, for n = 0..n_max.
 
@@ -536,24 +524,28 @@ def _status(objective, placed: int) -> SolveStatus:
 def solve_local_day(
     r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
 ) -> SearchResult:
-    """Exact day allocation: each week's greedy head-counts.
+    """Exact day allocation: each week's 5A cheapest unit increments.
 
-    ``week_optimal_day_counts`` is exact, so this spends none of ``limits``.
+    The objective is separable and convex in the day counts, and any
+    head-count vector with week sum 5A and per-day cap A is realizable by
+    5-day patterns, so the greedy choice is exact and spends none of
+    ``limits``.
     """
     r = np.asarray(r_day, dtype=np.int64)
     _check_day_inputs(r, agent_count, weeks, penalty_factor)
     deadline = Deadline(limits)
-    head_counts: list[int] = []
-    objective = 0
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        vec, obj = week_optimal_day_counts(r[days.start : days.stop], agent_count, penalty_factor)
-        head_counts.extend(vec)
-        objective += obj
+    p = np.arange(agent_count, dtype=np.int64)[None, :]
+    # day_term(r, p + 1, ...) - day_term(r, p, ...)
+    marginals = 2 * p + 1 - 2 * r[:, None] + penalty_factor**2 * (2 * p + 1 - 2 * agent_count)
+    head_counts = _week_head_counts(marginals, agent_count, weeks)
+    objective = sum(
+        day_term(required, n, agent_count, penalty_factor)
+        for required, n in zip(r.tolist(), head_counts)
+    )
     return SearchResult(
         SolveStatus.OPTIMAL,
         objective,
-        tuple(head_counts),
+        head_counts,
         None,
         (objective,),
         deadline.evaluations,
@@ -606,17 +598,12 @@ def solve_local_single(
     deadline = Deadline(limits)
     unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     kernels = _day_kernels(r, catalog, unit_cost, [agent_count] * r.shape[0])
-    head_counts: list[int] = []
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        marginals = [kernels[d].marginals for d in days]
-        taken = _take_smallest(marginals, WORKDAYS_PER_WEEK * agent_count)
-        head_counts.extend(int(n) for n in taken)
+    head_counts = _week_head_counts([k.marginals for k in kernels], agent_count, weeks)
     splits, objective, trace = _descend_days(kernels, head_counts, deadline)
     return SearchResult(
         _status(objective, agent_count),
         objective,
-        tuple(head_counts),
+        head_counts,
         splits,
         trace,
         deadline.evaluations,

@@ -344,7 +344,7 @@ def test_criterion_3_constraint_invariants(
             catalog=scn.shift_catalog,
             weeks=weeks,
         )
-        assert cov.per_day.tolist() == multi.day.allocation.day_counts.tolist()
+        assert cov.per_day.tolist() == multi.allocation.day_counts.tolist()
         assert (
             interval_objective_value(scn.requirements.per_interval, cov.per_interval)
             == multi.objective

@@ -9,6 +9,7 @@ import pytest
 
 from shiftplan.cli import main
 from shiftplan.scenario_io import PeakPresetSpec, gen_peak_scenario, save_scenario
+from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
     name="tiny",
@@ -148,6 +149,14 @@ class TestSolve:
         assert code == 0
         assert out.exists()
 
+    def test_penalty_and_tune_are_exclusive(self, tiny_scenario, tmp_path, capsys):
+        code = main(
+            ["solve", "--scenario", tiny_scenario, "--mode", "multi", "--tune", "--penalty", "7"]
+            + ["--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json")]
+        )
+        assert code == 1
+        assert "argument --penalty: not allowed with argument --tune" in capsys.readouterr().err
+
     def test_missing_scenario_file(self, tmp_path, capsys):
         code = main(
             ["solve", "--scenario", str(tmp_path / "none.json"), "--mode", "multi"]
@@ -189,7 +198,6 @@ class TestFlagRanges:
             ["solve", "--mode", "multi", "--time-budget", "-1"],
             ["solve", "--mode", "multi", "--time-budget", "nan"],
             ["solve", "--mode", "multi", "--seed", "-1"],
-            ["solve", "--mode", "multi", "--day-share", "1.5"],
             ["solve", "--mode", "multi", "--penalty", "-1"],
             ["compare", "--runs", "0"],
             ["tune-penalty", "--patience", "0"],
@@ -476,6 +484,28 @@ class TestTunePenalty:
         assert len(lines) >= 2
         assert out.read_text().startswith("agent,day_index,")
         assert json.loads(report.read_text())["mode"] == "multi"
+
+    def test_writes_what_solve_tune_writes(self, tmp_path):
+        # the shift descent on this week prices 979 swaps, so a cap of 800 binds
+        scenario = week_scenario(
+            intervals_per_day=12,
+            agents=16,
+            requirements=CAPPED_GRID,
+            shift_catalog=[{"start": start, "length": n} for start, n in CAPPED_SHIFTS],
+        )
+        del scenario["volumes"]
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario))
+        flags = ["--scenario", str(path), "--seed", "3", "--move-cap", "800"]
+        solved = [tmp_path / "solve.csv", tmp_path / "solve.json"]
+        tuned = [tmp_path / "tune.csv", tmp_path / "tune.json"]
+        code = main(["solve", "--mode", "multi", "--tune", *flags, "--out", str(solved[0]),
+                     "--report", str(solved[1])])
+        assert code == 0
+        code = main(["tune-penalty", *flags, "--trace", str(tmp_path / "sweep.csv"),
+                     "--out", str(tuned[0]), "--report", str(tuned[1])])
+        assert code == 0
+        assert [p.read_bytes() for p in solved] == [p.read_bytes() for p in tuned]
 
 
 class TestMetrics:

@@ -422,8 +422,20 @@ class TestExactConversion:
             lambda: DayPhaseSpec([2.5] * 7, 2, build_week_partition(7)),
             lambda: DayAllocation.from_works(np.array([[257, 256]])),
             lambda: Schedule(np.array([[2**64 - 1]], dtype=np.uint64)),
+            lambda: RequirementMatrix.from_interval_grid([[2**70, 1]]),
+            lambda: RequirementMatrix.from_interval_grid([[1, -(2**70)]]),
+            lambda: RequirementMatrix.from_interval_grid([[None, 1]]),
         ],
-        ids=["fraction", "fraction-list", "day-requirements", "int8-wrap", "uint64-wrap"],
+        ids=[
+            "fraction",
+            "fraction-list",
+            "day-requirements",
+            "int8-wrap",
+            "uint64-wrap",
+            "above-64-bits",
+            "below-64-bits",
+            "none",
+        ],
     )
     def test_changed_cell_is_refused(self, build):
         with pytest.raises(ValueError, match="unchanged"):

@@ -450,7 +450,7 @@ class TestReportJson:
             "multi",
             seed=4,
             runtime_seconds=result.runtime_seconds,
-            status=result.shift.status,
+            status=result.status,
             evaluations=result.evaluations,
         )
 

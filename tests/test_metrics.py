@@ -69,7 +69,7 @@ class TestBuildReport:
             "multi",
             seed=1,
             runtime_seconds=result.runtime_seconds,
-            status=result.shift.status,
+            status=result.status,
             evaluations=result.evaluations,
         )
         assert report.scenario_name == "t"

@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from shiftplan import phases
 from shiftplan.domain import (
     OFF,
     RequirementMatrix,
@@ -30,6 +31,7 @@ from shiftplan.phases import (
     schedule_values_single,
     solve_day_allocation,
     solve_multi_phase,
+    solve_shift_allocation,
     solve_single_phase,
 )
 from shiftplan.solvers import (
@@ -232,21 +234,41 @@ class TestSinglePhase:
             solve_single_phase(bad, SolveLimits())
 
 
+# 16 agents, 12 shifts: uncapped, the shift descent prices 979 swaps, so a
+# cap of 800 stops it early, and caps of 500, 900 and 1000 end elsewhere
+CAPPED_GRID = [
+    [4, 0, 6, 1, 9, 2, 4, 5, 4, 5, 8, 4],
+    [3, 4, 7, 5, 4, 9, 2, 4, 9, 8, 5, 0],
+    [5, 3, 9, 5, 5, 6, 4, 2, 5, 3, 8, 9],
+    [4, 6, 1, 5, 1, 0, 2, 0, 8, 2, 9, 1],
+    [6, 9, 1, 0, 2, 3, 4, 0, 0, 6, 0, 0],
+    [3, 0, 1, 0, 4, 2, 8, 5, 3, 8, 1, 2],
+    [1, 2, 4, 8, 3, 7, 8, 1, 7, 8, 3, 8],
+]
+CAPPED_SHIFTS = tuple((s, 4) for s in range(9)) + ((0, 6), (6, 6), (3, 6))
+
+
+def capped_scenario():
+    return scenario_from_grid(CAPPED_GRID, agents=16, shifts=CAPPED_SHIFTS)
+
+
 class TestMultiPhase:
     def test_budget_split(self):
-        scn = weekday_micro()
+        # one multi solve at 1000 moves is the exact day phase, then the shift
+        # phase at the 800 moves left; a different split ends elsewhere
+        scn = capped_scenario()
+        day = solve_day_allocation(
+            DayPhaseSpec(scn.requirements.per_day, 16, ONE_WEEK), SolveLimits(move_cap=200)
+        )
+        spec = ShiftPhaseSpec(scn.requirements, day.allocation, scn.shift_catalog)
+        shift = solve_shift_allocation(spec, SolveLimits(move_cap=800))
+        assert shift.splits != solve_shift_allocation(spec, SolveLimits(move_cap=1000)).splits
         result = solve_multi_phase(scn, SolveLimits(move_cap=1000))
-        assert result.day_limits.move_cap == 200
-        assert result.shift_limits.move_cap == 800
-        custom = solve_multi_phase(scn, SolveLimits(move_cap=1000), day_share=0.5)
-        assert custom.day_limits.move_cap == 500
-
-    def test_day_share_bounds(self):
-        scn = weekday_micro()
-        with pytest.raises(ValueError, match="day_share"):
-            solve_multi_phase(scn, SolveLimits(), day_share=0.0)
-        with pytest.raises(ValueError, match="day_share"):
-            solve_multi_phase(scn, SolveLimits(), day_share=1.0)
+        assert result.head_counts == day.head_counts
+        assert result.splits == shift.splits
+        assert result.trace == shift.trace
+        assert np.array_equal(result.schedule.shifts, shift.schedule.shifts)
+        assert result.evaluations == day.evaluations + shift.evaluations == 737
 
     def test_schedule_respects_day_allocation(self):
         grid = np.array(
@@ -254,7 +276,7 @@ class TestMultiPhase:
         )
         scn = scenario_from_grid(grid, agents=3, shifts=((0, 2), (2, 2)))
         result = solve_multi_phase(scn, SolveLimits(move_cap=5000), penalty_factor=1)
-        alloc = result.day.allocation
+        alloc = result.allocation
         assert np.array_equal(result.schedule.shifts != OFF, alloc.works == 1)
         # head-count conservation: coverage equals the day allocation per day
         cov = coverage_from_schedule(result.schedule, scn.shift_catalog)
@@ -273,13 +295,19 @@ class TestMultiPhase:
     def test_objective_is_shift_phase_objective(self):
         scn = weekday_micro()
         result = solve_multi_phase(scn, SolveLimits(move_cap=1000))
-        recomputed = deviation(scn, result.schedule)
-        assert result.objective == result.shift.objective == recomputed
+        assert result.objective == deviation(scn, result.schedule) == 0
 
-    def test_runtime_and_evaluations_are_sums(self):
-        scn = weekday_micro()
-        result = solve_multi_phase(scn, SolveLimits(move_cap=1000))
-        assert result.evaluations == result.day.evaluations + result.shift.evaluations
-        assert result.runtime_seconds == pytest.approx(
-            result.day.runtime_seconds + result.shift.runtime_seconds
-        )
+    def test_runtime_and_evaluations_are_sums(self, monkeypatch):
+        calls = []
+        for name in ("solve_day_allocation", "solve_shift_allocation"):
+
+            def spy(spec, limits, solve=getattr(phases, name)):
+                calls.append((limits, solve(spec, limits)))
+                return calls[-1][1]
+
+            monkeypatch.setattr(phases, name, spy)
+        result = solve_multi_phase(capped_scenario(), SolveLimits(move_cap=1000))
+        (day_limits, day), (shift_limits, shift) = calls
+        assert (day_limits.move_cap, shift_limits.move_cap) == (200, 800)
+        assert result.evaluations == day.evaluations + shift.evaluations
+        assert result.runtime_seconds == day.runtime_seconds + shift.runtime_seconds

@@ -38,7 +38,6 @@ from shiftplan.solvers import (
     solve_local_shift,
     solve_local_single,
     squared_norm,
-    week_optimal_day_counts,
 )
 
 ONE_WEEK = build_week_partition(7)
@@ -170,10 +169,11 @@ class TestDayObjectiveHelpers:
     )
     @settings(max_examples=40, deadline=None)
     def test_week_greedy_matches_brute_force(self, r_week, agents, penalty):
-        counts, obj = week_optimal_day_counts(r_week, agents, penalty)
+        result = solve_local_day(r_week, agents, ONE_WEEK, penalty, SolveLimits())
+        counts = result.head_counts
         assert sum(counts) == 5 * agents
         assert max(counts) <= agents and min(counts) >= 0
-        assert obj == brute_force_day(r_week, agents, penalty)
+        assert result.objective == brute_force_day(r_week, agents, penalty)
 
     def test_week_greedy_matches_reference_loop(self):
         # narrow requirement ranges make ties between days common
@@ -183,7 +183,8 @@ class TestDayObjectiveHelpers:
             penalty = rng.randint(0, 3)
             top = rng.choice((2, 4, 9))
             r_week = [rng.randint(0, top) for _ in range(7)]
-            assert week_optimal_day_counts(r_week, agents, penalty) == week_counts_loop(
+            result = solve_local_day(r_week, agents, ONE_WEEK, penalty, SolveLimits())
+            assert (result.head_counts, result.objective) == week_counts_loop(
                 r_week, agents, penalty
             )
 
