@@ -9,9 +9,11 @@ from the demand distribution finds the smallest K that staffs all seven days.
 """
 
 from shiftplan import (
+    DayPhaseSpec,
     ShiftPhaseSpec,
     SolveLimits,
     gen_preset_scenario,
+    solve_day_allocation,
     solve_shift_allocation,
     tune_penalty,
 )
@@ -34,12 +36,22 @@ for entry in tuned.trace.entries:
 
 # K=0 exhibits the weekend shutdown; the selected K staffs every day
 assert min(tuned.trace.entries[0].day_counts) == 0
-assert min(tuned.best.allocation.day_counts) > 0
+assert min(tuned.best.head_counts) > 0
 
+# the sweep keeps head-counts only: solve the chosen K's day phase for its working days
+day = solve_day_allocation(
+    DayPhaseSpec(
+        day_requirements=scenario.requirements.per_day,
+        agent_count=scenario.agent_count,
+        weeks=scenario.week_partition(),
+        penalty_factor=tuned.trace.selected,
+    ),
+    SolveLimits(seed=11, move_cap=50_000),
+)
 shift = solve_shift_allocation(
     ShiftPhaseSpec(
         requirements=scenario.requirements,
-        allocation=tuned.best.allocation,
+        allocation=day.allocation,
         catalog=scenario.shift_catalog,
     ),
     SolveLimits(seed=11, move_cap=100_000),

@@ -176,27 +176,6 @@ class RequirementMatrix:
         )
 
 
-def unit_cost_grid(unit_cost, day_count: int, shift_count: int) -> np.ndarray | None:
-    """Checked read-only copy of a (days x shifts) unit-cost grid.
-
-    ``unit_cost[d, s]`` is the price of one agent on shift ``s`` of day ``d``;
-    agents are interchangeable, so nothing else can carry a price.  ``None``
-    (no costs) passes through.
-    """
-    if unit_cost is None:
-        return None
-    grid = frozen_grid(unit_cost, dtype=np.float64)
-    if grid.shape != (day_count, shift_count):
-        raise ValueError(
-            f"unit costs are {grid.shape}, expected ({day_count}, {shift_count}) days x shifts"
-        )
-    if not np.isfinite(grid).all():
-        raise ValueError("unit costs must be finite")
-    if (grid < 0).any():
-        raise ValueError("negative unit cost")
-    return grid
-
-
 @dataclass(frozen=True)
 class Scenario:
     """A complete scheduling problem instance."""
@@ -360,14 +339,6 @@ class CoverageProfile:
     per_day: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class DeviationProfile:
-    """Signed shortfall (required minus scheduled), interval and day level."""
-
-    per_interval: np.ndarray
-    per_day: np.ndarray
-
-
 def _shift_range_problems(schedule: Schedule, catalog: ShiftCatalog) -> list[str]:
     grid = schedule.shifts
     bad = grid[(grid < OFF) | (grid >= len(catalog))]
@@ -389,19 +360,6 @@ def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> Coverag
     per_interval.setflags(write=False)
     per_day.setflags(write=False)
     return CoverageProfile(per_interval, per_day)
-
-
-def deviation_profiles(
-    requirements: RequirementMatrix, coverage: CoverageProfile
-) -> DeviationProfile:
-    """Signed required-minus-scheduled deviations at both granularities."""
-    if requirements.per_interval.shape != coverage.per_interval.shape:
-        raise ValueError("requirement and coverage shapes differ")
-    per_interval = requirements.per_interval - coverage.per_interval
-    per_day = requirements.per_day - coverage.per_day
-    per_interval.setflags(write=False)
-    per_day.setflags(write=False)
-    return DeviationProfile(per_interval, per_day)
 
 
 def _quota_problems(works: np.ndarray, weeks: WeekPartition, week_major: bool) -> list[str]:

@@ -11,16 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import (
-    OFF,
-    Scenario,
-    Schedule,
-    coverage_from_schedule,
-    deviation_profiles,
-    require_valid,
-    unit_cost_grid,
-    validate_schedule,
-)
+from .domain import Scenario, Schedule, coverage_from_schedule, require_valid, validate_schedule
 from .model import SolveLimits, SolveStatus, count_variables
 from .phases import interval_objective_value, solve_multi_phase, solve_single_phase
 from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
@@ -59,7 +50,6 @@ class SolveReport:
     assigned_pairs: int
     variable_count: int
     objective_value: float
-    cost_value: float
     dvdi: int
     ivdi: int
     kl_day_distribution: float | None
@@ -78,14 +68,11 @@ def build_report(
     runtime_seconds: float,
     status: SolveStatus | str = SolveStatus.FEASIBLE,
     evaluations: int = 0,
-    unit_cost=None,
 ) -> SolveReport:
     """Recompute coverage, objective, and indices for a finished schedule.
 
     Refuses schedules that break the hard constraints; every reported number
-    is derived here from the scenario and schedule alone.  ``cost_value`` is
-    ``unit_cost[d, s]`` summed over the schedule's working cells (0.0 when
-    unpriced), and ``objective_value`` adds it to the squared deviation.
+    is derived here from the scenario and schedule alone.
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -100,7 +87,6 @@ def build_report(
     if problems:
         raise ValueError("infeasible schedule: " + "; ".join(problems))
     coverage = coverage_from_schedule(schedule, scenario.shift_catalog)
-    deviations = deviation_profiles(scenario.requirements, coverage)
     assigned_pairs = len(schedule)
     variable_count = count_variables(
         scenario.agent_count,
@@ -110,11 +96,6 @@ def build_report(
         mode,
         assigned_pairs=assigned_pairs if mode == "multi" else None,
     )
-    unit_cost = unit_cost_grid(unit_cost, scenario.num_days, len(scenario.shift_catalog))
-    cost_value = 0.0
-    if unit_cost is not None:
-        agents, days = np.nonzero(schedule.shifts != OFF)
-        cost_value = float(unit_cost[days, schedule.shifts[agents, days]].sum())
     objective = interval_objective_value(
         scenario.requirements.per_interval, coverage.per_interval
     )
@@ -139,10 +120,9 @@ def build_report(
         shift_count=len(scenario.shift_catalog),
         assigned_pairs=assigned_pairs,
         variable_count=variable_count,
-        objective_value=objective + cost_value,
-        cost_value=cost_value,
-        dvdi=int(np.abs(deviations.per_day).sum()),
-        ivdi=int(np.abs(deviations.per_interval).sum()),
+        objective_value=float(objective),
+        dvdi=dvdi(scenario.requirements.per_day, coverage.per_day),
+        ivdi=ivdi(scenario.requirements.per_interval, coverage.per_interval),
         kl_day_distribution=kl,
         per_day_required=tuple(int(x) for x in scenario.requirements.per_day),
         per_day_coverage=tuple(int(x) for x in coverage.per_day),

@@ -114,10 +114,9 @@ class LinearConstraint:
 
 @dataclass(frozen=True)
 class QuadraticObjective:
-    """sum of squared linear expressions, plus an optional linear cost part."""
+    """sum of squared linear expressions."""
 
     squared_terms: tuple[LinExpr, ...]
-    linear: LinExpr | None = None
 
 
 @dataclass(frozen=True)
@@ -175,8 +174,6 @@ def evaluate_objective(model: IntegerModel, values: dict):
     for expr in model.objective.squared_terms:
         v = expr.value(values)
         total += v * v
-    if model.objective.linear is not None:
-        total += model.objective.linear.value(values)
     return total
 
 

@@ -33,7 +33,6 @@ from .domain import (
     WeekPartition,
     frozen_grid,
     require_valid,
-    unit_cost_grid,
 )
 from .model import (
     IntegerModel,
@@ -121,10 +120,8 @@ def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> SearchR
     return replace(result, allocation=spec.allocation, schedule=schedule)
 
 
-def solve_single_phase(scenario: Scenario, limits: SolveLimits, unit_cost=None) -> SearchResult:
-    """Joint day-and-shift assignment against interval-level deviations, plus
-    ``unit_cost[d, s]`` per agent on shift ``s`` of day ``d`` when given;
-    the objective includes that linear cost."""
+def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
+    """Joint day-and-shift assignment against interval-level deviations."""
     require_valid(scenario)
     weeks = scenario.week_partition()
     result = solve_local_single(
@@ -133,7 +130,6 @@ def solve_single_phase(scenario: Scenario, limits: SolveLimits, unit_cost=None) 
         weeks,
         scenario.shift_catalog,
         limits,
-        unit_cost,
     )
     allocation = materialize_day(result.head_counts, scenario.agent_count, weeks)
     return replace(
@@ -268,12 +264,10 @@ def build_shift_model(spec: ShiftPhaseSpec) -> IntegerModel:
     return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
 
 
-def build_single_model(scenario: Scenario, unit_cost=None) -> IntegerModel:
-    """Per-agent binary model of the joint formulation; every agent on shift
-    ``s`` of day ``d`` costs ``unit_cost[d, s]``."""
+def build_single_model(scenario: Scenario) -> IntegerModel:
+    """Per-agent binary model of the joint formulation."""
     A, D = scenario.agent_count, scenario.num_days
     S = len(scenario.shift_catalog)
-    unit_cost = unit_cost_grid(unit_cost, D, S)
     weeks = scenario.week_partition()
     variables = tuple(
         (f"x[{a},{d},{s}]", 0, 1)
@@ -311,17 +305,7 @@ def build_single_model(scenario: Scenario, unit_cost=None) -> IntegerModel:
             squared.append(
                 LinExpr(terms, int(scenario.requirements.per_interval[d, t]))
             )
-    linear = None
-    if unit_cost is not None:
-        cost_terms = {
-            f"x[{a},{d},{s}]": float(unit_cost[d, s])
-            for a in range(A)
-            for d, s in zip(*np.nonzero(unit_cost))
-        }
-        linear = LinExpr(cost_terms, 0.0)
-    return IntegerModel(
-        variables, tuple(constraints), QuadraticObjective(tuple(squared), linear)
-    )
+    return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
 
 
 def allocation_values(allocation: DayAllocation) -> dict:

@@ -425,7 +425,7 @@ def report_to_dict(report: SolveReport, deterministic: bool = False) -> dict:
         "assigned_pairs": report.assigned_pairs,
         "variable_count": report.variable_count,
         "objective_value": report.objective_value,
-        "cost_value": report.cost_value,
+        "cost_value": 0.0,  # no shift carries a price; the key stays for readers of the format
         "dvdi": report.dvdi,
         "ivdi": report.ivdi,
         "kl_day_distribution": report.kl_day_distribution,

@@ -15,11 +15,7 @@ splits of n agents over the shifts improved by steepest swap descent within a
 wall-clock or move-cap budget.  The ``solve_exact_*`` enumerators return the
 same record and are the audit oracles: the day and joint ones share one
 exhaustive week choice over per-day tables, and each refuses a space of more
-than ``MAX_EXACT_NODES`` states.
-
-Unit costs are one (days x shifts) grid, ``unit_cost[d, s]`` per agent on
-shift ``s`` of day ``d``, checked by ``domain.unit_cost_grid``; ``None`` means
-unpriced, and the objective stays an exact integer.
+than ``MAX_EXACT_NODES`` states.  Every objective is an exact integer.
 """
 import itertools
 import math
@@ -35,7 +31,6 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     WeekPartition,
-    unit_cost_grid,
 )
 from .model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
 
@@ -52,14 +47,15 @@ class SearchResult:
     ``head_counts[d]`` is the number of agents working day ``d`` of the
     horizon.  ``splits[d][s]`` is the number of them on shift ``s``, so each
     split sums to its day's head-count; a day-phase result has no splits
-    (``None``).  ``allocation`` and ``schedule`` expand the counts:
-    ``solve_day_allocation`` and ``tune_penalty`` fill the allocation, the
-    shift, multi and single phases both, and the ``solve_local_*`` and
-    ``solve_exact_*`` solvers neither.
+    (``None``).  ``objective`` is the exact integer the solve minimized.
+    ``allocation`` and ``schedule`` expand the counts: ``solve_day_allocation``
+    fills the allocation, the shift, multi and single phases both, and the
+    ``solve_local_*`` and ``solve_exact_*`` solvers and ``tune_penalty``
+    neither.
     """
 
     status: SolveStatus
-    objective: float
+    objective: int
     head_counts: tuple[int, ...]
     splits: tuple[tuple[int, ...], ...] | None
     trace: tuple
@@ -222,15 +218,12 @@ def solve_exact_day(
     )
 
 
-def _best_day_composition(
-    r: np.ndarray, d: int, n: int, catalog: ShiftCatalog, unit_cost, deadline: Deadline
-):
+def _best_day_composition(r: np.ndarray, d: int, n: int, catalog: ShiftCatalog, deadline: Deadline):
     """Exhaustive best shift-count split of ``n`` agents on day ``d``."""
     S = len(catalog)
     best_vec = None
     best_obj = None
     scheduled = np.zeros(r.shape[1], dtype=np.int64)
-    cost = None if unit_cost is None else unit_cost[d].tolist()
     for vec in _bounded_vectors(n, n, S):
         deadline.spend()
         scheduled[:] = 0
@@ -239,33 +232,24 @@ def _best_day_composition(
                 span = catalog.covers(s)
                 scheduled[span.start : span.stop] += y
         obj = squared_norm(r[d] - scheduled)
-        if cost is not None:
-            obj = obj + sum(vec[s] * cost[s] for s in range(S))
         if best_obj is None or obj < best_obj:
             best_obj = obj
             best_vec = vec
     return best_vec, best_obj
 
 
-def solve_exact_shift(
-    r_dt,
-    day_counts,
-    catalog: ShiftCatalog,
-    limits: SolveLimits,
-    unit_cost=None,
-) -> SearchResult:
+def solve_exact_shift(r_dt, day_counts, catalog: ShiftCatalog, limits: SolveLimits) -> SearchResult:
     """Exhaustive shift-allocation optimum, day by day."""
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
     _check_shift_inputs(r, n_d, catalog)
     S = len(catalog)
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
     _refuse_oversized("shift", sum(math.comb(n + S - 1, S - 1) for n in n_d))
     deadline = Deadline(limits)
     splits = []
     objective = 0
     for d in range(r.shape[0]):
-        vec, obj = _best_day_composition(r, d, n_d[d], catalog, unit_cost, deadline)
+        vec, obj = _best_day_composition(r, d, n_d[d], catalog, deadline)
         splits.append(vec)
         objective = objective + obj
     return SearchResult(
@@ -285,7 +269,6 @@ def solve_exact_single(
     weeks: WeekPartition,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost=None,
 ) -> SearchResult:
     """Exhaustive joint optimum.
 
@@ -297,7 +280,6 @@ def solve_exact_single(
     r = np.asarray(r_dt, dtype=np.int64)
     _check_joint_inputs(r, agent_count, weeks, catalog)
     S = len(catalog)
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], S)
     _refuse_oversized(
         "joint",
         r.shape[0] * math.comb(agent_count + S, S)
@@ -306,11 +288,11 @@ def solve_exact_single(
     deadline = Deadline(limits)
     # per-day tables: best composition and value for each possible head-count
     best_comp: list[list[tuple]] = []
-    best_val: list[list[float]] = []
+    best_val: list[list[int]] = []
     for d in range(r.shape[0]):
         comps, vals = [], []
         for n in range(agent_count + 1):
-            vec, obj = _best_day_composition(r, d, n, catalog, unit_cost, deadline)
+            vec, obj = _best_day_composition(r, d, n, catalog, deadline)
             comps.append(vec)
             vals.append(obj)
         best_comp.append(comps)
@@ -389,21 +371,19 @@ def _week_head_counts(marginals, agent_count: int, weeks: WeekPartition) -> tupl
 class _DayKernel:
     """Splits of n agents over the shifts of one day, for n = 0..n_max.
 
-    Built for one requirement row ``r`` and one per-shift unit-cost row.  With
-    coverage ``C`` (shifts x intervals), overlap ``O = C Cᵀ`` and the residual
-    ``u = r - Cᵀy`` of a split ``y``, adding one agent to shift ``s`` changes
-    the objective ``|u|² + cost·y`` by ``len_s - 2(C·u)_s + cost_s``.  The
-    greedy pass adds agents one at a time to the cheapest shift (``picks``,
-    ``marginals``); ``values[n]`` is the objective of the greedy split of
-    ``n``.  Every add lowers ``C·u`` by a column of ``O >= 0``, so
-    ``marginals`` never decrease.
+    Built for one requirement row ``r``.  With coverage ``C`` (shifts x
+    intervals), overlap ``O = C Cᵀ`` and the residual ``u = r - Cᵀy`` of a
+    split ``y``, adding one agent to shift ``s`` changes the objective
+    ``|u|²`` by ``len_s - 2(C·u)_s``.  The greedy pass adds agents one at a
+    time to the cheapest shift (``picks``, ``marginals``); ``values[n]`` is
+    the objective of the greedy split of ``n``.  Every add lowers ``C·u`` by
+    a column of ``O >= 0``, so ``marginals`` never decrease.
     """
 
-    def __init__(self, overlap, cost, cr, picks, marginals, empty_value):
+    def __init__(self, overlap, cr, picks, marginals, empty_value):
         self.overlap = overlap
-        self.cost = cost
         self.lengths = np.diag(overlap)
-        # Δ[o, i] of moving one agent from o to i, less its (C·u) and cost terms
+        # Δ[o, i] of moving one agent from o to i, less its (C·u) terms
         self.swap_base = self.lengths[:, None] + self.lengths[None, :] - 2 * overlap
         self.cr = cr  # C·u of the empty split
         self.picks = picks
@@ -413,15 +393,14 @@ class _DayKernel:
 
     def add_deltas(self, cu: np.ndarray) -> np.ndarray:
         """Objective change of adding one agent to each shift, given ``C·u``."""
-        return self.lengths - 2 * cu + self.cost
+        return self.lengths - 2 * cu
 
     def swap_deltas(self, cu: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Objective change ``Δ[k, i]`` of moving one agent from shift
         ``held[k]`` to shift ``i``, given ``C·u``."""
-        gain = 2 * cu - self.cost
-        return self.swap_base[held] + gain[held, None] - gain[None, :]
+        return self.swap_base[held] + 2 * (cu[held, None] - cu[None, :])
 
-    def split(self, n: int, deadline: Deadline) -> tuple[tuple[int, ...], object]:
+    def split(self, n: int, deadline: Deadline) -> tuple[tuple[int, ...], int]:
         """The greedy split of ``n`` improved by steepest swap descent.
 
         Each scan prices every move of one agent from a held shift to another
@@ -431,7 +410,7 @@ class _DayKernel:
         """
         if n in self._splits:
             return self._splits[n]
-        S = len(self.cost)
+        S = len(self.lengths)
         y = np.bincount(self.picks[:n], minlength=S)
         value = self.values[n]
         cu = self.cr - self.overlap @ y
@@ -453,37 +432,34 @@ class _DayKernel:
         return self._splits[n]
 
 
-def _greedy_passes(cr, overlap, costs, caps) -> tuple[np.ndarray, np.ndarray]:
+def _greedy_passes(cr, overlap, caps) -> tuple[np.ndarray, np.ndarray]:
     """Every row's greedy pass at once, one argmin per step over the rows
     still below their cap: row ``k`` starts from ``C·u = cr[k]`` and adds
     ``caps[k]`` agents; ``picks[k, t]`` and ``adds[k, t]`` are step ``t``'s
     shift and objective change (zero past the row's cap)."""
     order = np.argsort([-cap for cap in caps], kind="stable")  # under-cap rows: a prefix
-    caps_desc, cost, rows = [caps[k] for k in order], costs[order], np.arange(len(caps))
-    base = np.diag(overlap) - 2 * cr[order]  # exact int64, so + cost rounds as per row
+    caps_desc, rows = [caps[k] for k in order], np.arange(len(caps))
+    base = np.diag(overlap) - 2 * cr[order]
     steps = caps_desc[0] if caps_desc else 0
     picks = np.zeros((steps, len(caps)), dtype=np.int64)
-    adds = np.zeros((steps, len(caps)), dtype=np.result_type(base, costs))
+    adds = np.zeros((steps, len(caps)), dtype=np.int64)
     active = len(caps)
     for t in range(steps):
         while caps_desc[active - 1] <= t:
             active -= 1
-        add = base[:active] + cost[:active]
-        picks[t, :active] = s = add.argmin(axis=1)
-        adds[t, :active] = add[rows[:active], s]
+        picks[t, :active] = s = base[:active].argmin(axis=1)
+        adds[t, :active] = base[rows[:active], s]
         base[:active] += 2 * overlap[s]
     unsort = np.argsort(order)
     return picks.T[unsort], adds.T[unsort]
 
 
-def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> list:
-    """One kernel per day, its cost row ``unit_cost[d]`` (int64 zeros when
-    unpriced); days with equal requirement and cost rows share one, built up
-    to the largest head-count among them."""
+def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
+    """One kernel per day; days with equal requirement rows share one, built
+    up to the largest head-count among them."""
     cover = catalog.coverage.astype(np.int64)
     overlap = cover @ cover.T
-    costs = np.zeros((r.shape[0], len(catalog)), dtype=np.int64) if unit_cost is None else unit_cost
-    keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(r.shape[0])]
+    keys = [r[d].tobytes() for d in range(r.shape[0])]
     caps: dict = {}
     first: dict = {}  # each distinct row's first day
     for d, (key, cap) in enumerate(zip(keys, head_caps)):
@@ -491,9 +467,9 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, unit_cost, head_caps) -> 
         first.setdefault(key, d)
     days = list(first.values())
     cr = r[days] @ cover.T
-    picks, adds = _greedy_passes(cr, overlap, costs[days], list(caps.values()))
+    picks, adds = _greedy_passes(cr, overlap, list(caps.values()))
     built = {
-        key: _DayKernel(overlap, costs[d], cr[k], picks[k, :n], adds[k, :n], squared_norm(r[d]))
+        key: _DayKernel(overlap, cr[k], picks[k, :n], adds[k, :n], squared_norm(r[d]))
         for k, (key, d, n) in enumerate(zip(caps, days, caps.values()))
     }
     return [built[key] for key in keys]
@@ -553,20 +529,13 @@ def solve_local_day(
     )
 
 
-def solve_local_shift(
-    r_dt,
-    day_counts,
-    catalog: ShiftCatalog,
-    limits: SolveLimits,
-    unit_cost=None,
-) -> SearchResult:
+def solve_local_shift(r_dt, day_counts, catalog: ShiftCatalog, limits: SolveLimits) -> SearchResult:
     """Each day's greedy split at its head-count, improved by swap descent."""
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
     _check_shift_inputs(r, n_d, catalog)
     deadline = Deadline(limits)
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
-    kernels = _day_kernels(r, catalog, unit_cost, n_d)
+    kernels = _day_kernels(r, catalog, n_d)
     splits, objective, trace = _descend_days(kernels, n_d, deadline)
     return SearchResult(
         _status(objective, sum(n_d)),
@@ -585,7 +554,6 @@ def solve_local_single(
     weeks: WeekPartition,
     catalog: ShiftCatalog,
     limits: SolveLimits,
-    unit_cost=None,
 ) -> SearchResult:
     """Joint day-and-shift choice over the per-day greedy tables.
 
@@ -596,8 +564,7 @@ def solve_local_single(
     r = np.asarray(r_dt, dtype=np.int64)
     _check_joint_inputs(r, agent_count, weeks, catalog)
     deadline = Deadline(limits)
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
-    kernels = _day_kernels(r, catalog, unit_cost, [agent_count] * r.shape[0])
+    kernels = _day_kernels(r, catalog, [agent_count] * r.shape[0])
     head_counts = _week_head_counts([k.marginals for k in kernels], agent_count, weeks)
     splits, objective, trace = _descend_days(kernels, head_counts, deadline)
     return SearchResult(

@@ -8,13 +8,13 @@ profile, stopping after a configurable run of non-improving steps.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .domain import WeekPartition
 from .model import SolveLimits
-from .solvers import SearchResult, materialize_day, solve_local_day
+from .solvers import SearchResult, solve_local_day
 
 DEFAULT_EPSILON = 1e-9
 
@@ -104,7 +104,7 @@ class SweepTrace:
 @dataclass(frozen=True)
 class TuneResult:
     trace: SweepTrace
-    best: SearchResult  # the chosen K's day solve, with its allocation
+    best: SearchResult  # the chosen K's day solve: head-counts, no allocation
 
 
 def tune_penalty(
@@ -124,7 +124,7 @@ def tune_penalty(
     target = target_distribution(day_requirements)
     entries: list[SweepEntry] = []
     best_kl: float | None = None
-    best_result: SearchResult | None = None
+    best: SearchResult | None = None
     selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
@@ -135,15 +135,11 @@ def tune_penalty(
         entries.append(SweepEntry(k, kl, result.head_counts))
         if best_kl is None or kl < best_kl:
             best_kl = kl
-            best_result = result
+            best = result
             selected = k
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= stop.patience:
                 break
-    # only the chosen K is expanded to per-agent working days
-    best = replace(
-        best_result, allocation=materialize_day(best_result.head_counts, agent_count, weeks)
-    )
     return TuneResult(SweepTrace(tuple(entries), selected), best)

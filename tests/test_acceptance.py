@@ -148,16 +148,17 @@ def peak_artifacts():
     """Penalty sweep on the peak-week preset plus the tuned schedule (criterion 4)."""
     scenario = gen_preset_scenario("peak-week")
     t0 = time.monotonic()
+    weeks = scenario.week_partition()
     tuned = tune_penalty(
         scenario.requirements.per_day,
         scenario.agent_count,
-        scenario.week_partition(),
+        weeks,
         SolveLimits(time_budget_seconds=2.0, seed=11),
     )
     shift = solve_shift_allocation(
         ShiftPhaseSpec(
             requirements=scenario.requirements,
-            allocation=tuned.best.allocation,
+            allocation=materialize_day(tuned.best.head_counts, scenario.agent_count, weeks),
             catalog=scenario.shift_catalog,
         ),
         SolveLimits(seed=11, move_cap=200_000),
@@ -315,8 +316,7 @@ def test_criterion_3_constraint_invariants(
         catalog=scn.shift_catalog,
         weeks=scn.week_partition(),
     )
-    alloc = peak["tuned"].best.allocation
-    assert cov.per_day.tolist() == alloc.day_counts.tolist()
+    assert cov.per_day.tolist() == list(peak["tuned"].best.head_counts)
     assert (
         interval_objective_value(scn.requirements.per_interval, cov.per_interval)
         == peak["shift"].objective

@@ -1,6 +1,7 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -119,6 +120,22 @@ class TestSolve:
         assert main(args + ["--out", str(b_out), "--report", str(b_rep)]) == 0
         assert a_out.read_bytes() == b_out.read_bytes()
         assert a_rep.read_bytes() == b_rep.read_bytes()
+
+    @pytest.mark.parametrize("mode", ["multi", "single"])
+    def test_report_objective_is_a_float_and_cost_is_zero(self, tiny_scenario, tmp_path, mode):
+        # the report format: an integral objective written as a JSON float,
+        # and a constant zero cost
+        out, report = tmp_path / "s.csv", tmp_path / "r.json"
+        code = main(
+            ["solve", "--scenario", tiny_scenario, "--mode", mode, "--move-cap", "4000",
+             "--out", str(out), "--report", str(report)]
+        )
+        assert code == 0
+        text = report.read_text()
+        objective = re.search(r'\n  "objective_value": (\d+)\.0,\n', text)
+        assert objective is not None
+        assert int(objective[1]) == json.loads(text)["objective_value"]
+        assert '\n  "cost_value": 0.0,\n' in text
 
     def test_tune_flag_requires_multi(self, tiny_scenario, capsys):
         code = main(

@@ -15,7 +15,6 @@ from shiftplan.domain import (
     TripleError,
     build_week_partition,
     coverage_from_schedule,
-    deviation_profiles,
     validate_day_allocation,
     validate_scenario,
     validate_schedule,
@@ -172,14 +171,6 @@ class TestSchedule:
         cov = coverage_from_schedule(sched, cat)
         assert cov.per_interval.tolist() == [[1, 2, 1, 0], [0, 0, 0, 0]]
         assert cov.per_day.tolist() == [2, 0]
-
-    def test_deviation_signs(self):
-        cat = ShiftCatalog(((0, 1),), 2)
-        req = RequirementMatrix.from_interval_grid([[2, 1]])
-        cov = coverage_from_schedule(Schedule.from_triples([(0, 0, 0)], 1, 1), cat)
-        dev = deviation_profiles(req, cov)
-        assert dev.per_interval.tolist() == [[1, 1]]
-        assert dev.per_day.tolist() == [1]
 
     def test_out_of_range_raises(self):
         with pytest.raises(TripleError, match="agent 5, day 0: outside the 2 x 1 grid"):

@@ -136,17 +136,6 @@ class TestFeasibilityAndObjective:
         value = evaluate_objective(model, {"x": 3, "y": 1})
         assert value == 8 and isinstance(value, int)
 
-    def test_linear_part_added(self):
-        model = IntegerModel(
-            variables=(("x", 0, 5),),
-            constraints=(),
-            objective=QuadraticObjective(
-                squared_terms=(LinExpr({"x": 1}),),
-                linear=LinExpr({"x": 2}, constant=1),
-            ),
-        )
-        assert evaluate_objective(model, {"x": 3}) == 9 + 7
-
     def test_duplicate_variable_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             IntegerModel(

@@ -64,7 +64,7 @@ def deviation(scenario, schedule):
     return interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
 
 
-def solve_exact(problem, unit_cost=None):
+def solve_exact(problem):
     """The exact enumerator of a day spec, shift spec or scenario, expanded as
     the phase solves expand theirs: (allocation or schedule, objective)."""
     limits = SolveLimits()
@@ -82,21 +82,10 @@ def solve_exact(problem, unit_cost=None):
     weeks = problem.week_partition()
     result = solve_exact_single(
         problem.requirements.per_interval, problem.agent_count, weeks,
-        problem.shift_catalog, limits, unit_cost,
+        problem.shift_catalog, limits,
     )
     allocation = materialize_day(result.head_counts, problem.agent_count, weeks)
     return materialize_shift(result.splits, allocation), result.objective
-
-
-def schedule_cost(schedule, unit_cost):
-    """``unit_cost[d, s]`` summed over the schedule's working cells, cell by cell."""
-    agents, days = schedule.shifts.shape
-    return sum(
-        unit_cost[d, schedule.shifts[a, d]]
-        for a in range(agents)
-        for d in range(days)
-        if schedule.shifts[a, d] != OFF
-    )
 
 
 def weekday_micro():
@@ -191,34 +180,6 @@ class TestSinglePhase:
         values = schedule_values_single(schedule, scn)
         assert check_feasible(model, values) == []
         assert evaluate_objective(model, values) == objective
-
-    def test_uniform_cost_steers_and_reports(self):
-        # two identical shifts except one is priced; optimizer must avoid it
-        grid = np.ones((7, 2), dtype=np.int64)
-        scn = scenario_from_grid(grid, agents=1, shifts=((0, 2), (0, 2)))
-        # duplicate shifts are invalid; use two overlapping but distinct ones
-        scn = scenario_from_grid(grid, agents=1, shifts=((0, 2), (0, 1)))
-        unit_cost = np.zeros((7, 2))
-        unit_cost[:, 0] = 9.0
-        free, free_objective = solve_exact(scn)
-        priced, priced_objective = solve_exact(scn, unit_cost)
-        assert free_objective == deviation(scn, free)
-        # the full-day shift is now expensive: the solver books the short one
-        assert priced_objective == deviation(scn, priced) + schedule_cost(priced, unit_cost)
-        booked = priced.shifts
-        assert (booked[booked != OFF] == 1).all()
-
-    def test_per_agent_cost_rejected(self):
-        scn = weekday_micro()
-        per_agent = np.zeros((2, 7, 1))  # (agent, day, shift)
-        per_agent[0, 0, 0] = 1.0
-        scn2 = scenario_from_grid(
-            np.ones((7, 2), dtype=np.int64), agents=2, shifts=((0, 2),)
-        )
-        with pytest.raises(ValueError, match="days x shifts"):
-            solve_single_phase(scn2, SolveLimits(), unit_cost=per_agent)
-        # one (day, shift) grid prices every agent alike, so it is accepted
-        solve_single_phase(scn, SolveLimits(move_cap=100), unit_cost=per_agent[0])
 
     def test_invalid_scenario_refused(self):
         scn = weekday_micro()

@@ -18,7 +18,6 @@ from shiftplan.domain import (
     Schedule,
     ShiftCatalog,
     build_week_partition,
-    unit_cost_grid,
     validate_day_allocation,
     validate_schedule,
 )
@@ -351,12 +350,11 @@ def reference_splits_of(total, parts):
     yield from rec(0, total)
 
 
-def reference_best_split(r, d, n, catalog, unit_cost, deadline):
+def reference_best_split(r, d, n, catalog, deadline):
     S = len(catalog)
     best_vec = None
     best_obj = None
     scheduled = np.zeros(r.shape[1], dtype=np.int64)
-    cost = None if unit_cost is None else unit_cost[d].tolist()
     for vec in reference_splits_of(n, S):
         deadline.spend()
         scheduled[:] = 0
@@ -365,8 +363,6 @@ def reference_best_split(r, d, n, catalog, unit_cost, deadline):
                 span = catalog.covers(s)
                 scheduled[span.start : span.stop] += y
         obj = squared_norm(r[d] - scheduled)
-        if cost is not None:
-            obj = obj + sum(vec[s] * cost[s] for s in range(S))
         if best_obj is None or obj < best_obj:
             best_obj = obj
             best_vec = vec
@@ -394,30 +390,28 @@ def reference_exact_day(r_day, agent_count, weeks, penalty_factor):
     return SolveStatus.OPTIMAL, objective, tuple(head_counts), None, (objective,), deadline.evaluations
 
 
-def reference_exact_shift(r_dt, day_counts, catalog, unit_cost):
+def reference_exact_shift(r_dt, day_counts, catalog):
     r = np.asarray(r_dt, dtype=np.int64)
     n_d = [int(x) for x in day_counts]
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     deadline = Deadline(SolveLimits())
     splits = []
     objective = 0
     for d in range(r.shape[0]):
-        vec, obj = reference_best_split(r, d, n_d[d], catalog, unit_cost, deadline)
+        vec, obj = reference_best_split(r, d, n_d[d], catalog, deadline)
         splits.append(vec)
         objective = objective + obj
     return SolveStatus.OPTIMAL, objective, tuple(n_d), tuple(splits), (objective,), deadline.evaluations
 
 
-def reference_exact_single(r_dt, agent_count, weeks, catalog, unit_cost):
+def reference_exact_single(r_dt, agent_count, weeks, catalog):
     r = np.asarray(r_dt, dtype=np.int64)
-    unit_cost = unit_cost_grid(unit_cost, r.shape[0], len(catalog))
     deadline = Deadline(SolveLimits())
     best_comp = []
     best_val = []
     for d in range(r.shape[0]):
         comps, vals = [], []
         for n in range(agent_count + 1):
-            vec, obj = reference_best_split(r, d, n, catalog, unit_cost, deadline)
+            vec, obj = reference_best_split(r, d, n, catalog, deadline)
             comps.append(vec)
             vals.append(obj)
         best_comp.append(comps)
@@ -468,20 +462,17 @@ class TestExactRecords:
             )
             days = weeks.count * 7
             r = rng.integers(0, 4, size=(days, width))
-            unit_cost = None
-            if rng.random() < 0.5:
-                unit_cost = rng.choice([0, 0.5, 1, 2.5], size=(days, len(catalog)))
             r_day, penalty = r.max(axis=1), int(rng.integers(0, 3))
             day_counts = rng.integers(0, agents + 1, size=days)
             assert exact_record(
                 solve_exact_day(r_day, agents, weeks, penalty, SolveLimits())
             ) == reference_exact_day(r_day, agents, weeks, penalty)
             assert exact_record(
-                solve_exact_shift(r, day_counts, catalog, SolveLimits(), unit_cost)
-            ) == reference_exact_shift(r, day_counts, catalog, unit_cost)
+                solve_exact_shift(r, day_counts, catalog, SolveLimits())
+            ) == reference_exact_shift(r, day_counts, catalog)
             assert exact_record(
-                solve_exact_single(r, agents, weeks, catalog, SolveLimits(), unit_cost)
-            ) == reference_exact_single(r, agents, weeks, catalog, unit_cost)
+                solve_exact_single(r, agents, weeks, catalog, SolveLimits())
+            ) == reference_exact_single(r, agents, weeks, catalog)
 
     def test_splits_of_match_bounded_vectors(self):
         for total in range(7):
@@ -507,8 +498,8 @@ class TestJointInputChecks:
             solve(np.ones(7, dtype=np.int64), 2, ONE_WEEK, catalog, SolveLimits(move_cap=100))
 
 
-def draw_kernel_case(data, priced):
-    """A requirement row, a catalog over it and, when ``priced``, unit costs."""
+def draw_kernel_case(data):
+    """A requirement row and a catalog over it."""
     width = data.draw(st.integers(min_value=2, max_value=8))
     spans = data.draw(
         st.lists(
@@ -525,27 +516,19 @@ def draw_kernel_case(data, priced):
     row = data.draw(
         st.lists(st.integers(min_value=0, max_value=6), min_size=width, max_size=width)
     )
-    unit_cost = None
-    if priced:
-        # multiples of 0.5 keep the float sums exact
-        halves = data.draw(
-            st.lists(st.integers(0, 6), min_size=len(spans), max_size=len(spans))
-        )
-        unit_cost = np.array([halves]) / 2
-    return np.array([row], dtype=np.int64), catalog, unit_cost
+    return np.array([row], dtype=np.int64), catalog
 
 
-def split_objective(r_row, catalog, unit_cost, split):
+def split_objective(r_row, catalog, split):
     cov = np.zeros(len(r_row), dtype=np.int64)
     for s, y in enumerate(split):
         span = catalog.covers(s)
         cov[span.start : span.stop] += y
     diff = r_row - cov
-    cost = 0 if unit_cost is None else sum(y * unit_cost[0, s] for s, y in enumerate(split))
-    return int(diff @ diff) + cost
+    return int(diff @ diff)
 
 
-def reference_greedy(r_row, catalog, cost, n_max):
+def reference_greedy(r_row, catalog, n_max):
     """One row's greedy pass as a per-row loop, the form the batched pass
     replaced (reference): picks, marginals and values."""
     cover = catalog.coverage.astype(np.int64)
@@ -554,7 +537,7 @@ def reference_greedy(r_row, catalog, cost, n_max):
     cu = cover @ r_row
     picks, adds = [], []
     for _ in range(n_max):
-        add = lengths - 2 * cu + cost
+        add = lengths - 2 * cu
         s = int(np.argmin(add))
         picks.append(s)
         adds.append(add[s].item())
@@ -564,8 +547,7 @@ def reference_greedy(r_row, catalog, cost, n_max):
 
 def random_kernel_case(rng):
     """Seeded day rows drawn from a small pool, so that some repeat, with
-    unequal caps (0 included), 1 to 5 shifts, and unpriced or arbitrary
-    float costs, shared by some repeated rows."""
+    unequal caps (0 included) and 1 to 5 shifts."""
     width, S = int(rng.integers(1, 10)), int(rng.integers(1, 6))
     starts = rng.integers(0, width, size=S)
     catalog = ShiftCatalog(
@@ -574,12 +556,8 @@ def random_kernel_case(rng):
     days = int(rng.integers(1, 9))
     pool = rng.integers(0, 12, size=(int(rng.integers(1, 4)), width))
     r = pool[rng.integers(0, len(pool), size=days)]
-    unit_cost = None
-    if rng.random() < 0.6:
-        cost_pool = rng.random((2, S)) * rng.choice([1.0, 7.3, 1e3])
-        unit_cost = cost_pool[rng.integers(0, 2, size=days)]
     caps = [int(c) for c in rng.integers(0, 15, size=days)]
-    return r, catalog, unit_cost, caps
+    return r, catalog, caps
 
 
 class TestBatchedGreedy:
@@ -588,17 +566,14 @@ class TestBatchedGreedy:
     def test_same_picks_marginals_and_values(self):
         rng = np.random.default_rng(8)
         for case in range(300):
-            r, catalog, unit_cost, caps = random_kernel_case(rng)
+            r, catalog, caps = random_kernel_case(rng)
             if case % 10 == 0:
                 catalog = ShiftCatalog(((0, catalog.intervals_per_day),), catalog.intervals_per_day)
-                unit_cost = None if unit_cost is None else unit_cost[:, :1]
-            costs = np.zeros((len(r), len(catalog))) if unit_cost is None else unit_cost
-            keys = [(r[d].tobytes(), costs[d].tobytes()) for d in range(len(r))]
-            kernels = _day_kernels(r, catalog, unit_cost, caps)
+            keys = [r[d].tobytes() for d in range(len(r))]
+            kernels = _day_kernels(r, catalog, caps)
             for d, kernel in enumerate(kernels):
                 cap = max(c for k, c in zip(keys, caps) if k == keys[d])
-                cost = np.zeros(len(catalog), dtype=np.int64) if unit_cost is None else unit_cost[d]
-                picks, marginals, values = reference_greedy(r[d], catalog, cost, cap)
+                picks, marginals, values = reference_greedy(r[d], catalog, cap)
                 assert kernel.picks.tolist() == picks
                 assert np.array_equal(kernel.marginals, marginals)
                 assert kernel.values == values
@@ -607,22 +582,22 @@ class TestBatchedGreedy:
 
 
 class TestDayKernel:
-    @given(st.data(), st.booleans())
+    @given(st.data())
     @settings(max_examples=80, deadline=None)
-    def test_deltas_match_recomputation(self, data, priced):
-        r, catalog, unit_cost = draw_kernel_case(data, priced)
+    def test_deltas_match_recomputation(self, data):
+        r, catalog = draw_kernel_case(data)
         S = len(catalog)
-        kernel = _day_kernels(r, catalog, unit_cost, [0])[0]
+        kernel = _day_kernels(r, catalog, [0])[0]
         split = np.array(
             data.draw(st.lists(st.integers(0, 3), min_size=S, max_size=S)), dtype=np.int64
         )
-        before = split_objective(r[0], catalog, unit_cost, split)
+        before = split_objective(r[0], catalog, split)
         cu = kernel.cr - kernel.overlap @ split
         adds = kernel.add_deltas(cu)
         for s in range(S):
             grown = split.copy()
             grown[s] += 1
-            assert split_objective(r[0], catalog, unit_cost, grown) - before == adds[s]
+            assert split_objective(r[0], catalog, grown) - before == adds[s]
         held = np.flatnonzero(split)
         swaps = kernel.swap_deltas(cu, held)
         for k, o in enumerate(held):
@@ -630,23 +605,23 @@ class TestDayKernel:
                 moved = split.copy()
                 moved[o] -= 1
                 moved[i] += 1
-                assert split_objective(r[0], catalog, unit_cost, moved) - before == swaps[k, i]
+                assert split_objective(r[0], catalog, moved) - before == swaps[k, i]
 
-    @given(st.data(), st.booleans(), st.integers(min_value=0, max_value=12))
+    @given(st.data(), st.integers(min_value=0, max_value=12))
     @settings(max_examples=80, deadline=None)
-    def test_greedy_marginals_never_decrease(self, data, priced, n_max):
-        r, catalog, unit_cost = draw_kernel_case(data, priced)
-        kernel = _day_kernels(r, catalog, unit_cost, [n_max])[0]
+    def test_greedy_marginals_never_decrease(self, data, n_max):
+        r, catalog = draw_kernel_case(data)
+        kernel = _day_kernels(r, catalog, [n_max])[0]
         assert len(kernel.values) == n_max + 1
         assert all(a <= b for a, b in zip(kernel.marginals, kernel.marginals[1:]))
         # values[n] is the objective of the greedy split of n
         for n in range(n_max + 1):
             split = np.bincount(kernel.picks[:n], minlength=len(catalog))
-            assert kernel.values[n] == split_objective(r[0], catalog, unit_cost, split)
+            assert kernel.values[n] == split_objective(r[0], catalog, split)
 
     def test_split_is_shared_and_descends(self):
         r = np.array([[4, 1, 0, 2, 3, 1]] * 2, dtype=np.int64)
-        kernels = _day_kernels(r, CAT3, None, [2, 3])
+        kernels = _day_kernels(r, CAT3, [2, 3])
         assert kernels[0] is kernels[1]  # equal rows share one kernel, built to n = 3
         deadline = Deadline(SolveLimits(move_cap=10_000))
         split, value = kernels[0].split(3, deadline)
