@@ -114,9 +114,6 @@ class WeekPartition:
         start, stop = self.weeks[week]
         return range(start, stop)
 
-    def week_of(self, day: int) -> int:
-        return day // DAYS_PER_WEEK
-
 
 def build_week_partition(day_count: int) -> WeekPartition:
     """Split ``day_count`` days into full weeks; partial weeks are rejected."""

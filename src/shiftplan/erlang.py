@@ -31,23 +31,6 @@ MAX_LOAD_ERLANGS = 100_000
 
 
 @dataclass(frozen=True)
-class TrafficPoint:
-    """Demand for one (day, interval) cell."""
-
-    calls: float
-    interval_seconds: float
-    aht_seconds: float
-
-    def __post_init__(self):
-        if self.calls < 0:
-            raise ValueError("calls must be non-negative")
-        if self.interval_seconds <= 0:
-            raise ValueError("interval_seconds must be positive")
-        if self.aht_seconds <= 0:
-            raise ValueError("aht_seconds must be positive")
-
-
-@dataclass(frozen=True)
 class SlaSpec:
     """Service-level goal: fraction of calls answered within the threshold."""
 
@@ -59,11 +42,6 @@ class SlaSpec:
             raise ValueError("target must lie in (0, 1]")
         if not self.threshold_seconds >= 0:
             raise ValueError("threshold_seconds must be non-negative")
-
-
-def offered_load(point: TrafficPoint) -> float:
-    """Offered load in erlangs for one traffic point."""
-    return point.calls * point.aht_seconds / point.interval_seconds
 
 
 def erlang_b_blocking(agents: int, load: float) -> float:

@@ -210,8 +210,3 @@ def count_variables(
             raise ValueError("assigned_pairs must be non-negative")
         return agents * days + days + assigned_pairs * shifts + 2 * days * intervals
     raise ValueError(f"unknown mode {mode!r}")
-
-
-class SearchSpaceError(RuntimeError):
-    """Exhaustive enumeration refused: the search space exceeds
-    ``solvers.MAX_EXACT_NODES``."""

@@ -12,13 +12,11 @@ Each formulation has one solve, ``solve_local_day``, ``solve_local_shift``
 and ``solve_local_single``: the day problem is solved exactly by greedy
 allocation, and the shift and joint problems by one per-day kernel, greedy
 splits of n agents over the shifts improved by steepest swap descent within a
-wall-clock or move-cap budget.  The ``solve_exact_*`` enumerators return the
-same record and are the audit oracles: the day and joint ones share one
-exhaustive week choice over per-day tables, and each refuses a space of more
-than ``MAX_EXACT_NODES`` states.  Every objective is an exact integer.
+wall-clock or move-cap budget.  Every objective is an exact integer.  The
+exhaustive oracle that audits these solves on micro instances lives with the
+tests, not in the package.
 """
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +30,7 @@ from .domain import (
     ShiftCatalog,
     WeekPartition,
 )
-from .model import Deadline, SearchSpaceError, SolveLimits, SolveStatus
-
-# All 5-day patterns of a week, in lexicographic order.
-DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
-    itertools.combinations(range(DAYS_PER_WEEK), WORKDAYS_PER_WEEK)
-)
+from .model import Deadline, SolveLimits, SolveStatus
 
 
 @dataclass(frozen=True)
@@ -50,8 +43,7 @@ class SearchResult:
     (``None``).  ``objective`` is the exact integer the solve minimized.
     ``allocation`` and ``schedule`` expand the counts: ``solve_day_allocation``
     fills the allocation, the shift, multi and single phases both, and the
-    ``solve_local_*`` and ``solve_exact_*`` solvers and ``tune_penalty``
-    neither.
+    ``solve_local_*`` solvers and ``tune_penalty`` neither.
     """
 
     status: SolveStatus
@@ -107,206 +99,6 @@ def patterns_from_day_counts(day_counts, agent_count: int) -> dict[tuple, int]:
 def squared_norm(diff) -> int:
     """Sum of squares of an integer array, exact: int64 would wrap past 2**63."""
     return sum(x * x for x in np.asarray(diff).ravel().tolist())
-
-
-def _count_bounded_vectors(bound: int, total: int, length: int) -> int:
-    """Number of integer vectors in [0, bound]^length summing to total."""
-    ways = [1] + [0] * total
-    for _ in range(length):
-        nxt = [0] * (total + 1)
-        running = 0
-        for s in range(total + 1):
-            running += ways[s]
-            if s - bound - 1 >= 0:
-                running -= ways[s - bound - 1]
-            nxt[s] = running
-        ways = nxt
-    return ways[total]
-
-
-def _bounded_vectors(bound: int, total: int, length: int):
-    """Yield all vectors in [0, bound]^length with the given sum, lexicographic."""
-    vec = [0] * length
-
-    def rec(pos: int, left: int):
-        if pos == length - 1:
-            vec[pos] = left
-            yield tuple(vec)
-            return
-        tail = length - pos - 1
-        lo = max(0, left - bound * tail)
-        hi = min(bound, left)
-        for v in range(lo, hi + 1):
-            vec[pos] = v
-            yield from rec(pos + 1, left - v)
-
-    if 0 <= total <= bound * length:
-        yield from rec(0, total)
-
-
-# ---------------------------------------------------------------------------
-# exact enumerators (audit oracles)
-# ---------------------------------------------------------------------------
-
-
-MAX_EXACT_NODES = 2_000_000  # states an exact enumerator may visit before it refuses
-
-
-def _refuse_oversized(space: str, nodes: int) -> None:
-    if nodes > MAX_EXACT_NODES:
-        raise SearchSpaceError(
-            f"{space} search space has {nodes} states, cap is {MAX_EXACT_NODES}"
-        )
-
-
-def _week_vector_count(agent_count: int) -> int:
-    """Per-day head-count vectors of one week."""
-    return _count_bounded_vectors(agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK)
-
-
-def _exact_week_choice(values, agent_count: int, weeks: WeekPartition, deadline: Deadline):
-    """Each week's best per-day head-counts over the tables ``values[d][n]``.
-
-    Every vector costs one evaluation; the first minimum found is kept, so
-    ties go to the lexicographically smallest vector.
-    """
-    head_counts: list[int] = []
-    objective = 0
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        table = values[days.start : days.stop]
-        best_vec = None
-        best_obj = None
-        for vec in _bounded_vectors(
-            agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK
-        ):
-            deadline.spend()
-            obj = sum(table[d][n] for d, n in enumerate(vec))
-            if best_obj is None or obj < best_obj:
-                best_obj = obj
-                best_vec = vec
-        head_counts.extend(best_vec)
-        objective = objective + best_obj
-    return tuple(head_counts), objective
-
-
-def solve_exact_day(
-    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
-) -> SearchResult:
-    """Exhaustive day-allocation optimum, week by week.
-
-    Enumerates every per-day head-count vector (the objective depends on
-    nothing else) over the tables ``day_term(r[d], n)``.
-    """
-    r = np.asarray(r_day, dtype=np.int64)
-    _check_day_inputs(r, agent_count, weeks, penalty_factor)
-    _refuse_oversized("day", weeks.count * _week_vector_count(agent_count))
-    deadline = Deadline(limits)
-    values = [
-        [day_term(required, n, agent_count, penalty_factor) for n in range(agent_count + 1)]
-        for required in r.tolist()
-    ]
-    head_counts, objective = _exact_week_choice(values, agent_count, weeks, deadline)
-    return SearchResult(
-        SolveStatus.OPTIMAL,
-        objective,
-        head_counts,
-        None,
-        (objective,),
-        deadline.evaluations,
-        deadline.elapsed(),
-    )
-
-
-def _best_day_composition(r: np.ndarray, d: int, n: int, catalog: ShiftCatalog, deadline: Deadline):
-    """Exhaustive best shift-count split of ``n`` agents on day ``d``."""
-    S = len(catalog)
-    best_vec = None
-    best_obj = None
-    scheduled = np.zeros(r.shape[1], dtype=np.int64)
-    for vec in _bounded_vectors(n, n, S):
-        deadline.spend()
-        scheduled[:] = 0
-        for s, y in enumerate(vec):
-            if y:
-                span = catalog.covers(s)
-                scheduled[span.start : span.stop] += y
-        obj = squared_norm(r[d] - scheduled)
-        if best_obj is None or obj < best_obj:
-            best_obj = obj
-            best_vec = vec
-    return best_vec, best_obj
-
-
-def solve_exact_shift(r_dt, day_counts, catalog: ShiftCatalog, limits: SolveLimits) -> SearchResult:
-    """Exhaustive shift-allocation optimum, day by day."""
-    r = np.asarray(r_dt, dtype=np.int64)
-    n_d = [int(x) for x in day_counts]
-    _check_shift_inputs(r, n_d, catalog)
-    S = len(catalog)
-    _refuse_oversized("shift", sum(math.comb(n + S - 1, S - 1) for n in n_d))
-    deadline = Deadline(limits)
-    splits = []
-    objective = 0
-    for d in range(r.shape[0]):
-        vec, obj = _best_day_composition(r, d, n_d[d], catalog, deadline)
-        splits.append(vec)
-        objective = objective + obj
-    return SearchResult(
-        SolveStatus.OPTIMAL,
-        objective,
-        tuple(n_d),
-        tuple(splits),
-        (objective,),
-        deadline.evaluations,
-        deadline.elapsed(),
-    )
-
-
-def solve_exact_single(
-    r_dt,
-    agent_count: int,
-    weeks: WeekPartition,
-    catalog: ShiftCatalog,
-    limits: SolveLimits,
-) -> SearchResult:
-    """Exhaustive joint optimum.
-
-    Decomposes exactly: given per-day head-counts, the best shift split of a
-    day is independent of every other day, so the search tabulates per-day
-    optima for every possible head-count and then enumerates per-week
-    head-count vectors.
-    """
-    r = np.asarray(r_dt, dtype=np.int64)
-    _check_joint_inputs(r, agent_count, weeks, catalog)
-    S = len(catalog)
-    _refuse_oversized(
-        "joint",
-        r.shape[0] * math.comb(agent_count + S, S)
-        + weeks.count * _week_vector_count(agent_count),
-    )
-    deadline = Deadline(limits)
-    # per-day tables: best composition and value for each possible head-count
-    best_comp: list[list[tuple]] = []
-    best_val: list[list[int]] = []
-    for d in range(r.shape[0]):
-        comps, vals = [], []
-        for n in range(agent_count + 1):
-            vec, obj = _best_day_composition(r, d, n, catalog, deadline)
-            comps.append(vec)
-            vals.append(obj)
-        best_comp.append(comps)
-        best_val.append(vals)
-    head_counts, objective = _exact_week_choice(best_val, agent_count, weeks, deadline)
-    return SearchResult(
-        SolveStatus.OPTIMAL,
-        objective,
-        head_counts,
-        tuple(best_comp[d][n] for d, n in enumerate(head_counts)),
-        (objective,),
-        deadline.evaluations,
-        deadline.elapsed(),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,10 +182,6 @@ class _DayKernel:
         self.marginals = marginals
         self.values = list(itertools.accumulate(marginals.tolist(), initial=empty_value))
         self._splits: dict[int, tuple] = {}
-
-    def add_deltas(self, cu: np.ndarray) -> np.ndarray:
-        """Objective change of adding one agent to each shift, given ``C·u``."""
-        return self.lengths - 2 * cu
 
     def swap_deltas(self, cu: np.ndarray, held: np.ndarray) -> np.ndarray:
         """Objective change ``Δ[k, i]`` of moving one agent from shift

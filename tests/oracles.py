@@ -1,0 +1,126 @@
+"""The exhaustive oracle: exact optima of the day, shift and joint problems on
+micro instances, by enumeration over head-counts and splits.
+
+Each function returns the ``SearchResult`` the solvers return, with status
+``OPTIMAL``.  Every enumerated vector costs one evaluation, and the first
+minimum is kept, so ties go to the lexicographically smallest vector.  The
+oracle keeps no clock (``runtime_seconds`` is 0.0) and no node cap: it is
+meant for instances of a few agents and shifts.
+"""
+
+import itertools
+
+import numpy as np
+
+from shiftplan.domain import DAYS_PER_WEEK, WORKDAYS_PER_WEEK
+from shiftplan.model import SolveStatus
+from shiftplan.solvers import SearchResult, day_term, squared_norm
+
+# All 5-day patterns of a week, in lexicographic order.
+DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(
+    itertools.combinations(range(DAYS_PER_WEEK), WORKDAYS_PER_WEEK)
+)
+
+
+def bounded_vectors(bound: int, total: int, length: int):
+    """Yield all vectors in [0, bound]^length with the given sum, lexicographic."""
+    vec = [0] * length
+
+    def rec(pos: int, left: int):
+        if pos == length - 1:
+            vec[pos] = left
+            yield tuple(vec)
+            return
+        tail = length - pos - 1
+        for v in range(max(0, left - bound * tail), min(bound, left) + 1):
+            vec[pos] = v
+            yield from rec(pos + 1, left - v)
+
+    if 0 <= total <= bound * length:
+        yield from rec(0, total)
+
+
+def _first_min(vectors, value):
+    """The first vector of least ``value``, that value, and how many were tried."""
+    best_vec, best_obj, tried = None, None, 0
+    for vec in vectors:
+        tried += 1
+        obj = value(vec)
+        if best_obj is None or obj < best_obj:
+            best_vec, best_obj = vec, obj
+    return best_vec, best_obj, tried
+
+
+def _week_choice(values, agent_count: int, weeks):
+    """Each week's best per-day head-counts over the tables ``values[d][n]``:
+    (head-counts, objective, evaluations)."""
+    head_counts, objective, tried = [], 0, 0
+    for w in range(weeks.count):
+        days = weeks.days_of(w)
+        table = values[days.start : days.stop]
+        vec, obj, n = _first_min(
+            bounded_vectors(agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK),
+            lambda v: sum(table[d][k] for d, k in enumerate(v)),
+        )
+        head_counts.extend(vec)
+        objective += obj
+        tried += n
+    return tuple(head_counts), objective, tried
+
+
+def _best_split(r_row, n: int, cover):
+    """The best split of ``n`` agents over the shifts of one day."""
+    return _first_min(
+        bounded_vectors(n, n, cover.shape[0]),
+        lambda vec: squared_norm(r_row - np.asarray(vec, dtype=np.int64) @ cover),
+    )
+
+
+def _result(objective, head_counts, splits, evaluations) -> SearchResult:
+    return SearchResult(
+        SolveStatus.OPTIMAL, objective, head_counts, splits, (objective,), evaluations, 0.0
+    )
+
+
+def exact_day(r_day, agent_count: int, weeks, penalty_factor: int) -> SearchResult:
+    """Day-allocation optimum over every per-day head-count vector of each week."""
+    values = [
+        [day_term(required, n, agent_count, penalty_factor) for n in range(agent_count + 1)]
+        for required in np.asarray(r_day, dtype=np.int64).tolist()
+    ]
+    head_counts, objective, tried = _week_choice(values, agent_count, weeks)
+    return _result(objective, head_counts, None, tried)
+
+
+def exact_shift(r_dt, day_counts, catalog) -> SearchResult:
+    """Shift-allocation optimum: each day's best split at its head-count."""
+    r = np.asarray(r_dt, dtype=np.int64)
+    cover = catalog.coverage.astype(np.int64)
+    n_d = tuple(int(x) for x in day_counts)
+    best = [_best_split(r[d], n, cover) for d, n in enumerate(n_d)]
+    return _result(
+        sum(obj for _, obj, _ in best),
+        n_d,
+        tuple(vec for vec, _, _ in best),
+        sum(tried for _, _, tried in best),
+    )
+
+
+def exact_single(r_dt, agent_count: int, weeks, catalog) -> SearchResult:
+    """Joint optimum.
+
+    Given per-day head-counts, the best split of a day is independent of every
+    other day, so the oracle tabulates each day's best split for every
+    head-count and then enumerates per-week head-count vectors.
+    """
+    r = np.asarray(r_dt, dtype=np.int64)
+    cover = catalog.coverage.astype(np.int64)
+    tables = [[_best_split(row, n, cover) for n in range(agent_count + 1)] for row in r]
+    values = [[obj for _, obj, _ in table] for table in tables]
+    head_counts, objective, tried = _week_choice(values, agent_count, weeks)
+    return _result(
+        objective,
+        head_counts,
+        tuple(tables[d][n][0] for d, n in enumerate(head_counts)),
+        tried + sum(t for table in tables for _, _, t in table),
+    )

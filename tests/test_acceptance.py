@@ -55,12 +55,12 @@ from shiftplan.scenario_io import (
 from shiftplan.solvers import (
     materialize_day,
     materialize_shift,
-    solve_exact_day,
-    solve_exact_shift,
     solve_local_day,
     solve_local_shift,
 )
 from shiftplan.tuner import DistributionPair, kl_divergence, tune_penalty
+
+import oracles
 
 ONE_WEEK = build_week_partition(7)
 
@@ -112,14 +112,14 @@ def micro_instances():
         penalty = rng.randint(0, 2)
         seed = rng.randint(0, 10_000)
 
-        exact_day = solve_exact_day(r_day, agents, ONE_WEEK, penalty, SolveLimits())
+        exact_day = oracles.exact_day(r_day, agents, ONE_WEEK, penalty)
         local_day = solve_local_day(
             r_day, agents, ONE_WEEK, penalty, SolveLimits(seed=seed, move_cap=10_000)
         )
         local_alloc = materialize_day(local_day.head_counts, agents, ONE_WEEK)
         exact_alloc = materialize_day(exact_day.head_counts, agents, ONE_WEEK)
         n_d = [int(x) for x in local_alloc.day_counts]
-        exact_shift = solve_exact_shift(r_dt, n_d, catalog, SolveLimits())
+        exact_shift = oracles.exact_shift(r_dt, n_d, catalog)
         local_shift = solve_local_shift(
             r_dt, n_d, catalog, SolveLimits(seed=seed, move_cap=10_000)
         )

@@ -68,8 +68,6 @@ class TestWeekPartition:
         assert part.count == 2
         assert list(part.days_of(0)) == list(range(7))
         assert list(part.days_of(1)) == list(range(7, 14))
-        assert part.week_of(6) == 0
-        assert part.week_of(7) == 1
 
     @pytest.mark.parametrize("n", [0, 1, 6, 8, 13])
     def test_partial_weeks_rejected(self, n):
@@ -276,7 +274,7 @@ def reference_validate(triples, agent_count, day_count, catalog, weeks):
             problems.append(f"agent {agent} has more than one shift on day {day}")
             continue
         seen_pairs.add((agent, day))
-        week_days[agent, weeks.week_of(day)] += 1
+        week_days[agent, day // 7] += 1
     if not problems:
         for agent in range(agent_count):
             for w in range(weeks.count):

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from shiftplan.erlang import (
     SlaSpec,
-    TrafficPoint,
     erlang_b_blocking,
     erlang_c_wait_probability,
-    offered_load,
     required_agents,
     requirements_from_volumes,
     service_level,
@@ -42,23 +40,6 @@ def erlang_c_direct(n: int, a: float) -> float:
     top = a**n / math.factorial(n) * n / (n - a)
     bottom = sum(a**k / math.factorial(k) for k in range(n)) + top
     return top / bottom
-
-
-class TestOfferedLoad:
-    def test_basic(self):
-        # 12 calls/half-hour at 300s AHT is two erlangs
-        assert offered_load(TrafficPoint(12, 1800.0, 300.0)) == 2.0
-
-    def test_zero_calls(self):
-        assert offered_load(TrafficPoint(0, 1800.0, 300.0)) == 0.0
-
-    def test_invalid_points(self):
-        with pytest.raises(ValueError):
-            TrafficPoint(-1, 1800.0, 300.0)
-        with pytest.raises(ValueError):
-            TrafficPoint(1, 0.0, 300.0)
-        with pytest.raises(ValueError):
-            TrafficPoint(1, 1800.0, -3.0)
 
 
 class TestErlangB:

@@ -34,13 +34,9 @@ from shiftplan.phases import (
     solve_shift_allocation,
     solve_single_phase,
 )
-from shiftplan.solvers import (
-    materialize_day,
-    materialize_shift,
-    solve_exact_day,
-    solve_exact_shift,
-    solve_exact_single,
-)
+from shiftplan.solvers import materialize_day, materialize_shift
+
+import oracles
 
 ONE_WEEK = build_week_partition(7)
 
@@ -65,24 +61,22 @@ def deviation(scenario, schedule):
 
 
 def solve_exact(problem):
-    """The exact enumerator of a day spec, shift spec or scenario, expanded as
-    the phase solves expand theirs: (allocation or schedule, objective)."""
-    limits = SolveLimits()
+    """The exact oracle's optimum of a day spec, shift spec or scenario,
+    expanded as the phase solves expand theirs: (allocation or schedule,
+    objective)."""
     if isinstance(problem, DayPhaseSpec):
-        result = solve_exact_day(
-            problem.day_requirements, problem.agent_count, problem.weeks,
-            problem.penalty_factor, limits,
+        result = oracles.exact_day(
+            problem.day_requirements, problem.agent_count, problem.weeks, problem.penalty_factor
         )
         return materialize_day(result.head_counts, problem.agent_count, problem.weeks), result.objective
     if isinstance(problem, ShiftPhaseSpec):
-        result = solve_exact_shift(
-            problem.requirements.per_interval, problem.allocation.day_counts, problem.catalog, limits
+        result = oracles.exact_shift(
+            problem.requirements.per_interval, problem.allocation.day_counts, problem.catalog
         )
         return materialize_shift(result.splits, problem.allocation), result.objective
     weeks = problem.week_partition()
-    result = solve_exact_single(
-        problem.requirements.per_interval, problem.agent_count, weeks,
-        problem.shift_catalog, limits,
+    result = oracles.exact_single(
+        problem.requirements.per_interval, problem.agent_count, weeks, problem.shift_catalog
     )
     allocation = materialize_day(result.head_counts, problem.agent_count, weeks)
     return materialize_shift(result.splits, allocation), result.objective

@@ -1,4 +1,4 @@
-"""The local solves cross-checked against the exact enumerators, the
+"""The local solves cross-checked against the exhaustive oracle, the
 per-agent audit model and the report, on seeded one-week micro instances.
 
 No shift carries a price: every objective is an exact integer, so all of them
@@ -30,14 +30,13 @@ from shiftplan.scenario_io import report_to_dict
 from shiftplan.solvers import (
     materialize_day,
     materialize_shift,
-    solve_exact_shift,
-    solve_exact_single,
     solve_local_shift,
     solve_local_single,
 )
 
+import oracles
+
 ONE_WEEK = build_week_partition(7)
-EXACT = SolveLimits()
 LOCAL = SolveLimits(move_cap=10_000)
 
 
@@ -68,12 +67,12 @@ class TestPricedCrossCheck:
         scn = micro_instance(random.Random(seed))
         r, A, cat = scn.requirements.per_interval, scn.agent_count, scn.shift_catalog
         model = build_single_model(scn)
-        exact_single = solve_exact_single(r, A, ONE_WEEK, cat, EXACT)
+        exact_single = oracles.exact_single(r, A, ONE_WEEK, cat)
         local_single = solve_local_single(r, A, ONE_WEEK, cat, LOCAL)
         assert local_single.objective >= exact_single.objective
         # the shift phase on the optimal joint head-counts
         head_counts = exact_single.head_counts
-        exact_shift = solve_exact_shift(r, head_counts, cat, EXACT)
+        exact_shift = oracles.exact_shift(r, head_counts, cat)
         local_shift = solve_local_shift(r, head_counts, cat, LOCAL)
         assert local_shift.objective >= exact_shift.objective
         assert exact_shift.objective == exact_single.objective
