@@ -263,10 +263,6 @@ class DayAllocation:
     def num_days(self) -> int:
         return self.works.shape[1]
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Assigned (agent, day) pairs, sorted."""
-        return tuple(zip(*(index.tolist() for index in np.nonzero(self.works))))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, DayAllocation):
             return NotImplemented

@@ -49,7 +49,7 @@ class SolveReport:
     shift_count: int
     assigned_pairs: int
     variable_count: int
-    objective_value: float
+    objective_value: int
     dvdi: int
     ivdi: int
     kl_day_distribution: float | None
@@ -120,7 +120,7 @@ def build_report(
         shift_count=len(scenario.shift_catalog),
         assigned_pairs=assigned_pairs,
         variable_count=variable_count,
-        objective_value=float(objective),
+        objective_value=objective,
         dvdi=dvdi(scenario.requirements.per_day, coverage.per_day),
         ivdi=ivdi(scenario.requirements.per_interval, coverage.per_interval),
         kl_day_distribution=kl,

@@ -1,14 +1,13 @@
-"""A small integer-programming representation used for auditing solvers.
+"""Solve budgets, solve status and the size of the paper's integer programs.
 
-The search itself runs over compact count structures (see ``solvers``); this
-module keeps the explicit binary formulation around so any reported solution
-can be re-checked against it: feasibility constraint by constraint, and the
-objective re-evaluated in exact integer arithmetic.  Nothing here searches the
-per-agent grid: a one-week day model of 3 agents already has 2^21 assignments.
+The search itself runs over compact count structures (see ``solvers``);
+``SolveLimits`` and ``Deadline`` express and track its budget.  The integer
+programs the paper states are never built: ``count_variables`` only sizes them
+for the report, and ``tests/oracles.py`` evaluates them on finished schedules.
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 
@@ -78,103 +77,6 @@ class Deadline:
 
     def elapsed(self) -> float:
         return time.monotonic() - self._t0
-
-
-@dataclass(frozen=True)
-class LinExpr:
-    """constant + sum(coefficient * variable)."""
-
-    terms: dict
-    constant: float = 0
-
-    def value(self, values: dict):
-        total = self.constant
-        for name, coef in self.terms.items():
-            total += coef * values[name]
-        return total
-
-
-@dataclass(frozen=True)
-class LinearConstraint:
-    terms: dict
-    relation: str  # one of "<=", ">=", "="
-    rhs: int
-    label: str = ""
-
-    def holds(self, values: dict) -> bool:
-        lhs = sum(coef * values[name] for name, coef in self.terms.items())
-        if self.relation == "<=":
-            return lhs <= self.rhs
-        if self.relation == ">=":
-            return lhs >= self.rhs
-        if self.relation == "=":
-            return lhs == self.rhs
-        raise ValueError(f"unknown relation {self.relation!r}")
-
-
-@dataclass(frozen=True)
-class QuadraticObjective:
-    """sum of squared linear expressions."""
-
-    squared_terms: tuple[LinExpr, ...]
-
-
-@dataclass(frozen=True)
-class IntegerModel:
-    """Bounded integer variables, linear constraints, quadratic objective."""
-
-    variables: tuple[tuple[str, int, int], ...]  # (name, lower, upper)
-    constraints: tuple[LinearConstraint, ...]
-    objective: QuadraticObjective
-    _bounds: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        bounds = {}
-        for name, lo, hi in self.variables:
-            if name in bounds:
-                raise ValueError(f"duplicate variable {name!r}")
-            if lo > hi:
-                raise ValueError(f"variable {name!r} has empty domain [{lo}, {hi}]")
-            bounds[name] = (lo, hi)
-        object.__setattr__(self, "_bounds", bounds)
-
-    @property
-    def bounds(self) -> dict:
-        return self._bounds
-
-
-def check_feasible(model: IntegerModel, values: dict) -> list[str]:
-    """List every violated bound or constraint (empty list means feasible)."""
-    problems: list[str] = []
-    for name, (lo, hi) in model.bounds.items():
-        if name not in values:
-            problems.append(f"missing value for variable {name}")
-        elif not lo <= values[name] <= hi:
-            problems.append(
-                f"bound violated: {name} = {values[name]} outside [{lo}, {hi}]"
-            )
-    if problems:
-        return problems
-    for constraint in model.constraints:
-        if not constraint.holds(values):
-            lhs = sum(c * values[n] for n, c in constraint.terms.items())
-            tag = constraint.label or "constraint"
-            problems.append(
-                f"{tag}: {lhs} {constraint.relation} {constraint.rhs} violated"
-            )
-    return problems
-
-
-def evaluate_objective(model: IntegerModel, values: dict):
-    """Exact objective value; integer whenever all inputs are integers."""
-    for name in model.bounds:
-        if name not in values:
-            raise ValueError(f"missing value for variable {name}")
-    total = 0
-    for expr in model.objective.squared_terms:
-        v = expr.value(values)
-        total += v * v
-    return total
 
 
 def count_variables(

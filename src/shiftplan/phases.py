@@ -12,9 +12,8 @@ in: the day phase's ``allocation`` feeds the shift phase, which carries the
 ``schedule``, and a multi solve returns the shift phase's record with both
 phases' evaluations and runtime.
 
-Each solve also has an explicit integer-model builder so results can be
-audited independently of the search path: rebuild the model, plug in the
-returned assignment, and re-check feasibility and objective.
+``interval_objective_value`` recomputes the interval objective from a
+coverage grid; reports use it so no reported number rests on the search.
 """
 
 from dataclasses import dataclass, replace
@@ -22,30 +21,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
-    DAYS_PER_WEEK,
-    OFF,
-    WORKDAYS_PER_WEEK,
     DayAllocation,
     RequirementMatrix,
     Scenario,
-    Schedule,
     ShiftCatalog,
     WeekPartition,
     frozen_grid,
     require_valid,
 )
-from .model import (
-    IntegerModel,
-    LinearConstraint,
-    LinExpr,
-    QuadraticObjective,
-    SolveLimits,
-)
+from .model import SolveLimits
 from .solvers import (
     SearchResult,
     _check_day_inputs,
     _check_shift_inputs,
-    day_term,
     materialize_day,
     materialize_shift,
     solve_local_day,
@@ -168,17 +156,8 @@ def solve_multi_phase(
 
 
 # ---------------------------------------------------------------------------
-# objective recomputation helpers
+# objective recomputation
 # ---------------------------------------------------------------------------
-
-
-def day_objective_value(r_day, day_counts, agent_count: int, penalty_factor: int) -> int:
-    """Day-phase objective recomputed from scratch."""
-    r = [int(x) for x in r_day]
-    p = [int(x) for x in day_counts]
-    if len(r) != len(p):
-        raise ValueError("requirement and head-count lengths differ")
-    return sum(day_term(r[d], p[d], agent_count, penalty_factor) for d in range(len(r)))
 
 
 def interval_objective_value(r_dt, p_dt) -> int:
@@ -188,154 +167,3 @@ def interval_objective_value(r_dt, p_dt) -> int:
     if r.shape != p.shape:
         raise ValueError("requirement and coverage shapes differ")
     return squared_norm(r - p)
-
-
-# ---------------------------------------------------------------------------
-# auditable integer models
-# ---------------------------------------------------------------------------
-
-
-def build_day_model(spec: DayPhaseSpec) -> IntegerModel:
-    """Per-agent binary model of the day phase."""
-    A, weeks = spec.agent_count, spec.weeks
-    D = weeks.count * DAYS_PER_WEEK
-    variables = tuple(
-        (f"x[{a},{d}]", 0, 1) for a in range(A) for d in range(D)
-    )
-    constraints = []
-    for a in range(A):
-        for w in range(weeks.count):
-            terms = {f"x[{a},{d}]": 1 for d in weeks.days_of(w)}
-            constraints.append(
-                LinearConstraint(
-                    terms, "=", WORKDAYS_PER_WEEK, label=f"workdays a{a} w{w}"
-                )
-            )
-    squared = []
-    for d in range(D):
-        squared.append(
-            LinExpr({f"x[{a},{d}]": -1 for a in range(A)}, int(spec.day_requirements[d]))
-        )
-        if spec.penalty_factor:
-            squared.append(
-                LinExpr(
-                    {f"x[{a},{d}]": -spec.penalty_factor for a in range(A)},
-                    spec.penalty_factor * A,
-                )
-            )
-    return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
-
-
-def build_shift_model(spec: ShiftPhaseSpec) -> IntegerModel:
-    """Per-agent binary model of the shift phase (working pairs only)."""
-    pairs = spec.allocation.pairs()
-    S = len(spec.catalog)
-    variables = tuple(
-        (f"x[{a},{d},{s}]", 0, 1) for a, d in pairs for s in range(S)
-    )
-    constraints = []
-    for a, d in pairs:
-        terms = {f"x[{a},{d},{s}]": 1 for s in range(S)}
-        constraints.append(
-            LinearConstraint(terms, "=", 1, label=f"one shift a{a} d{d}")
-        )
-    works = spec.allocation.works
-    by_day = [np.nonzero(works[:, d])[0].tolist() for d in range(works.shape[1])]
-    for d in range(spec.requirements.days):
-        agents = by_day[d]
-        terms = {f"x[{a},{d},{s}]": 1 for a in agents for s in range(S)}
-        constraints.append(
-            LinearConstraint(
-                terms, "=", int(spec.allocation.day_counts[d]), label=f"head-count d{d}"
-            )
-        )
-    squared = []
-    cov = spec.catalog.coverage
-    for d in range(spec.requirements.days):
-        agents = by_day[d]
-        for t in range(spec.requirements.intervals):
-            terms = {
-                f"x[{a},{d},{s}]": -1
-                for a in agents
-                for s in range(S)
-                if cov[s, t]
-            }
-            squared.append(LinExpr(terms, int(spec.requirements.per_interval[d, t])))
-    return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
-
-
-def build_single_model(scenario: Scenario) -> IntegerModel:
-    """Per-agent binary model of the joint formulation."""
-    A, D = scenario.agent_count, scenario.num_days
-    S = len(scenario.shift_catalog)
-    weeks = scenario.week_partition()
-    variables = tuple(
-        (f"x[{a},{d},{s}]", 0, 1)
-        for a in range(A)
-        for d in range(D)
-        for s in range(S)
-    )
-    constraints = []
-    for a in range(A):
-        for w in range(weeks.count):
-            terms = {
-                f"x[{a},{d},{s}]": 1 for d in weeks.days_of(w) for s in range(S)
-            }
-            constraints.append(
-                LinearConstraint(
-                    terms, "=", WORKDAYS_PER_WEEK, label=f"workdays a{a} w{w}"
-                )
-            )
-    for a in range(A):
-        for d in range(D):
-            terms = {f"x[{a},{d},{s}]": 1 for s in range(S)}
-            constraints.append(
-                LinearConstraint(terms, "<=", 1, label=f"one shift a{a} d{d}")
-            )
-    squared = []
-    cov = scenario.shift_catalog.coverage
-    for d in range(D):
-        for t in range(scenario.intervals_per_day):
-            terms = {
-                f"x[{a},{d},{s}]": -1
-                for a in range(A)
-                for s in range(S)
-                if cov[s, t]
-            }
-            squared.append(
-                LinExpr(terms, int(scenario.requirements.per_interval[d, t]))
-            )
-    return IntegerModel(variables, tuple(constraints), QuadraticObjective(tuple(squared)))
-
-
-def allocation_values(allocation: DayAllocation) -> dict:
-    """Variable assignment of a day allocation for ``build_day_model``."""
-    return {
-        f"x[{a},{d}]": int(allocation.works[a, d])
-        for a in range(allocation.agent_count)
-        for d in range(allocation.num_days)
-    }
-
-
-def _cell_values(grid: np.ndarray, cells, shift_count: int) -> dict:
-    """``x[a,d,s]`` for each (a, d) of ``cells``: 1 where agent a has shift s on day d."""
-    return {f"x[{a},{d},{s}]": int(grid[a, d] == s) for a, d in cells for s in range(shift_count)}
-
-
-def schedule_values_shift(schedule: Schedule, spec: ShiftPhaseSpec) -> dict:
-    """Variable assignment of a schedule for ``build_shift_model``."""
-    grid = schedule.shifts
-    outside = np.argwhere((grid != OFF) & (spec.allocation.works == 0))
-    if len(outside):
-        a, d = outside[0]
-        raise ValueError(f"schedule assigns agent {a} on day {d} outside the day allocation")
-    return _cell_values(grid, spec.allocation.pairs(), len(spec.catalog))
-
-
-def schedule_values_single(schedule: Schedule, scenario: Scenario) -> dict:
-    """Variable assignment of a schedule for ``build_single_model``."""
-    grid = schedule.shifts
-    A, D, S = scenario.agent_count, scenario.num_days, len(scenario.shift_catalog)
-    if grid.shape != (A, D):
-        raise ValueError(f"schedule grid is {grid.shape}, the scenario has {A} agents x {D} days")
-    return _cell_values(grid, np.ndindex(A, D), S)

@@ -1,11 +1,18 @@
-"""The exhaustive oracle: exact optima of the day, shift and joint problems on
-micro instances, by enumeration over head-counts and splits.
+"""The test references: exact optima of the day, shift and joint problems on
+micro instances, by enumeration over head-counts and splits, and a per-agent
+audit of finished allocations and schedules.
 
 Each function returns the ``SearchResult`` the solvers return, with status
 ``OPTIMAL``.  Every enumerated vector costs one evaluation, and the first
 minimum is kept, so ties go to the lexicographically smallest vector.  The
 oracle keeps no clock (``runtime_seconds`` is 0.0) and no node cap: it is
 meant for instances of a few agents and shifts.
+
+``audit_days`` and ``audit_schedule`` evaluate the paper's integer programs
+at the binaries of a finished allocation or schedule: every per-agent
+constraint, and the objective in exact Python integers.  They use neither
+``validate_schedule`` nor ``coverage_from_schedule``, so they check the
+package along a route of their own.
 """
 
 import itertools
@@ -124,3 +131,56 @@ def exact_single(r_dt, agent_count: int, weeks, catalog) -> SearchResult:
         tuple(tables[d][n][0] for d, n in enumerate(head_counts)),
         tried + sum(t for table in tables for _, _, t in table),
     )
+
+
+def _workday_violations(days_worked, weeks) -> list[str]:
+    """Agents whose row of 0/1 working days misses the weekly quota."""
+    return [
+        f"agent {a} works {n} days in week {w}"
+        for a, row in enumerate(days_worked)
+        for w in range(weeks.count)
+        if (n := sum(row[d] for d in weeks.days_of(w))) != WORKDAYS_PER_WEEK
+    ]
+
+
+def audit_days(works, r_day, agent_count: int, weeks, penalty_factor: int):
+    """The day program at ``x[a,d] = works[a][d]``: (violations, objective).
+
+    Each agent works ``WORKDAYS_PER_WEEK`` days of every week; the objective
+    is ``sum_d (R_d - P_d)^2 + (K (A - P_d))^2`` with ``P_d = sum_a x[a,d]``.
+    """
+    x = np.asarray(works).tolist()
+    objective = 0
+    for d, required in enumerate(np.asarray(r_day).tolist()):
+        p = sum(row[d] for row in x)
+        objective += (required - p) ** 2 + (penalty_factor * (agent_count - p)) ** 2
+    return _workday_violations(x, weeks), objective
+
+
+def audit_schedule(shifts, r_dt, catalog, weeks, works=None):
+    """The joint program, or given ``works`` the shift program on those
+    working days, at ``x[a,d,s] = [shifts[a][d] == s]``: (violations,
+    objective).
+
+    Each agent works ``WORKDAYS_PER_WEEK`` days of every week and, given
+    ``works``, holds exactly one shift on each working day and none on a day
+    off; the objective is ``sum_{d,t} (r_dt - sum_{a,s} C[s,t] x[a,d,s])^2``.
+    """
+    cover = catalog.coverage.astype(int).tolist()
+    grid = np.asarray(shifts).tolist()
+    x = [[[int(v == s) for s in range(len(cover))] for v in row] for row in grid]
+    on = [[sum(cell) for cell in row] for row in x]
+    problems = _workday_violations(on, weeks)
+    if works is not None:
+        problems += [
+            f"agent {a} holds {n} shifts on {'working day' if w else 'day off'} {d}"
+            for a, (row, work_row) in enumerate(zip(on, np.asarray(works).tolist()))
+            for d, (n, w) in enumerate(zip(row, work_row))
+            if n != w
+        ]
+    objective = 0
+    for d, row in enumerate(np.asarray(r_dt).tolist()):
+        for t, required in enumerate(row):
+            p = sum(agent[d][s] * cover[s][t] for agent in x for s in range(len(cover)))
+            objective += (required - p) ** 2
+    return problems, objective

@@ -122,8 +122,8 @@ class TestSolve:
         assert a_rep.read_bytes() == b_rep.read_bytes()
 
     @pytest.mark.parametrize("mode", ["multi", "single"])
-    def test_report_objective_is_a_float_and_cost_is_zero(self, tiny_scenario, tmp_path, mode):
-        # the report format: an integral objective written as a JSON float,
+    def test_report_objective_is_an_integer_and_cost_is_zero(self, tiny_scenario, tmp_path, mode):
+        # the report format: the exact objective written as a JSON integer,
         # and a constant zero cost
         out, report = tmp_path / "s.csv", tmp_path / "r.json"
         code = main(
@@ -132,7 +132,7 @@ class TestSolve:
         )
         assert code == 0
         text = report.read_text()
-        objective = re.search(r'\n  "objective_value": (\d+)\.0,\n', text)
+        objective = re.search(r'\n  "objective_value": (\d+),\n', text)
         assert objective is not None
         assert int(objective[1]) == json.loads(text)["objective_value"]
         assert '\n  "cost_value": 0.0,\n' in text
@@ -470,7 +470,7 @@ class TestObjectiveBeyondInt64:
                 coverage[day][t] += 1
         exact = sum((4_000_000_000 - c) ** 2 for row in coverage for c in row)
         assert exact > 2**63
-        assert json.loads(report.read_text())["objective_value"] == float(exact)
+        assert json.loads(report.read_text())["objective_value"] == exact
 
 
 class TestTunePenalty:

@@ -136,7 +136,6 @@ class TestDayAllocation:
     def test_counts_and_pairs(self):
         alloc = DayAllocation.from_works([[1, 0, 1], [0, 1, 1]])
         assert alloc.day_counts.tolist() == [1, 1, 2]
-        assert alloc.pairs() == ((0, 0), (0, 2), (1, 1), (1, 2))
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0/1"):

@@ -1,35 +1,11 @@
-"""Integer-model audit layer: bounds, constraints, objectives, counting."""
+"""Solve budgets, the deadline that tracks them, and the integer programs' sizes."""
 
 import time
 
 import pytest
 
 from shiftplan import model
-from shiftplan.model import (
-    Deadline,
-    IntegerModel,
-    LinearConstraint,
-    LinExpr,
-    QuadraticObjective,
-    SolveLimits,
-    check_feasible,
-    count_variables,
-    evaluate_objective,
-)
-
-
-def toy_model():
-    """min (1 - x - y)^2 + (x + y)^2 subject to x + y <= 1, binaries."""
-    return IntegerModel(
-        variables=(("x", 0, 1), ("y", 0, 1)),
-        constraints=(LinearConstraint({"x": 1, "y": 1}, "<=", 1, "cap"),),
-        objective=QuadraticObjective(
-            squared_terms=(
-                LinExpr({"x": -1, "y": -1}, constant=1),
-                LinExpr({"x": 1, "y": 1}),
-            )
-        ),
-    )
+from shiftplan.model import Deadline, SolveLimits, count_variables
 
 
 class TestSolveLimits:
@@ -103,54 +79,6 @@ class TestDeadline:
             deadline.spend(2)
             seen.append(deadline.affords(2))
         assert not any(seen)  # once the clock has run out it stays out
-
-
-class TestFeasibilityAndObjective:
-    def test_feasible_point(self):
-        model = toy_model()
-        assert check_feasible(model, {"x": 1, "y": 0}) == []
-
-    def test_bound_violation_message(self):
-        problems = check_feasible(toy_model(), {"x": 2, "y": 0})
-        assert problems == ["bound violated: x = 2 outside [0, 1]"]
-
-    def test_missing_variable(self):
-        assert check_feasible(toy_model(), {"x": 0}) == ["missing value for variable y"]
-
-    def test_constraint_violation_uses_label(self):
-        problems = check_feasible(toy_model(), {"x": 1, "y": 1})
-        assert problems == ["cap: 2 <= 1 violated"]
-
-    def test_objective_is_exact_integer(self):
-        # (1-3)^2 + (1+1)^2 with x=3... use an unconstrained model
-        model = IntegerModel(
-            variables=(("x", 0, 5), ("y", -2, 2)),
-            constraints=(),
-            objective=QuadraticObjective(
-                squared_terms=(
-                    LinExpr({"x": -1}, constant=1),
-                    LinExpr({"x": 0, "y": 1}, constant=1),
-                )
-            ),
-        )
-        value = evaluate_objective(model, {"x": 3, "y": 1})
-        assert value == 8 and isinstance(value, int)
-
-    def test_duplicate_variable_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            IntegerModel(
-                variables=(("x", 0, 1), ("x", 0, 1)),
-                constraints=(),
-                objective=QuadraticObjective(squared_terms=()),
-            )
-
-    def test_empty_domain_rejected(self):
-        with pytest.raises(ValueError, match="empty domain"):
-            IntegerModel(
-                variables=(("x", 2, 1),),
-                constraints=(),
-                objective=QuadraticObjective(squared_terms=()),
-            )
 
 
 class TestVariableCounting:

@@ -1,4 +1,4 @@
-"""Phase orchestration plus the dual audit route through explicit models."""
+"""Phase orchestration, with every exact optimum audited per agent by the oracle."""
 
 from datetime import date, timedelta
 
@@ -10,25 +10,17 @@ from shiftplan.domain import (
     OFF,
     RequirementMatrix,
     Scenario,
-    Schedule,
     ShiftCatalog,
     build_week_partition,
     coverage_from_schedule,
     validate_day_allocation,
     validate_schedule,
 )
-from shiftplan.model import SolveLimits, check_feasible, evaluate_objective
+from shiftplan.model import SolveLimits
 from shiftplan.phases import (
     DayPhaseSpec,
     ShiftPhaseSpec,
-    allocation_values,
-    build_day_model,
-    build_shift_model,
-    build_single_model,
-    day_objective_value,
     interval_objective_value,
-    schedule_values_shift,
-    schedule_values_single,
     solve_day_allocation,
     solve_multi_phase,
     solve_shift_allocation,
@@ -98,10 +90,10 @@ class TestDayPhase:
         )
         allocation, objective = solve_exact(spec)
         assert validate_day_allocation(allocation, 2, ONE_WEEK) == []
-        model = build_day_model(spec)
-        values = allocation_values(allocation)
-        assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == objective
+        assert oracles.audit_days(allocation.works, spec.day_requirements, 2, ONE_WEEK, 1) == (
+            [],
+            objective,
+        )
 
     def test_local_backend_matches_exact_here(self):
         spec = DayPhaseSpec(
@@ -113,9 +105,6 @@ class TestDayPhase:
         _, exact_objective = solve_exact(spec)
         local = solve_day_allocation(spec, SolveLimits(move_cap=10_000))
         assert local.objective == exact_objective
-
-    def test_recompute_helper(self):
-        assert day_objective_value([3, 0], [1, 1], 2, 2) == (4 + 4) + (1 + 4)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="week partition"):
@@ -137,19 +126,26 @@ class TestShiftPhase:
             catalog=scn.shift_catalog,
         )
         schedule, objective = solve_exact(spec)
-        model = build_shift_model(spec)
-        values = schedule_values_shift(schedule, spec)
-        assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == objective
+        audit = oracles.audit_schedule(
+            schedule.shifts, grid, scn.shift_catalog, ONE_WEEK, works=allocation.works
+        )
+        assert audit == ([], objective)
 
     def test_schedule_outside_allocation_rejected(self):
         scn = weekday_micro()
         allocation, _ = solve_exact(DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK))
         spec = ShiftPhaseSpec(scn.requirements, allocation, scn.shift_catalog)
+        schedule, _ = solve_exact(spec)
         off_day = int(np.nonzero(allocation.works[0] == 0)[0][0])
-        bad = Schedule.from_triples([(0, off_day, 0)], 1, 7)
-        with pytest.raises(ValueError, match="outside the day allocation"):
-            schedule_values_shift(bad, spec)
+        shifts = schedule.shifts.copy()
+        shifts[0, off_day] = 0
+        problems, _ = oracles.audit_schedule(
+            shifts, scn.requirements.per_interval, scn.shift_catalog, ONE_WEEK, allocation.works
+        )
+        assert problems == [
+            "agent 0 works 6 days in week 0",
+            f"agent 0 holds 1 shifts on day off {off_day}",
+        ]
 
     def test_spec_validation(self):
         scn = weekday_micro()
@@ -170,10 +166,10 @@ class TestSinglePhase:
         grid = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1], [1, 1, 1], [0, 0, 0], [2, 1, 0], [0, 1, 2]])
         scn = scenario_from_grid(grid, agents=2, shifts=((0, 2), (1, 2)))
         schedule, objective = solve_exact(scn)
-        model = build_single_model(scn)
-        values = schedule_values_single(schedule, scn)
-        assert check_feasible(model, values) == []
-        assert evaluate_objective(model, values) == objective
+        assert oracles.audit_schedule(schedule.shifts, grid, scn.shift_catalog, ONE_WEEK) == (
+            [],
+            objective,
+        )
 
     def test_invalid_scenario_refused(self):
         scn = weekday_micro()
@@ -187,6 +183,45 @@ class TestSinglePhase:
         )
         with pytest.raises(ValueError, match="invalid scenario"):
             solve_single_phase(bad, SolveLimits())
+
+
+class TestAudits:
+    """The per-agent audit flags each broken constraint and prices by hand."""
+
+    WORKS = [[1, 1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1, 1]]
+    CATALOG = ShiftCatalog(((0, 1), (1, 1)), 2)
+
+    def test_four_workdays_flagged(self):
+        works = [[1, 1, 1, 1, 1, 0, 0], [0, 0, 1, 1, 1, 1, 0]]
+        assert oracles.audit_days(works, [0] * 7, 2, ONE_WEEK, 0)[0] == [
+            "agent 1 works 4 days in week 0"
+        ]
+        shifts = [[0, 0, 0, 0, OFF, OFF, OFF]]
+        assert oracles.audit_schedule(shifts, [[0, 0]] * 7, self.CATALOG, ONE_WEEK)[0] == [
+            "agent 0 works 4 days in week 0"
+        ]
+
+    def test_working_day_without_shift_flagged(self):
+        shifts = [[0, 0, 0, 0, 0, OFF, OFF], [OFF, OFF, 0, OFF, 0, 0, 0]]
+        problems, _ = oracles.audit_schedule(
+            shifts, [[0, 0]] * 7, self.CATALOG, ONE_WEEK, works=self.WORKS
+        )
+        assert problems == [
+            "agent 1 works 4 days in week 0",
+            "agent 1 holds 0 shifts on working day 3",
+        ]
+
+    def test_day_objective_by_hand(self):
+        # head-counts P = (1, 1, 2, 2, 2, 1, 1) against R = (2, 0, 2, 3, 2, 1, 0);
+        # with K = 2, each day of one idle agent adds (2 * 1)^2
+        audit = oracles.audit_days(self.WORKS, [2, 0, 2, 3, 2, 1, 0], 2, ONE_WEEK, 2)
+        assert audit == ([], (1 + 1 + 0 + 1 + 0 + 0 + 1) + 4 * 2**2)
+
+    def test_schedule_objective_by_hand(self):
+        shifts = [[0, 1, 0, 1, 0, OFF, OFF]]
+        r_dt = [[1, 0], [1, 1], [0, 0], [0, 1], [3, 0], [0, 0], [1, 0]]
+        audit = oracles.audit_schedule(shifts, r_dt, self.CATALOG, ONE_WEEK, works=[self.WORKS[0]])
+        assert audit == ([], 0 + 1 + 1 + 0 + (3 - 1) ** 2 + 0 + 1)
 
 
 # 16 agents, 12 shifts: uncapped, the shift descent prices 979 swaps, so a
