@@ -36,7 +36,7 @@ for entry in tuned.trace.entries:
 
 # K=0 exhibits the weekend shutdown; the selected K staffs every day
 assert min(tuned.trace.entries[0].day_counts) == 0
-assert min(tuned.best.head_counts) > 0
+assert min(tuned.trace.entries[tuned.trace.selected].day_counts) > 0
 
 # the sweep keeps head-counts only: solve the chosen K's day phase for its working days
 day = solve_day_allocation(

@@ -136,13 +136,17 @@ class RequirementMatrix:
     per_interval: np.ndarray  # shape (days, intervals), int
     per_day: np.ndarray  # shape (days,), int: max over intervals of that day
 
+    def __post_init__(self):
+        # the solves sum exact integer squares: a fractional cell is refused, not truncated
+        object.__setattr__(self, "per_interval", frozen_grid(self.per_interval))
+        object.__setattr__(self, "per_day", frozen_grid(self.per_day))
+
     @classmethod
     def from_interval_grid(cls, grid) -> "RequirementMatrix":
         per_interval = frozen_grid(grid)
         if per_interval.ndim != 2:
             raise ValueError("requirements grid must be 2-dimensional")
-        per_day = frozen_grid(per_interval.max(axis=1))
-        return cls(per_interval, per_day)
+        return cls(per_interval, per_interval.max(axis=1))
 
     @property
     def days(self) -> int:

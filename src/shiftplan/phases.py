@@ -1,16 +1,19 @@
-"""The three scheduling formulations and their orchestration.
+"""The three scheduling formulations, one solve each, and their orchestration.
 
-``solve_single_phase`` assigns days and shifts jointly against the
-interval-level objective.  ``solve_multi_phase`` splits the work: a day
-allocation matched against per-day peak requirements (with an optional
-idle-day penalty), then a shift allocation for the fixed working days.
-The budget is split between the phases, ``DAY_SHARE`` to the day phase,
-which is exact and spends none of it, and the rest to the shift phase.
+``solve_day_allocation`` matches per-day head-counts against per-day peak
+requirements (with an optional idle-day penalty), exactly.
+``solve_shift_allocation`` splits each day's working agents over the shifts
+against the interval-level objective, and ``solve_single_phase`` chooses days
+and shifts jointly against it.  ``solve_multi_phase`` runs the day phase and
+then the shift phase on its working days.  The budget is split between the
+phases, ``DAY_SHARE`` to the day phase, which spends none of it, and the
+rest to the shift phase.
 
-Every solve returns the solver's ``SearchResult`` with its expansion filled
-in: the day phase's ``allocation`` feeds the shift phase, which carries the
+Every solve returns a ``solvers.SearchResult`` with its expansion filled in:
+the day phase's ``allocation`` feeds the shift phase, which carries the
 ``schedule``, and a multi solve returns the shift phase's record with both
-phases' evaluations and runtime.
+phases' evaluations and runtime.  Each phase's inputs are checked once, by
+its spec or by ``require_valid``.
 
 ``interval_objective_value`` recomputes the interval objective from a
 coverage grid; reports use it so no reported number rests on the search.
@@ -21,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import (
+    DAYS_PER_WEEK,
     DayAllocation,
     RequirementMatrix,
     Scenario,
@@ -29,16 +33,16 @@ from .domain import (
     frozen_grid,
     require_valid,
 )
-from .model import SolveLimits
+from .model import Deadline, SolveLimits, SolveStatus
 from .solvers import (
     SearchResult,
-    _check_day_inputs,
-    _check_shift_inputs,
+    _day_kernels,
+    _descend_days,
+    _week_head_counts,
+    day_head_counts,
+    day_term,
     materialize_day,
     materialize_shift,
-    solve_local_day,
-    solve_local_shift,
-    solve_local_single,
     squared_norm,
 )
 
@@ -64,7 +68,13 @@ class DayPhaseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "day_requirements", frozen_grid(self.day_requirements))
-        _check_day_inputs(self.day_requirements, self.agent_count, self.weeks, self.penalty_factor)
+        if self.agent_count < 0:
+            raise ValueError("agent_count must be non-negative")
+        if self.penalty_factor < 0:
+            raise ValueError("penalty_factor must be non-negative")
+        r = self.day_requirements
+        if r.ndim != 1 or r.shape[0] != self.weeks.count * DAYS_PER_WEEK:
+            raise ValueError("day requirements do not match the week partition")
 
 
 @dataclass(frozen=True)
@@ -76,9 +86,15 @@ class ShiftPhaseSpec:
     catalog: ShiftCatalog
 
     def __post_init__(self):
-        _check_shift_inputs(
-            self.requirements.per_interval, self.allocation.day_counts, self.catalog
-        )
+        r = self.requirements.per_interval
+        if r.ndim != 2:
+            raise ValueError("interval requirements must be a (days, intervals) grid")
+        if len(self.allocation.day_counts) != r.shape[0]:
+            raise ValueError("one head-count per day is required")
+        if len(self.catalog) == 0:
+            raise ValueError("shift catalog is empty")
+        if self.catalog.intervals_per_day != r.shape[1]:
+            raise ValueError("catalog interval grid differs from requirements")
 
 
 # ---------------------------------------------------------------------------
@@ -87,39 +103,45 @@ class ShiftPhaseSpec:
 
 
 def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> SearchResult:
-    """The day solve of ``spec``, with its per-agent working days."""
-    result = solve_local_day(
-        spec.day_requirements, spec.agent_count, spec.weeks, spec.penalty_factor, limits
-    )
-    return replace(
-        result, allocation=materialize_day(result.head_counts, spec.agent_count, spec.weeks)
+    """The exact day allocation of ``spec`` (``day_head_counts``), with its
+    per-agent working days; it spends none of ``limits``."""
+    deadline = Deadline(limits)
+    r, agents, k = spec.day_requirements, spec.agent_count, spec.penalty_factor
+    head_counts = day_head_counts(r, agents, spec.weeks, k)
+    objective = sum(day_term(req, n, agents, k) for req, n in zip(r.tolist(), head_counts))
+    runtime = deadline.elapsed()
+    allocation = materialize_day(head_counts, agents, spec.weeks)
+    return SearchResult(
+        SolveStatus.OPTIMAL, objective, head_counts, None, (objective,), 0, runtime, allocation
     )
 
 
 def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> SearchResult:
-    """The shift solve on ``spec``'s working days, with its schedule."""
-    result = solve_local_shift(
-        spec.requirements.per_interval,
-        [int(n) for n in spec.allocation.day_counts],
-        spec.catalog,
-        limits,
-    )
+    """Each day's greedy split at its head-count, improved by swap descent,
+    with the schedule on ``spec``'s working days."""
+    deadline = Deadline(limits)
+    n_d = [int(n) for n in spec.allocation.day_counts]
+    kernels = _day_kernels(spec.requirements.per_interval, spec.catalog, n_d)
+    result = _descend_days(kernels, n_d, deadline)
     schedule = materialize_shift(result.splits, spec.allocation)
     return replace(result, allocation=spec.allocation, schedule=schedule)
 
 
 def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
-    """Joint day-and-shift assignment against interval-level deviations."""
+    """Joint day-and-shift choice over the per-day greedy tables.
+
+    The greedy values ``f_d(n)`` are convex in ``n``, so taking each week's
+    5A cheapest increments (at most A per day) is optimal over those tables.
+    The chosen splits are then descended.
+    """
     require_valid(scenario)
-    weeks = scenario.week_partition()
-    result = solve_local_single(
-        scenario.requirements.per_interval,
-        scenario.agent_count,
-        weeks,
-        scenario.shift_catalog,
-        limits,
-    )
-    allocation = materialize_day(result.head_counts, scenario.agent_count, weeks)
+    weeks, agents = scenario.week_partition(), scenario.agent_count
+    deadline = Deadline(limits)
+    r, catalog = scenario.requirements.per_interval, scenario.shift_catalog
+    kernels = _day_kernels(r, catalog, [agents] * scenario.num_days)
+    head_counts = _week_head_counts([k.marginals for k in kernels], agents, weeks)
+    result = _descend_days(kernels, head_counts, deadline)
+    allocation = materialize_day(head_counts, agents, weeks)
     return replace(
         result, allocation=allocation, schedule=materialize_shift(result.splits, allocation)
     )

@@ -1,6 +1,6 @@
-"""Solvers over head-counts and shift splits.
+"""Head-counts, shift splits and their expansion to per-agent schedules.
 
-Agents are interchangeable, so no solver decides per agent.  Every solver
+Agents are interchangeable, so no solve decides per agent.  Every solve
 returns the two arrays the paper's phases hand to each other: how many
 agents work each day of the horizon (the head-counts), and how many of them
 take each shift on each day (the splits).  ``materialize_day`` turns the
@@ -8,13 +8,13 @@ head-counts into per-agent working days, one week at a time, and
 ``materialize_shift`` hands each day's working agents their shifts; the
 joint solve is expanded by the two in turn.
 
-Each formulation has one solve, ``solve_local_day``, ``solve_local_shift``
-and ``solve_local_single``: the day problem is solved exactly by greedy
-allocation, and the shift and joint problems by one per-day kernel, greedy
-splits of n agents over the shifts improved by steepest swap descent within a
-wall-clock or move-cap budget.  Every objective is an exact integer.  The
-exhaustive oracle that audits these solves on micro instances lives with the
-tests, not in the package.
+The solves themselves are the phase entry points in ``phases``.  This module
+holds what they share: ``day_head_counts``, the exact greedy allocation of
+the day problem, and one per-day kernel, greedy splits of n agents over the
+shifts improved by steepest swap descent within a wall-clock or move-cap
+budget, which the shift and joint solves both use.  Every objective is an
+exact integer.  The exhaustive oracle that audits the solves on micro
+instances lives with the tests, not in the package.
 """
 import itertools
 from dataclasses import dataclass
@@ -30,7 +30,7 @@ from .domain import (
     ShiftCatalog,
     WeekPartition,
 )
-from .model import Deadline, SolveLimits, SolveStatus
+from .model import Deadline, SolveStatus
 
 
 @dataclass(frozen=True)
@@ -41,9 +41,8 @@ class SearchResult:
     horizon.  ``splits[d][s]`` is the number of them on shift ``s``, so each
     split sums to its day's head-count; a day-phase result has no splits
     (``None``).  ``objective`` is the exact integer the solve minimized.
-    ``allocation`` and ``schedule`` expand the counts: ``solve_day_allocation``
-    fills the allocation, the shift, multi and single phases both, and the
-    ``solve_local_*`` solvers and ``tune_penalty`` neither.
+    ``allocation`` and ``schedule`` expand the counts to per-agent working
+    days and shifts; a day-phase result has no schedule.
     """
 
     status: SolveStatus
@@ -102,38 +101,8 @@ def squared_norm(diff) -> int:
 
 
 # ---------------------------------------------------------------------------
-# per-day shift kernel and the local solves
+# the day allocation and the per-day shift kernel
 # ---------------------------------------------------------------------------
-
-
-def _check_day_inputs(r, agent_count, weeks, penalty_factor):
-    if agent_count < 0:
-        raise ValueError("agent_count must be non-negative")
-    if penalty_factor < 0:
-        raise ValueError("penalty_factor must be non-negative")
-    if r.ndim != 1 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
-        raise ValueError("day requirements do not match the week partition")
-
-
-def _check_joint_inputs(r, agent_count, weeks, catalog):
-    if r.ndim != 2 or r.shape[0] != weeks.count * DAYS_PER_WEEK:
-        raise ValueError("requirement rows do not match the week partition")
-    if agent_count < 0:
-        raise ValueError("agent_count must be non-negative")
-    _check_shift_inputs(r, [agent_count] * r.shape[0], catalog)
-
-
-def _check_shift_inputs(r, n_d, catalog):
-    if r.ndim != 2:
-        raise ValueError("interval requirements must be a (days, intervals) grid")
-    if len(n_d) != r.shape[0]:
-        raise ValueError("one head-count per day is required")
-    if min(n_d, default=0) < 0:
-        raise ValueError("day head-counts must be non-negative")
-    if len(catalog) == 0:
-        raise ValueError("shift catalog is empty")
-    if catalog.intervals_per_day != r.shape[1]:
-        raise ValueError("catalog interval grid differs from requirements")
 
 
 def _take_smallest(marginals, total: int) -> np.ndarray:
@@ -158,6 +127,23 @@ def _week_head_counts(marginals, agent_count: int, weeks: WeekPartition) -> tupl
         taken = _take_smallest(marginals[days.start : days.stop], WORKDAYS_PER_WEEK * agent_count)
         head_counts.extend(int(n) for n in taken)
     return tuple(head_counts)
+
+
+def day_head_counts(
+    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int
+) -> tuple[int, ...]:
+    """The exact day allocation's head-counts: each week's 5A cheapest unit
+    increments of ``day_term``.
+
+    The objective is separable and convex in the day counts, and any
+    head-count vector with week sum 5A and per-day cap A is realizable by
+    5-day patterns, so the greedy choice is exact.
+    """
+    r = np.asarray(r_day, dtype=np.int64)
+    p = np.arange(agent_count, dtype=np.int64)[None, :]
+    # day_term(r, p + 1, ...) - day_term(r, p, ...)
+    marginals = 2 * p + 1 - 2 * r[:, None] + penalty_factor**2 * (2 * p + 1 - 2 * agent_count)
+    return _week_head_counts(marginals, agent_count, weeks)
 
 
 class _DayKernel:
@@ -263,11 +249,11 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
     return [built[key] for key in keys]
 
 
-def _descend_days(kernels: list, head_counts, deadline: Deadline):
+def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResult:
     """Descend every day's greedy split at its head-count, in day order.
 
-    Returns the splits, the total objective and a trace that starts at the
-    greedy total and records the total after each day that improved.
+    The record's trace starts at the greedy total and records the total after
+    each day that improved; its runtime is read when the descent ends.
     """
     objective = sum(k.values[n] for k, n in zip(kernels, head_counts))
     trace = [objective]
@@ -278,89 +264,12 @@ def _descend_days(kernels: list, head_counts, deadline: Deadline):
             objective += value - kernel.values[n]
             trace.append(objective)
         splits.append(split)
-    return tuple(splits), objective, tuple(trace)
-
-
-def _status(objective, placed: int) -> SolveStatus:
-    return SolveStatus.OPTIMAL if objective == 0 or placed == 0 else SolveStatus.FEASIBLE
-
-
-def solve_local_day(
-    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int, limits: SolveLimits
-) -> SearchResult:
-    """Exact day allocation: each week's 5A cheapest unit increments.
-
-    The objective is separable and convex in the day counts, and any
-    head-count vector with week sum 5A and per-day cap A is realizable by
-    5-day patterns, so the greedy choice is exact and spends none of
-    ``limits``.
-    """
-    r = np.asarray(r_day, dtype=np.int64)
-    _check_day_inputs(r, agent_count, weeks, penalty_factor)
-    deadline = Deadline(limits)
-    p = np.arange(agent_count, dtype=np.int64)[None, :]
-    # day_term(r, p + 1, ...) - day_term(r, p, ...)
-    marginals = 2 * p + 1 - 2 * r[:, None] + penalty_factor**2 * (2 * p + 1 - 2 * agent_count)
-    head_counts = _week_head_counts(marginals, agent_count, weeks)
-    objective = sum(
-        day_term(required, n, agent_count, penalty_factor)
-        for required, n in zip(r.tolist(), head_counts)
-    )
     return SearchResult(
-        SolveStatus.OPTIMAL,
+        SolveStatus.OPTIMAL if objective == 0 or sum(head_counts) == 0 else SolveStatus.FEASIBLE,
         objective,
-        head_counts,
-        None,
-        (objective,),
-        deadline.evaluations,
-        deadline.elapsed(),
-    )
-
-
-def solve_local_shift(r_dt, day_counts, catalog: ShiftCatalog, limits: SolveLimits) -> SearchResult:
-    """Each day's greedy split at its head-count, improved by swap descent."""
-    r = np.asarray(r_dt, dtype=np.int64)
-    n_d = [int(x) for x in day_counts]
-    _check_shift_inputs(r, n_d, catalog)
-    deadline = Deadline(limits)
-    kernels = _day_kernels(r, catalog, n_d)
-    splits, objective, trace = _descend_days(kernels, n_d, deadline)
-    return SearchResult(
-        _status(objective, sum(n_d)),
-        objective,
-        tuple(n_d),
-        splits,
-        trace,
-        deadline.evaluations,
-        deadline.elapsed(),
-    )
-
-
-def solve_local_single(
-    r_dt,
-    agent_count: int,
-    weeks: WeekPartition,
-    catalog: ShiftCatalog,
-    limits: SolveLimits,
-) -> SearchResult:
-    """Joint day-and-shift choice over the per-day greedy tables.
-
-    The greedy values ``f_d(n)`` are convex in ``n``, so taking each week's
-    5A cheapest increments (at most A per day) is optimal over those tables.
-    The chosen splits are then descended.
-    """
-    r = np.asarray(r_dt, dtype=np.int64)
-    _check_joint_inputs(r, agent_count, weeks, catalog)
-    deadline = Deadline(limits)
-    kernels = _day_kernels(r, catalog, [agent_count] * r.shape[0])
-    head_counts = _week_head_counts([k.marginals for k in kernels], agent_count, weeks)
-    splits, objective, trace = _descend_days(kernels, head_counts, deadline)
-    return SearchResult(
-        _status(objective, agent_count),
-        objective,
-        head_counts,
-        splits,
-        trace,
+        tuple(head_counts),
+        tuple(splits),
+        tuple(trace),
         deadline.evaluations,
         deadline.elapsed(),
     )

@@ -1,10 +1,12 @@
 """Sweeping the idle-day penalty factor and scoring it by KL divergence.
 
 Raising the penalty factor pulls scheduled head-counts away from "everyone on
-the busiest days" toward the shape of the demand itself.  The sweep solves the
-day phase for K = 0, 1, 2, ... and keeps the K whose normalized scheduled
-day profile sits closest (in KL divergence) to the normalized required
-profile, stopping after a configurable run of non-improving steps.
+the busiest days" toward the shape of the demand itself.  The sweep takes the
+day phase's head-counts (``solvers.day_head_counts``) for K = 0, 1, 2, ... and
+keeps the K whose normalized scheduled day profile sits closest (in KL
+divergence) to the normalized required profile, stopping after a
+configurable run of non-improving steps.  It keeps head-counts only: a caller
+that needs working days solves the chosen K's day phase.
 """
 
 import math
@@ -14,7 +16,8 @@ import numpy as np
 
 from .domain import WeekPartition
 from .model import SolveLimits
-from .solvers import SearchResult, solve_local_day
+from .phases import DayPhaseSpec
+from .solvers import day_head_counts
 
 DEFAULT_EPSILON = 1e-9
 
@@ -103,8 +106,7 @@ class SweepTrace:
 
 @dataclass(frozen=True)
 class TuneResult:
-    trace: SweepTrace
-    best: SearchResult  # the chosen K's day solve: head-counts, no allocation
+    trace: SweepTrace  # the chosen K's head-counts: entries[selected].day_counts
 
 
 def tune_penalty(
@@ -115,31 +117,31 @@ def tune_penalty(
     stop: StopConfig = StopConfig(),
     epsilon: float = DEFAULT_EPSILON,
 ) -> TuneResult:
-    """Sweep K = 0..k_max day solves, each with ``per_k_limits``.
+    """Sweep the day phase's head-counts over K = 0..k_max.
 
+    The inputs are checked once, as a ``DayPhaseSpec``: fractional or
+    mismatched requirements are refused with a ``ValueError``.  The exact day
+    allocation spends no budget, so ``per_k_limits`` is not spent either.
     Strict improvement resets the patience counter; ties keep the earlier K.
     """
     if agent_count < 1:
         raise ValueError("tuning needs at least one agent")
-    target = target_distribution(day_requirements)
+    spec = DayPhaseSpec(day_requirements, agent_count, weeks)
+    target = target_distribution(spec.day_requirements)
     entries: list[SweepEntry] = []
     best_kl: float | None = None
-    best: SearchResult | None = None
     selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
-        result = solve_local_day(day_requirements, agent_count, weeks, k, per_k_limits)
-        kl = kl_divergence(
-            DistributionPair(day_distribution(result.head_counts), target, epsilon)
-        )
-        entries.append(SweepEntry(k, kl, result.head_counts))
+        head_counts = day_head_counts(spec.day_requirements, agent_count, weeks, k)
+        kl = kl_divergence(DistributionPair(day_distribution(head_counts), target, epsilon))
+        entries.append(SweepEntry(k, kl, head_counts))
         if best_kl is None or kl < best_kl:
             best_kl = kl
-            best = result
             selected = k
             stagnant = 0
         else:
             stagnant += 1
             if stagnant >= stop.patience:
                 break
-    return TuneResult(SweepTrace(tuple(entries), selected), best)
+    return TuneResult(SweepTrace(tuple(entries), selected))

@@ -13,13 +13,22 @@ at the binaries of a finished allocation or schedule: every per-agent
 constraint, and the objective in exact Python integers.  They use neither
 ``validate_schedule`` nor ``coverage_from_schedule``, so they check the
 package along a route of their own.
+
+``scenario_from_grid`` builds the micro scenarios the tests solve.
 """
 
 import itertools
+from datetime import date, timedelta
 
 import numpy as np
 
-from shiftplan.domain import DAYS_PER_WEEK, WORKDAYS_PER_WEEK
+from shiftplan.domain import (
+    DAYS_PER_WEEK,
+    WORKDAYS_PER_WEEK,
+    RequirementMatrix,
+    Scenario,
+    ShiftCatalog,
+)
 from shiftplan.model import SolveStatus
 from shiftplan.solvers import SearchResult, day_term, squared_norm
 
@@ -184,3 +193,18 @@ def audit_schedule(shifts, r_dt, catalog, weeks, works=None):
             p = sum(agent[d][s] * cover[s][t] for agent in x for s in range(len(cover)))
             objective += (required - p) ** 2
     return problems, objective
+
+
+def scenario_from_grid(grid, agents, shifts, name="t"):
+    """A scenario of ``agents`` over a (days, intervals) requirement grid,
+    its days consecutive from 2024-01-01."""
+    grid = np.asarray(grid, dtype=np.int64)
+    days, intervals = grid.shape
+    return Scenario(
+        name=name,
+        days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(days)),
+        intervals_per_day=intervals,
+        agent_count=agents,
+        shift_catalog=ShiftCatalog(shifts, intervals),
+        requirements=RequirementMatrix.from_interval_grid(grid),
+    )

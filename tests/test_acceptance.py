@@ -17,6 +17,7 @@ import pytest
 from shiftplan.cli import main as cli_main
 from shiftplan.domain import (
     DayAllocation,
+    RequirementMatrix,
     Schedule,
     ShiftCatalog,
     build_week_partition,
@@ -51,12 +52,7 @@ from shiftplan.scenario_io import (
     write_schedule,
     write_sweep_trace,
 )
-from shiftplan.solvers import (
-    materialize_day,
-    materialize_shift,
-    solve_local_day,
-    solve_local_shift,
-)
+from shiftplan.solvers import materialize_day, materialize_shift
 from shiftplan.tuner import DistributionPair, kl_divergence, tune_penalty
 
 import oracles
@@ -111,16 +107,16 @@ def micro_instances():
         penalty = rng.randint(0, 2)
         seed = rng.randint(0, 10_000)
 
+        limits = SolveLimits(seed=seed, move_cap=10_000)
         exact_day = oracles.exact_day(r_day, agents, ONE_WEEK, penalty)
-        local_day = solve_local_day(
-            r_day, agents, ONE_WEEK, penalty, SolveLimits(seed=seed, move_cap=10_000)
-        )
-        local_alloc = materialize_day(local_day.head_counts, agents, ONE_WEEK)
+        local_day = solve_day_allocation(DayPhaseSpec(r_day, agents, ONE_WEEK, penalty), limits)
+        local_alloc = local_day.allocation
         exact_alloc = materialize_day(exact_day.head_counts, agents, ONE_WEEK)
         n_d = [int(x) for x in local_alloc.day_counts]
         exact_shift = oracles.exact_shift(r_dt, n_d, catalog)
-        local_shift = solve_local_shift(
-            r_dt, n_d, catalog, SolveLimits(seed=seed, move_cap=10_000)
+        requirements = RequirementMatrix.from_interval_grid(r_dt)
+        local_shift = solve_shift_allocation(
+            ShiftPhaseSpec(requirements, local_alloc, catalog), limits
         )
         instances.append(
             MicroInstance(
@@ -135,7 +131,7 @@ def micro_instances():
                 local_shift_objective=int(local_shift.objective),
                 local_allocation=local_alloc,
                 exact_allocation=exact_alloc,
-                local_schedule=materialize_shift(local_shift.splits, local_alloc),
+                local_schedule=local_shift.schedule,
                 exact_schedule=materialize_shift(exact_shift.splits, local_alloc),
             )
         )
@@ -157,7 +153,9 @@ def peak_artifacts():
     shift = solve_shift_allocation(
         ShiftPhaseSpec(
             requirements=scenario.requirements,
-            allocation=materialize_day(tuned.best.head_counts, scenario.agent_count, weeks),
+            allocation=materialize_day(
+                tuned.trace.entries[tuned.trace.selected].day_counts, scenario.agent_count, weeks
+            ),
             catalog=scenario.shift_catalog,
         ),
         SolveLimits(seed=11, move_cap=200_000),
@@ -311,7 +309,8 @@ def test_criterion_3_constraint_invariants(
         catalog=scn.shift_catalog,
         weeks=scn.week_partition(),
     )
-    assert cov.per_day.tolist() == list(peak["tuned"].best.head_counts)
+    trace = peak["tuned"].trace
+    assert cov.per_day.tolist() == list(trace.entries[trace.selected].day_counts)
     assert (
         interval_objective_value(scn.requirements.per_interval, cov.per_interval)
         == peak["shift"].objective

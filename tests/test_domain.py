@@ -86,6 +86,11 @@ class TestRequirementMatrix:
         bad = RequirementMatrix(req.per_interval, np.array([9]))
         assert bad.validate() == ["per_day is not the per-interval row maximum"]
 
+    def test_fractional_cells_refused(self):
+        grid = np.full((7, 3), 1.5)
+        with pytest.raises(ValueError, match="do not convert"):
+            RequirementMatrix(grid, grid.max(axis=1))
+
     def test_negative_entries_flagged(self):
         req = RequirementMatrix.from_interval_grid([[1, -1]])
         assert "negative interval requirement" in req.validate()

@@ -1,16 +1,9 @@
 """Deviation indices, report building, and the two-mode comparison harness."""
 
-from datetime import date, timedelta
-
 import numpy as np
 import pytest
 
-from shiftplan.domain import (
-    RequirementMatrix,
-    Scenario,
-    Schedule,
-    ShiftCatalog,
-)
+from shiftplan.domain import Schedule
 from shiftplan.metrics import (
     build_report,
     compare_modes,
@@ -20,18 +13,7 @@ from shiftplan.metrics import (
 from shiftplan.model import SolveLimits
 from shiftplan.phases import solve_multi_phase
 
-
-def scenario_from_grid(grid, agents, shifts, name="t"):
-    grid = np.asarray(grid, dtype=np.int64)
-    days, intervals = grid.shape
-    return Scenario(
-        name=name,
-        days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(days)),
-        intervals_per_day=intervals,
-        agent_count=agents,
-        shift_catalog=ShiftCatalog(shifts, intervals),
-        requirements=RequirementMatrix.from_interval_grid(grid),
-    )
+from oracles import scenario_from_grid
 
 
 class TestIndices:

@@ -1,14 +1,11 @@
 """Phase orchestration, with every exact optimum audited per agent by the oracle."""
 
-from datetime import date, timedelta
-
 import numpy as np
 import pytest
 
 from shiftplan import phases
 from shiftplan.domain import (
     OFF,
-    RequirementMatrix,
     Scenario,
     ShiftCatalog,
     build_week_partition,
@@ -29,21 +26,9 @@ from shiftplan.phases import (
 from shiftplan.solvers import materialize_day, materialize_shift
 
 import oracles
+from oracles import scenario_from_grid
 
 ONE_WEEK = build_week_partition(7)
-
-
-def scenario_from_grid(grid, agents, shifts, name="t"):
-    grid = np.asarray(grid, dtype=np.int64)
-    days, intervals = grid.shape
-    return Scenario(
-        name=name,
-        days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(days)),
-        intervals_per_day=intervals,
-        agent_count=agents,
-        shift_catalog=ShiftCatalog(shifts, intervals),
-        requirements=RequirementMatrix.from_interval_grid(grid),
-    )
 
 
 def deviation(scenario, schedule):

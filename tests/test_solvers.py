@@ -1,5 +1,5 @@
-"""Solvers, cross-checked against the exhaustive oracle and explicit
-per-agent enumeration.
+"""The phase solves and their kernel, cross-checked against the exhaustive
+oracle and explicit per-agent enumeration.
 
 The oracle (``oracles.py``) enumerates head-counts and splits.  The brute
 force here enumerates raw per-agent choices (patterns, shift tuples), sharing
@@ -8,6 +8,7 @@ no code with either, and checks the oracle.
 
 import itertools
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 
 from shiftplan.domain import (
     OFF,
+    DayAllocation,
+    RequirementMatrix,
     Schedule,
     ShiftCatalog,
     build_week_partition,
@@ -23,21 +26,33 @@ from shiftplan.domain import (
     validate_schedule,
 )
 from shiftplan.model import Deadline, SolveLimits, SolveStatus
+from shiftplan.phases import (
+    DayPhaseSpec,
+    ShiftPhaseSpec,
+    solve_day_allocation,
+    solve_shift_allocation,
+    solve_single_phase,
+)
 from shiftplan.solvers import (
     _day_kernels,
     day_term,
     materialize_day,
     materialize_shift,
     patterns_from_day_counts,
-    solve_local_day,
-    solve_local_shift,
-    solve_local_single,
     squared_norm,
 )
 
 import oracles
+from oracles import scenario_from_grid
 
 ONE_WEEK = build_week_partition(7)
+
+
+def shift_spec(r_dt, n_d, catalog):
+    """Shift-phase inputs whose first ``n_d[d]`` agents work day ``d``."""
+    works = np.arange(max(n_d))[:, None] < np.asarray(n_d)
+    allocation = DayAllocation.from_works(works)
+    return ShiftPhaseSpec(RequirementMatrix.from_interval_grid(r_dt), allocation, catalog)
 
 
 def brute_force_day(r_week, agents, penalty):
@@ -166,7 +181,8 @@ class TestDayObjectiveHelpers:
     )
     @settings(max_examples=40, deadline=None)
     def test_week_greedy_matches_brute_force(self, r_week, agents, penalty):
-        result = solve_local_day(r_week, agents, ONE_WEEK, penalty, SolveLimits())
+        spec = DayPhaseSpec(r_week, agents, ONE_WEEK, penalty)
+        result = solve_day_allocation(spec, SolveLimits())
         counts = result.head_counts
         assert sum(counts) == 5 * agents
         assert max(counts) <= agents and min(counts) >= 0
@@ -180,7 +196,8 @@ class TestDayObjectiveHelpers:
             penalty = rng.randint(0, 3)
             top = rng.choice((2, 4, 9))
             r_week = [rng.randint(0, top) for _ in range(7)]
-            result = solve_local_day(r_week, agents, ONE_WEEK, penalty, SolveLimits())
+            spec = DayPhaseSpec(r_week, agents, ONE_WEEK, penalty)
+            result = solve_day_allocation(spec, SolveLimits())
             assert (result.head_counts, result.objective) == week_counts_loop(
                 r_week, agents, penalty
             )
@@ -304,17 +321,22 @@ class TestExactSingle:
 class TestJointInputChecks:
     """The joint solve refuses malformed inputs with a ``ValueError``."""
 
-    @pytest.mark.parametrize("solve", [solve_local_single])
-    def test_interval_grid_mismatch(self, solve):
-        catalog = ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6)
-        with pytest.raises(ValueError, match="catalog interval grid differs from requirements"):
-            solve(np.ones((7, 3), dtype=np.int64), 2, ONE_WEEK, catalog, SolveLimits(move_cap=100))
+    def test_interval_grid_mismatch(self):
+        scenario = replace(
+            scenario_from_grid(np.ones((7, 3), dtype=np.int64), 2, ((0, 2), (1, 2))),
+            shift_catalog=ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6),
+        )
+        with pytest.raises(ValueError, match="catalog interval grid differs from scenario"):
+            solve_single_phase(scenario, SolveLimits(move_cap=100))
 
-    @pytest.mark.parametrize("solve", [solve_local_single])
-    def test_one_dimensional_grid(self, solve):
-        catalog = ShiftCatalog(((0, 1),), intervals_per_day=1)
-        with pytest.raises(ValueError, match="requirement rows do not match the week partition"):
-            solve(np.ones(7, dtype=np.int64), 2, ONE_WEEK, catalog, SolveLimits(move_cap=100))
+    def test_one_dimensional_grid(self):
+        r = np.ones(7, dtype=np.int64)
+        scenario = replace(
+            scenario_from_grid(np.ones((7, 1), dtype=np.int64), 2, ((0, 1),)),
+            requirements=RequirementMatrix(r, r),
+        )
+        with pytest.raises(ValueError, match="per_interval must be 2-dimensional"):
+            solve_single_phase(scenario, SolveLimits(move_cap=100))
 
 
 def draw_kernel_case(data):
@@ -455,14 +477,15 @@ class TestLocalSearchDay:
             r = [rng.randint(0, 6) for _ in range(7 * weeks_n)]
             penalty = rng.randint(0, 2)
             exact = oracles.exact_day(r, agents, weeks, penalty)
-            local = solve_local_day(
-                r, agents, weeks, penalty, SolveLimits(seed=rng.randint(0, 99), move_cap=10_000)
+            local = solve_day_allocation(
+                DayPhaseSpec(r, agents, weeks, penalty),
+                SolveLimits(seed=rng.randint(0, 99), move_cap=10_000),
             )
             assert local.objective == exact.objective
 
     def test_zero_agents(self):
         r = [2, 0, 1, 0, 0, 0, 0]
-        result = solve_local_day(r, 0, ONE_WEEK, 3, SolveLimits(move_cap=10))
+        result = solve_day_allocation(DayPhaseSpec(r, 0, ONE_WEEK, 3), SolveLimits(move_cap=10))
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 5
         assert result.head_counts == (0,) * 7
@@ -470,18 +493,17 @@ class TestLocalSearchDay:
     def test_penalty_pulls_counts_off_zero(self):
         # scaled-down peak week: weekdays heavy, weekend light
         r = [22, 22, 22, 22, 23, 11, 11]
-        bare = solve_local_day(r, 7, ONE_WEEK, 0, SolveLimits(move_cap=20_000))
-        alloc = materialize_day(bare.head_counts, 7, ONE_WEEK)
-        assert int(alloc.day_counts.min()) == 0  # weekends starve without the penalty
-        penalized = solve_local_day(r, 7, ONE_WEEK, 10, SolveLimits(move_cap=20_000))
-        alloc = materialize_day(penalized.head_counts, 7, ONE_WEEK)
-        assert int(alloc.day_counts.min()) > 0
+        limits = SolveLimits(move_cap=20_000)
+        bare = solve_day_allocation(DayPhaseSpec(r, 7, ONE_WEEK, 0), limits)
+        assert int(bare.allocation.day_counts.min()) == 0  # weekends starve without the penalty
+        penalized = solve_day_allocation(DayPhaseSpec(r, 7, ONE_WEEK, 10), limits)
+        assert int(penalized.allocation.day_counts.min()) > 0
 
     def test_deterministic_given_seed_and_cap(self):
         r = [9, 7, 5, 3, 1, 0, 2]
         limits = SolveLimits(seed=5, move_cap=600)
-        a = solve_local_day(r, 3, ONE_WEEK, 1, limits)
-        b = solve_local_day(r, 3, ONE_WEEK, 1, limits)
+        a = solve_day_allocation(DayPhaseSpec(r, 3, ONE_WEEK, 1), limits)
+        b = solve_day_allocation(DayPhaseSpec(r, 3, ONE_WEEK, 1), limits)
         assert a.objective == b.objective
         assert a.head_counts == b.head_counts
         assert a.evaluations == b.evaluations
@@ -489,7 +511,7 @@ class TestLocalSearchDay:
 
     def test_trace_strictly_decreasing(self):
         r = [9, 7, 5, 3, 1, 0, 2]
-        result = solve_local_day(r, 3, ONE_WEEK, 1, SolveLimits(move_cap=5000))
+        result = solve_day_allocation(DayPhaseSpec(r, 3, ONE_WEEK, 1), SolveLimits(move_cap=5000))
         assert all(x > y for x, y in zip(result.trace, result.trace[1:]))
 
 
@@ -503,16 +525,16 @@ class TestLocalSearchShift:
             r = [[rng.randint(0, 4) for _ in range(6)] for _ in range(days)]
             n_d = [rng.randint(0, 4) for _ in range(days)]
             exact = oracles.exact_shift(r, n_d, CAT3)
-            local = solve_local_shift(
-                r, n_d, CAT3, SolveLimits(seed=rng.randint(0, 99), move_cap=10_000)
+            local = solve_shift_allocation(
+                shift_spec(r, n_d, CAT3), SolveLimits(seed=rng.randint(0, 99), move_cap=10_000)
             )
             assert local.objective >= exact.objective  # exact is a true optimum
             equal += local.objective == exact.objective
         assert equal >= total - 1
 
     def test_zero_head_counts(self):
-        result = solve_local_shift(
-            [[2, 2, 2, 2, 2, 2]], [0], CAT3, SolveLimits(move_cap=10)
+        result = solve_shift_allocation(
+            shift_spec([[2, 2, 2, 2, 2, 2]], [0], CAT3), SolveLimits(move_cap=10)
         )
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 24
@@ -521,8 +543,8 @@ class TestLocalSearchShift:
     def test_deterministic_given_seed_and_cap(self):
         r = [[4, 1, 0, 2, 3, 1], [2, 2, 2, 0, 0, 4]]
         limits = SolveLimits(seed=11, move_cap=800)
-        a = solve_local_shift(r, [3, 4], CAT3, limits)
-        b = solve_local_shift(r, [3, 4], CAT3, limits)
+        a = solve_shift_allocation(shift_spec(r, [3, 4], CAT3), limits)
+        b = solve_shift_allocation(shift_spec(r, [3, 4], CAT3), limits)
         assert (a.objective, a.head_counts, a.splits, a.evaluations) == (
             b.objective,
             b.head_counts,
@@ -532,7 +554,8 @@ class TestLocalSearchShift:
 
     def test_trace_monotone(self):
         r = [[4, 1, 0, 2, 3, 1], [2, 2, 2, 0, 0, 4]]
-        result = solve_local_shift(r, [3, 4], CAT3, SolveLimits(seed=1, move_cap=3000))
+        limits = SolveLimits(seed=1, move_cap=3000)
+        result = solve_shift_allocation(shift_spec(r, [3, 4], CAT3), limits)
         assert all(x > y for x, y in zip(result.trace, result.trace[1:]))
 
     def test_move_cap_is_a_hard_bound(self):
@@ -541,18 +564,18 @@ class TestLocalSearchShift:
         cat = ShiftCatalog(((0, 4), (2, 4), (4, 4), (0, 2), (3, 3), (6, 2)), 8)
         r = [[rng.randint(0, 9) for _ in range(8)] for _ in range(5)]
         n_d = [rng.randint(3, 12) for _ in range(5)]
-        greedy = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=1))
+        greedy = solve_shift_allocation(shift_spec(r, n_d, cat), SolveLimits(move_cap=1))
         assert greedy.evaluations == 0 and len(greedy.trace) == 1  # the greedy start alone
-        full = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=100_000))
+        full = solve_shift_allocation(shift_spec(r, n_d, cat), SolveLimits(move_cap=100_000))
         assert full.evaluations == 165 and full.objective < greedy.objective
         for cap in (7, 40, 101, 164):
-            result = solve_local_shift(r, n_d, cat, SolveLimits(move_cap=cap))
+            result = solve_shift_allocation(shift_spec(r, n_d, cat), SolveLimits(move_cap=cap))
             assert result.evaluations <= cap
             assert full.objective <= result.objective <= greedy.objective
 
     def test_respects_move_cap(self):
         r = [[4, 1, 0, 2, 3, 1]]
-        result = solve_local_shift(r, [3], CAT3, SolveLimits(move_cap=50))
+        result = solve_shift_allocation(shift_spec(r, [3], CAT3), SolveLimits(move_cap=50))
         assert result.evaluations <= 50
 
 
@@ -568,8 +591,9 @@ class TestLocalSearchSingle:
                 dtype=np.int64,
             )
             exact = oracles.exact_single(r, 1, ONE_WEEK, cat)
-            local = solve_local_single(
-                r, 1, ONE_WEEK, cat, SolveLimits(seed=rng.randint(0, 99), move_cap=20_000)
+            local = solve_single_phase(
+                scenario_from_grid(r, 1, cat.shifts),
+                SolveLimits(seed=rng.randint(0, 99), move_cap=20_000),
             )
             assert local.objective >= exact.objective
             equal += local.objective == exact.objective
@@ -578,7 +602,7 @@ class TestLocalSearchSingle:
     def test_zero_agents(self):
         cat = ShiftCatalog(((0, 1),), 2)
         r = np.array([[1, 1]] * 7)
-        result = solve_local_single(r, 0, ONE_WEEK, cat, SolveLimits(move_cap=10))
+        result = solve_single_phase(scenario_from_grid(r, 0, cat.shifts), SolveLimits(move_cap=10))
         assert result.status == SolveStatus.OPTIMAL
         assert result.objective == 14
 
@@ -586,8 +610,8 @@ class TestLocalSearchSingle:
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         r = np.array([[2, 1, 0], [0, 1, 2], [1, 1, 1], [2, 2, 2], [0, 0, 0], [1, 0, 1], [2, 0, 2]])
         limits = SolveLimits(seed=8, move_cap=2000)
-        a = solve_local_single(r, 2, ONE_WEEK, cat, limits)
-        b = solve_local_single(r, 2, ONE_WEEK, cat, limits)
+        a = solve_single_phase(scenario_from_grid(r, 2, cat.shifts), limits)
+        b = solve_single_phase(scenario_from_grid(r, 2, cat.shifts), limits)
         assert (a.objective, a.head_counts, a.splits, a.evaluations) == (
             b.objective,
             b.head_counts,
@@ -598,14 +622,13 @@ class TestLocalSearchSingle:
     def test_materializes_validly(self):
         cat = ShiftCatalog(((0, 2), (1, 2)), intervals_per_day=3)
         r = np.ones((7, 3), dtype=np.int64)
-        result = solve_local_single(r, 3, ONE_WEEK, cat, SolveLimits(seed=0, move_cap=5000))
-        alloc = materialize_day(result.head_counts, 3, ONE_WEEK)
-        assert tuple(alloc.day_counts) == result.head_counts
+        limits = SolveLimits(seed=0, move_cap=5000)
+        result = solve_single_phase(scenario_from_grid(r, 3, cat.shifts), limits)
+        assert tuple(result.allocation.day_counts) == result.head_counts
         assert tuple(sum(split) for split in result.splits) == result.head_counts
-        schedule = materialize_shift(result.splits, alloc)
         assert (
             validate_schedule(
-                schedule, agent_count=3, day_count=7, catalog=cat, weeks=ONE_WEEK
+                result.schedule, agent_count=3, day_count=7, catalog=cat, weeks=ONE_WEEK
             )
             == []
         )

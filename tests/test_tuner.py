@@ -82,14 +82,13 @@ class TestTunePenalty:
         r = np.array([10, 10, 10, 10, 10, 10, 10])
         result = tune_penalty(r, 14, ONE_WEEK, SolveLimits(move_cap=5000))
         assert result.trace.selected == 0
-        assert result.trace.selected == 0
 
     def test_peaked_demand_selects_positive_k(self):
         # heavy weekdays starve the weekend at K=0
         r = np.array([22, 22, 22, 22, 23, 11, 11])
         result = tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=20_000))
         assert result.trace.selected > 0
-        assert min(result.best.head_counts) > 0
+        assert min(result.trace.entries[result.trace.selected].day_counts) > 0
         kls = {e.penalty_factor: e.kl for e in result.trace.entries}
         assert kls[result.trace.selected] < kls[0]
 
@@ -112,8 +111,7 @@ class TestTunePenalty:
         assert [e.penalty_factor for e in result.trace.entries] == [0, 1, 2, 3]
 
     def test_ties_keep_smaller_k(self):
-        # a demand profile the day solver can match exactly for every K:
-        # 10 agents, 50 slots,-flat 50/7... use multiples of 7 to allow exact fit
+        # 12 agents fill the 60 required agent-days exactly at K=0
         r = np.array([10, 10, 10, 10, 10, 5, 5])
         result = tune_penalty(r, 12, ONE_WEEK, SolveLimits(move_cap=30_000))
         # K=0 already achieves some KL; later equal KLs must not displace it
@@ -122,7 +120,7 @@ class TestTunePenalty:
         first_best = next(e.penalty_factor for e in entries if e.kl == best)
         assert result.trace.selected == first_best
 
-    def test_per_k_seeds_differ(self):
+    def test_sweep_is_deterministic(self):
         r = np.array([22, 22, 22, 22, 23, 11, 11])
         a = tune_penalty(r, 7, ONE_WEEK, SolveLimits(seed=3, move_cap=8000))
         b = tune_penalty(r, 7, ONE_WEEK, SolveLimits(seed=3, move_cap=8000))
@@ -132,3 +130,13 @@ class TestTunePenalty:
     def test_needs_agents(self):
         with pytest.raises(ValueError, match="at least one agent"):
             tune_penalty(np.zeros(7), 0, ONE_WEEK, SolveLimits())
+
+    def test_fractional_requirements_refused(self):
+        # the solve would truncate 22.7 to 22 while the KL scored 22.7
+        r = np.array([22.7, 22, 22, 22, 23, 11, 11.9])
+        with pytest.raises(ValueError, match="do not convert"):
+            tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=20_000))
+
+    def test_six_day_row_refused(self):
+        with pytest.raises(ValueError, match="week partition"):
+            tune_penalty(np.full(6, 10), 7, ONE_WEEK, SolveLimits(move_cap=20_000))

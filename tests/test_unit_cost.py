@@ -1,35 +1,29 @@
-"""The local solves cross-checked against the exhaustive oracle, the
-per-agent audit and the report, on seeded one-week micro instances.
+"""The single and shift phases cross-checked against the exhaustive oracle,
+the per-agent audit and the report, on seeded one-week micro instances.
 
 No shift carries a price: every objective is an exact integer, so all of them
 are compared with ``==``.
 """
 
 import random
-from datetime import date, timedelta
 
 import numpy as np
 import pytest
 
-from shiftplan.domain import (
-    RequirementMatrix,
-    Scenario,
-    ShiftCatalog,
-    build_week_partition,
-    coverage_from_schedule,
-)
+from shiftplan.domain import Scenario, build_week_partition, coverage_from_schedule
 from shiftplan.metrics import build_report
 from shiftplan.model import SolveLimits
-from shiftplan.phases import interval_objective_value, solve_single_phase
-from shiftplan.scenario_io import report_to_dict
-from shiftplan.solvers import (
-    materialize_day,
-    materialize_shift,
-    solve_local_shift,
-    solve_local_single,
+from shiftplan.phases import (
+    ShiftPhaseSpec,
+    interval_objective_value,
+    solve_shift_allocation,
+    solve_single_phase,
 )
+from shiftplan.scenario_io import report_to_dict
+from shiftplan.solvers import materialize_day, materialize_shift
 
 import oracles
+from oracles import scenario_from_grid
 
 ONE_WEEK = build_week_partition(7)
 LOCAL = SolveLimits(move_cap=10_000)
@@ -41,14 +35,7 @@ def micro_instance(rng: random.Random) -> Scenario:
     starts = rng.sample(range(width), rng.randint(1, min(3, width)))
     shifts = tuple((s, rng.randint(1, width - s)) for s in sorted(starts))
     grid = np.array([[rng.randint(0, 3) for _ in range(width)] for _ in range(7)])
-    return Scenario(
-        name="micro",
-        days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(7)),
-        intervals_per_day=width,
-        agent_count=rng.randint(1, 2),
-        shift_catalog=ShiftCatalog(shifts, width),
-        requirements=RequirementMatrix.from_interval_grid(grid),
-    )
+    return scenario_from_grid(grid, rng.randint(1, 2), shifts, name="micro")
 
 
 def deviation(scenario, schedule):
@@ -62,12 +49,14 @@ class TestPricedCrossCheck:
         scn = micro_instance(random.Random(seed))
         r, A, cat = scn.requirements.per_interval, scn.agent_count, scn.shift_catalog
         exact_single = oracles.exact_single(r, A, ONE_WEEK, cat)
-        local_single = solve_local_single(r, A, ONE_WEEK, cat, LOCAL)
+        local_single = solve_single_phase(scn, LOCAL)
         assert local_single.objective >= exact_single.objective
         # the shift phase on the optimal joint head-counts
         head_counts = exact_single.head_counts
         exact_shift = oracles.exact_shift(r, head_counts, cat)
-        local_shift = solve_local_shift(r, head_counts, cat, LOCAL)
+        allocation = materialize_day(head_counts, A, ONE_WEEK)
+        spec = ShiftPhaseSpec(scn.requirements, allocation, cat)
+        local_shift = solve_shift_allocation(spec, LOCAL)
         assert local_shift.objective >= exact_shift.objective
         assert exact_shift.objective == exact_single.objective
         for result in (exact_single, local_single, exact_shift, local_shift):
