@@ -15,7 +15,6 @@ from .domain import (
     WeekPartition,
     build_week_partition,
     coverage_from_schedule,
-    validate_day_allocation,
     validate_scenario,
     validate_schedule,
 )
@@ -126,7 +125,6 @@ __all__ = [
     "solve_single_phase",
     "target_distribution",
     "tune_penalty",
-    "validate_day_allocation",
     "validate_scenario",
     "validate_schedule",
     "write_report",

@@ -20,7 +20,6 @@ from .model import SolveLimits
 from .phases import solve_multi_phase, solve_single_phase
 from .scenario_io import (
     PRESETS,
-    SchemaError,
     gen_preset_scenario,
     load_scenario,
     read_schedule,

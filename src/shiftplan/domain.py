@@ -75,11 +75,6 @@ class ShiftCatalog:
     def __len__(self) -> int:
         return len(self.shifts)
 
-    def covers(self, shift: int) -> range:
-        """Interval indices covered by ``shift``."""
-        start, length = self.shifts[shift]
-        return range(start, start + length)
-
     def validate(self) -> list[str]:
         problems: list[str] = []
         if self.intervals_per_day < 1:
@@ -359,27 +354,14 @@ def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> Coverag
     return CoverageProfile(per_interval, per_day)
 
 
-def _quota_problems(works: np.ndarray, weeks: WeekPartition, week_major: bool) -> list[str]:
+def _quota_problems(works: np.ndarray, weeks: WeekPartition) -> list[str]:
     """One problem per (agent, week) not worked exactly five days, ordered by
-    agent then week, or by week then agent."""
+    agent then week."""
     week_days = works.reshape(len(works), weeks.count, DAYS_PER_WEEK).sum(axis=2)
-    wrong = week_days != WORKDAYS_PER_WEEK
-    pairs = np.argwhere(wrong.T)[:, ::-1] if week_major else np.argwhere(wrong)
     return [
         f"agent {a} works {week_days[a, w]} days in week {w}, expected {WORKDAYS_PER_WEEK}"
-        for a, w in pairs
+        for a, w in np.argwhere(week_days != WORKDAYS_PER_WEEK)
     ]
-
-
-def validate_day_allocation(
-    allocation: DayAllocation, agent_count: int, weeks: WeekPartition
-) -> list[str]:
-    problems: list[str] = []
-    if allocation.agent_count != agent_count:
-        problems.append(
-            f"allocation has {allocation.agent_count} agents, expected {agent_count}"
-        )
-    return problems + _quota_problems(allocation.works, weeks, week_major=True)
 
 
 def validate_schedule(
@@ -398,4 +380,4 @@ def validate_schedule(
     problems = _shift_range_problems(schedule, catalog)
     if problems:
         return problems
-    return _quota_problems(schedule.shifts != OFF, weeks, week_major=False)
+    return _quota_problems(schedule.shifts != OFF, weeks)

@@ -4,9 +4,9 @@ Agents are interchangeable, so no solve decides per agent.  Every solve
 returns the two arrays the paper's phases hand to each other: how many
 agents work each day of the horizon (the head-counts), and how many of them
 take each shift on each day (the splits).  ``materialize_day`` turns the
-head-counts into per-agent working days, one week at a time, and
-``materialize_shift`` hands each day's working agents their shifts; the
-joint solve is expanded by the two in turn.
+head-counts into per-agent working days by one wrap-around of each week's
+off days over the agents, and ``materialize_shift`` hands each day's working
+agents their shifts; the joint solve is expanded by the two in turn.
 
 The solves themselves are the phase entry points in ``phases``.  This module
 holds what they share: ``day_head_counts``, the exact greedy allocation of
@@ -66,33 +66,6 @@ def day_term(required: int, scheduled: int, agent_count: int, penalty_factor: in
     u = required - scheduled
     v = penalty_factor * (agent_count - scheduled)
     return u * u + v * v
-
-
-def patterns_from_day_counts(day_counts, agent_count: int) -> dict[tuple, int]:
-    """Realize per-day head-counts as counts over 5-day patterns.
-
-    Constructive and canonical: each agent in turn takes the five days with
-    the largest remaining demand (ties to the earliest day).  Raises if the
-    head-counts are not realizable, so callers get a feasibility certificate
-    rather than a silent approximation.
-    """
-    remaining = [int(x) for x in day_counts]
-    if len(remaining) != DAYS_PER_WEEK:
-        raise ValueError("expected one head-count per day of the week")
-    if min(remaining) < 0 or max(remaining, default=0) > agent_count:
-        raise ValueError("day head-counts outside [0, agent_count]")
-    if sum(remaining) != WORKDAYS_PER_WEEK * agent_count:
-        raise ValueError("day head-counts do not sum to 5 * agent_count")
-    counts: dict[tuple, int] = {}
-    for _ in range(agent_count):
-        order = sorted(range(DAYS_PER_WEEK), key=lambda d: (-remaining[d], d))
-        pattern = tuple(sorted(order[:WORKDAYS_PER_WEEK]))
-        for d in pattern:
-            remaining[d] -= 1
-        counts[pattern] = counts.get(pattern, 0) + 1
-    if any(remaining):
-        raise ValueError("day head-counts are not realizable as 5-day patterns")
-    return counts
 
 
 def squared_norm(diff) -> int:
@@ -281,26 +254,32 @@ def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResul
 
 
 def materialize_day(head_counts, agent_count: int, weeks: WeekPartition) -> DayAllocation:
-    """Expand per-day head-counts to per-agent working days.
+    """Expand per-day head-counts to per-agent working days by wrap-around.
 
-    Each week's head-counts are realized by ``patterns_from_day_counts``
-    (which raises if they cannot be); within the week the lowest agent index
-    takes the lexicographically smallest pattern.
+    Each week has ``2A`` off-day slots, ``A - n_d`` copies of day ``d``,
+    listed latest day first; agent ``i`` is off on slots ``i`` and ``i + A``
+    (McNaughton's rule).  No day fills more than ``A`` slots, so the two
+    differ: every agent works five days and every day keeps its head-count.
+    Both of an agent's off days fall no earlier than the next agent's, so
+    within a week a lower agent index has the lexicographically smaller
+    pattern.
     """
     if len(head_counts) != weeks.count * DAYS_PER_WEEK:
         raise ValueError(
             f"expected {weeks.count * DAYS_PER_WEEK} day head-counts, got {len(head_counts)}"
         )
-    works = np.zeros((agent_count, len(head_counts)), dtype=np.int8)
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        patterns = patterns_from_day_counts(head_counts[days.start : days.stop], agent_count)
-        agent = 0
-        for pattern in sorted(patterns):
-            n = patterns[pattern]
-            works[agent : agent + n, [days.start + d for d in pattern]] = 1
-            agent += n
-    return DayAllocation.from_works(works)
+    counts = np.asarray(head_counts, dtype=np.int64).reshape(weeks.count, DAYS_PER_WEEK)
+    if counts.min() < 0 or counts.max() > agent_count:
+        raise ValueError("day head-counts outside [0, agent_count]")
+    if (counts.sum(axis=1) != WORKDAYS_PER_WEEK * agent_count).any():
+        raise ValueError("day head-counts do not sum to 5 * agent_count")
+    off = (agent_count - counts)[:, ::-1].ravel()  # each week's days, latest first
+    latest_first = np.tile(np.arange(DAYS_PER_WEEK - 1, -1, -1), weeks.count)
+    slots = np.repeat(latest_first, off).reshape(weeks.count, 2, agent_count)
+    works = np.ones((agent_count, weeks.count, DAYS_PER_WEEK), dtype=np.int8)
+    week = np.arange(weeks.count)[:, None, None]
+    works[np.arange(agent_count), week, slots] = 0
+    return DayAllocation.from_works(works.reshape(agent_count, len(head_counts)))
 
 
 def materialize_shift(splits, allocation: DayAllocation) -> Schedule:

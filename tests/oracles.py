@@ -14,7 +14,10 @@ constraint, and the objective in exact Python integers.  They use neither
 ``validate_schedule`` nor ``coverage_from_schedule``, so they check the
 package along a route of their own.
 
-``scenario_from_grid`` builds the micro scenarios the tests solve.
+``validate_day_allocation`` checks an allocation's agent count and weekly
+quota with the package's messages.  ``covers`` lists a shift's intervals for
+the per-agent brute forces, and ``scenario_from_grid`` builds the micro
+scenarios the tests solve.
 """
 
 import itertools
@@ -193,6 +196,28 @@ def audit_schedule(shifts, r_dt, catalog, weeks, works=None):
             p = sum(agent[d][s] * cover[s][t] for agent in x for s in range(len(cover)))
             objective += (required - p) ** 2
     return problems, objective
+
+
+def validate_day_allocation(allocation, agent_count: int, weeks) -> list[str]:
+    """The allocation's agent count, then one problem per (agent, week) not
+    worked exactly five days, ordered by week then agent."""
+    problems: list[str] = []
+    if allocation.agent_count != agent_count:
+        problems.append(
+            f"allocation has {allocation.agent_count} agents, expected {agent_count}"
+        )
+    works = allocation.works
+    week_days = works.reshape(len(works), weeks.count, DAYS_PER_WEEK).sum(axis=2)
+    return problems + [
+        f"agent {a} works {week_days[a, w]} days in week {w}, expected {WORKDAYS_PER_WEEK}"
+        for w, a in np.argwhere(week_days.T != WORKDAYS_PER_WEEK)
+    ]
+
+
+def covers(catalog, shift: int) -> range:
+    """Interval indices covered by ``shift`` of ``catalog``."""
+    start, length = catalog.shifts[shift]
+    return range(start, start + length)
 
 
 def scenario_from_grid(grid, agents, shifts, name="t"):

@@ -15,11 +15,12 @@ from shiftplan.domain import (
     TripleError,
     build_week_partition,
     coverage_from_schedule,
-    validate_day_allocation,
     validate_scenario,
     validate_schedule,
 )
 from shiftplan.phases import DayPhaseSpec
+
+from oracles import covers, validate_day_allocation
 
 
 def make_scenario(days=7, intervals=4, agents=3, shifts=((0, 2), (2, 2))):
@@ -38,7 +39,7 @@ class TestShiftCatalog:
     def test_coverage_rows(self):
         cat = ShiftCatalog(((0, 3), (2, 2)), intervals_per_day=5)
         assert cat.coverage.tolist() == [[1, 1, 1, 0, 0], [0, 0, 1, 1, 0]]
-        assert list(cat.covers(1)) == [2, 3]
+        assert list(covers(cat, 1)) == [2, 3]
         assert len(cat) == 2
 
     def test_valid_catalog_passes(self):

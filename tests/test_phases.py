@@ -10,7 +10,6 @@ from shiftplan.domain import (
     ShiftCatalog,
     build_week_partition,
     coverage_from_schedule,
-    validate_day_allocation,
     validate_schedule,
 )
 from shiftplan.model import SolveLimits
@@ -74,7 +73,7 @@ class TestDayPhase:
             penalty_factor=1,
         )
         allocation, objective = solve_exact(spec)
-        assert validate_day_allocation(allocation, 2, ONE_WEEK) == []
+        assert oracles.validate_day_allocation(allocation, 2, ONE_WEEK) == []
         assert oracles.audit_days(allocation.works, spec.day_requirements, 2, ONE_WEEK, 1) == (
             [],
             objective,

@@ -22,7 +22,6 @@ from shiftplan.domain import (
     Schedule,
     ShiftCatalog,
     build_week_partition,
-    validate_day_allocation,
     validate_schedule,
 )
 from shiftplan.model import Deadline, SolveLimits, SolveStatus
@@ -38,7 +37,6 @@ from shiftplan.solvers import (
     day_term,
     materialize_day,
     materialize_shift,
-    patterns_from_day_counts,
     squared_norm,
 )
 
@@ -74,7 +72,7 @@ def brute_force_shift_day(r_row, n, catalog):
     for combo in itertools.combinations_with_replacement(range(len(catalog)), n):
         cov = [0] * len(r_row)
         for s in combo:
-            for t in catalog.covers(s):
+            for t in oracles.covers(catalog, s):
                 cov[t] += 1
         obj = sum((int(r) - c) ** 2 for r, c in zip(r_row, cov))
         best = obj if best is None else min(best, obj)
@@ -89,7 +87,7 @@ def brute_force_single_one_agent(r_grid, catalog):
         for shifts in itertools.product(range(S), repeat=5):
             cov = np.zeros_like(r_grid)
             for d, s in zip(pattern, shifts):
-                span = catalog.covers(s)
+                span = oracles.covers(catalog, s)
                 cov[d, span.start : span.stop] += 1
             diff = r_grid - cov
             obj = int((diff * diff).sum())
@@ -118,20 +116,17 @@ def week_counts_loop(r_week, agent_count, penalty_factor):
     return tuple(counts), objective
 
 
-def reference_plans_from_week(day_head_counts, day_splits, agent_count):
-    """Week-plan counts of one week's head-counts and splits (reference).
+def reference_plans_from_week(week_works, day_splits):
+    """Week-plan counts of one week's working days and splits (reference).
 
-    The expansion the solvers used before they returned splits: patterns to
-    agents, lowest agent first, then each day's shifts in index order, then
-    a tally of (day, shift) week plans.
+    The expansion the solvers used before they returned splits: each agent's
+    pattern read from its row of the week, then each day's shifts in index
+    order to the working agents, lowest first, then a tally of (day, shift)
+    week plans.
     """
-    pattern_counts = patterns_from_day_counts(day_head_counts, agent_count)
-    agent_patterns = []
-    for pattern in sorted(pattern_counts):
-        agent_patterns.extend([pattern] * pattern_counts[pattern])
-    agent_pairs = [[] for _ in range(agent_count)]
+    agent_pairs = [[] for _ in week_works]
     for d in range(7):
-        working = [a for a in range(agent_count) if d in agent_patterns[a]]
+        working = [a for a, row in enumerate(week_works) if row[d]]
         units = []
         for s, y in enumerate(day_splits[d]):
             units.extend([s] * y)
@@ -147,11 +142,12 @@ def reference_plans_from_week(day_head_counts, day_splits, agent_count):
 
 def reference_materialize_single(head_counts, splits, agent_count, weeks):
     """Week plans to agents: lowest index, lexicographically first plan (reference)."""
+    works = materialize_day(head_counts, agent_count, weeks).works.tolist()
     triples = []
     for w in range(weeks.count):
         days = weeks.days_of(w)
         plans = reference_plans_from_week(
-            head_counts[days.start : days.stop], splits[days.start : days.stop], agent_count
+            [row[days.start : days.stop] for row in works], splits[days.start : days.stop]
         )
         agent = 0
         for plan in sorted(plans):
@@ -214,20 +210,15 @@ class TestDayObjectiveHelpers:
             counts[d] = data.draw(st.integers(min_value=lo, max_value=hi))
             left -= counts[d]
         counts[6] = left
-        patterns = patterns_from_day_counts(counts, agents)
-        assert sum(patterns.values()) == agents
-        realized = [0] * 7
-        for pattern, n in patterns.items():
-            assert len(pattern) == 5 and len(set(pattern)) == 5
-            for d in pattern:
-                realized[d] += n
-        assert realized == counts
+        alloc = materialize_day(counts, agents, ONE_WEEK)
+        assert alloc.works.sum(axis=1).tolist() == [5] * agents
+        assert alloc.day_counts.tolist() == counts
 
     def test_pattern_realization_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 5"):
-            patterns_from_day_counts([1, 1, 1, 1, 1, 1, 1], 2)
+            materialize_day([1, 1, 1, 1, 1, 1, 1], 2, ONE_WEEK)
         with pytest.raises(ValueError, match="outside"):
-            patterns_from_day_counts([3, 2, 1, 1, 1, 1, 1], 2)
+            materialize_day([3, 2, 1, 1, 1, 1, 1], 2, ONE_WEEK)
 
 
 class TestExactDay:
@@ -253,7 +244,7 @@ class TestExactDay:
         result = oracles.exact_day([4, 4, 1, 1, 4, 4, 2], 4, ONE_WEEK, 1)
         assert result.splits is None
         alloc = materialize_day(result.head_counts, 4, ONE_WEEK)
-        assert validate_day_allocation(alloc, 4, ONE_WEEK) == []
+        assert oracles.validate_day_allocation(alloc, 4, ONE_WEEK) == []
         assert tuple(alloc.day_counts) == result.head_counts
 
 
@@ -363,7 +354,7 @@ def draw_kernel_case(data):
 def split_objective(r_row, catalog, split):
     cov = np.zeros(len(r_row), dtype=np.int64)
     for s, y in enumerate(split):
-        span = catalog.covers(s)
+        span = oracles.covers(catalog, s)
         cov[span.start : span.stop] += y
     diff = r_row - cov
     return int(diff @ diff)
@@ -655,13 +646,49 @@ def random_week_plan_instance(rng):
     return agents, weeks, tuple(head_counts), tuple(splits)
 
 
+def random_week_counts(rng, agents):
+    """One week's head-counts: 2A days off over the 7 days, at most A on any
+    one, spread as evenly as they go (tied), each day as full or as empty as
+    it can be (skewed: head-counts 0 and A), or uniformly at random."""
+    style = rng.choice(("tied", "skewed", "uniform"))
+    if style == "tied":
+        base, extra = divmod(2 * agents, 7)
+        off = [base + (d < extra) for d in range(7)]
+    else:
+        off, left = [], 2 * agents
+        for d in range(7):
+            lo, hi = max(0, left - agents * (6 - d)), min(agents, left)
+            off.append(rng.choice((lo, hi)) if style == "skewed" else rng.randint(lo, hi))
+            left -= off[-1]
+    rng.shuffle(off)
+    return [agents - o for o in off]
+
+
 class TestMaterialization:
+    def test_day_expansion_meets_counts_quota_and_order(self):
+        rng = random.Random(1959)
+        seen = set()
+        for case in range(300):
+            agents = (0, 200)[case] if case < 2 else rng.randint(1, 200)
+            weeks = build_week_partition(7 * rng.randint(1, 3))
+            head_counts = [n for _ in range(weeks.count) for n in random_week_counts(rng, agents)]
+            seen.update(("off", "on")[n > 0] for n in head_counts if agents and n in (0, agents))
+            alloc = materialize_day(head_counts, agents, weeks)
+            assert alloc.day_counts.tolist() == head_counts
+            week_rows = alloc.works.reshape(agents, weeks.count, 7)
+            assert (week_rows.sum(axis=2) == 5).all()
+            for w in range(weeks.count):
+                patterns = [tuple(np.flatnonzero(row).tolist()) for row in week_rows[:, w]]
+                assert patterns == sorted(patterns)
+        assert seen == {"off", "on"}  # days with everyone off, days with everyone on
+
     def test_day_expansion_is_canonical(self):
-        # head-counts of the patterns (0, 1, 2, 3, 4) and (2, 3, 4, 5, 6)
+        # off-day slots latest day first: 6, 5, 1, 0; agent 0 takes slots 0
+        # and 2 (days 6 and 1), agent 1 slots 1 and 3 (days 5 and 0)
         alloc = materialize_day((1, 1, 2, 2, 2, 1, 1), 2, ONE_WEEK)
-        # agent 0 gets the lexicographically smaller pattern
-        assert alloc.works[0].tolist() == [1, 1, 1, 1, 1, 0, 0]
-        assert alloc.works[1].tolist() == [0, 0, 1, 1, 1, 1, 1]
+        # so agent 0 has the lexicographically smaller pattern (0, 2, 3, 4, 5)
+        assert alloc.works[0].tolist() == [1, 0, 1, 1, 1, 1, 0]
+        assert alloc.works[1].tolist() == [0, 1, 1, 1, 1, 0, 1]
 
     def test_day_expansion_validates_totals(self):
         with pytest.raises(ValueError, match="sum to"):

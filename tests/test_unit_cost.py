@@ -68,8 +68,8 @@ class TestPricedCrossCheck:
             assert report.objective_value == deviation(scn, schedule) == result.objective
 
 
-class TestGrid:
-    def test_missing_cost_is_zero(self):
+class TestReport:
+    def test_cost_value_is_zero(self):
         scn = micro_instance(random.Random(3))
         schedule = solve_single_phase(scn, LOCAL).schedule
         report = build_report(scn, schedule, "single", seed=0, runtime_seconds=0.0)
