@@ -37,7 +37,7 @@ r_dt = np.array(
         [1, 1, 2, 2, 2, 1, 1, 0],
     ]
 )
-requirements = RequirementMatrix.from_interval_grid(r_dt)
+requirements = RequirementMatrix(r_dt)
 scenario = Scenario(
     name="walkthrough",
     days=tuple(date(2024, 1, 1) + timedelta(days=d) for d in range(7)),

@@ -15,7 +15,6 @@ from .domain import (
     WeekPartition,
     build_week_partition,
     coverage_from_schedule,
-    validate_scenario,
     validate_schedule,
 )
 from .erlang import (
@@ -125,7 +124,6 @@ __all__ = [
     "solve_single_phase",
     "target_distribution",
     "tune_penalty",
-    "validate_scenario",
     "validate_schedule",
     "write_report",
     "write_schedule",

@@ -6,7 +6,9 @@ five days in each week, and a working agent takes exactly one shift that day.
 Agents are opaque indices 0..N-1 and are interchangeable: nothing in the
 problem data distinguishes one agent from another.
 
-Everything in this module is an immutable value; the functions are pure.
+Everything in this module is an immutable value, checked once when it is
+built; the functions are pure.  No type stores a fact it can derive: daily
+peaks and day counts are computed from their grids on construction.
 """
 
 from dataclasses import dataclass, field
@@ -97,51 +99,33 @@ class ShiftCatalog:
 
 @dataclass(frozen=True)
 class WeekPartition:
-    """Grouping of day indices into consecutive 7-day weeks."""
+    """A horizon of ``count`` consecutive 7-day weeks from day 0: week ``w``
+    is days ``7w`` to ``7w + 6``."""
 
-    weeks: tuple[tuple[int, int], ...]  # (first_day, day_after_last) per week
-
-    @property
-    def count(self) -> int:
-        return len(self.weeks)
-
-    def days_of(self, week: int) -> range:
-        start, stop = self.weeks[week]
-        return range(start, stop)
+    count: int
 
 
 def build_week_partition(day_count: int) -> WeekPartition:
     """Split ``day_count`` days into full weeks; partial weeks are rejected."""
     if day_count <= 0 or day_count % DAYS_PER_WEEK != 0:
-        raise ValueError(
-            f"horizon not a multiple of 7: got {day_count} days"
-        )
-    return WeekPartition(
-        tuple(
-            (w * DAYS_PER_WEEK, (w + 1) * DAYS_PER_WEEK)
-            for w in range(day_count // DAYS_PER_WEEK)
-        )
-    )
+        raise ValueError(f"horizon not a multiple of 7: got {day_count} days")
+    return WeekPartition(day_count // DAYS_PER_WEEK)
 
 
 @dataclass(frozen=True, eq=False)
 class RequirementMatrix:
-    """Required head-counts: per (day, interval) and the per-day peak."""
+    """Required head-counts per (day, interval), and each day's peak."""
 
     per_interval: np.ndarray  # shape (days, intervals), int
-    per_day: np.ndarray  # shape (days,), int: max over intervals of that day
+    per_day: np.ndarray = field(init=False, repr=False)  # shape (days,): the row maxima
 
     def __post_init__(self):
         # the solves sum exact integer squares: a fractional cell is refused, not truncated
-        object.__setattr__(self, "per_interval", frozen_grid(self.per_interval))
-        object.__setattr__(self, "per_day", frozen_grid(self.per_day))
-
-    @classmethod
-    def from_interval_grid(cls, grid) -> "RequirementMatrix":
-        per_interval = frozen_grid(grid)
-        if per_interval.ndim != 2:
-            raise ValueError("requirements grid must be 2-dimensional")
-        return cls(per_interval, per_interval.max(axis=1))
+        grid = frozen_grid(self.per_interval)
+        if grid.ndim != 2:
+            raise ValueError("per_interval must be 2-dimensional")
+        object.__setattr__(self, "per_interval", grid)
+        object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 
     @property
     def days(self) -> int:
@@ -152,29 +136,17 @@ class RequirementMatrix:
         return self.per_interval.shape[1]
 
     def validate(self) -> list[str]:
-        problems: list[str] = []
-        if self.per_interval.ndim != 2:
-            problems.append("per_interval must be 2-dimensional")
-            return problems
-        if (self.per_interval < 0).any():
-            problems.append("negative interval requirement")
-        if self.per_day.shape != (self.days,):
-            problems.append("per_day length does not match day count")
-        elif not np.array_equal(self.per_day, self.per_interval.max(axis=1)):
-            problems.append("per_day is not the per-interval row maximum")
-        return problems
+        return ["negative interval requirement"] if (self.per_interval < 0).any() else []
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RequirementMatrix):
             return NotImplemented
-        return np.array_equal(self.per_interval, other.per_interval) and np.array_equal(
-            self.per_day, other.per_day
-        )
+        return np.array_equal(self.per_interval, other.per_interval)
 
 
 @dataclass(frozen=True)
 class Scenario:
-    """A complete scheduling problem instance."""
+    """A complete scheduling problem instance; building an invalid one raises."""
 
     name: str
     days: tuple[date, ...]
@@ -186,6 +158,11 @@ class Scenario:
     sla_threshold_seconds: float = 20.0
     aht_seconds: float = 300.0
 
+    def __post_init__(self):
+        problems = _scenario_problems(self)
+        if problems:
+            raise ValueError("invalid scenario: " + "; ".join(problems))
+
     @property
     def num_days(self) -> int:
         return len(self.days)
@@ -194,15 +171,13 @@ class Scenario:
         return build_week_partition(self.num_days)
 
 
-def validate_scenario(scenario: Scenario) -> list[str]:
-    """Collect every contract violation in ``scenario`` (empty list = valid)."""
+def _scenario_problems(scenario: Scenario) -> list[str]:
+    """Every contract violation in ``scenario`` (empty list = valid)."""
     problems: list[str] = []
     n_days = scenario.num_days
     if n_days == 0 or n_days % DAYS_PER_WEEK != 0:
         problems.append(f"horizon not a multiple of 7: got {n_days} days")
-    if any(
-        scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)
-    ):
+    if any(scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)):
         problems.append("days are not strictly increasing")
     if scenario.intervals_per_day < 1:
         problems.append("intervals_per_day must be >= 1")
@@ -212,11 +187,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         problems.append("shift catalog interval grid differs from scenario")
     problems.extend(scenario.shift_catalog.validate())
     problems.extend(scenario.requirements.validate())
-    if scenario.requirements.per_interval.ndim == 2:
-        if scenario.requirements.days != n_days:
-            problems.append("requirements day count differs from scenario days")
-        if scenario.requirements.intervals != scenario.intervals_per_day:
-            problems.append("requirements interval count differs from scenario")
+    if scenario.requirements.days != n_days:
+        problems.append("requirements day count differs from scenario days")
+    if scenario.requirements.intervals != scenario.intervals_per_day:
+        problems.append("requirements interval count differs from scenario")
     if not 0.0 < scenario.sla_target <= 1.0:
         problems.append("sla target must lie in (0, 1]")
     if scenario.sla_threshold_seconds <= 0:
@@ -224,13 +198,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     if scenario.aht_seconds <= 0:
         problems.append("average handling time must be positive")
     return problems
-
-
-def require_valid(scenario: Scenario) -> None:
-    """Raise a ``ValueError`` naming every problem ``validate_scenario`` finds."""
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ValueError("invalid scenario: " + "; ".join(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +210,16 @@ class DayAllocation:
     """Which days each agent works: ``works[a, d]`` is 0/1."""
 
     works: np.ndarray  # shape (agents, days), int8
-    day_counts: np.ndarray  # shape (days,), int64 column sums
+    day_counts: np.ndarray = field(init=False, repr=False)  # shape (days,): column sums
 
-    @classmethod
-    def from_works(cls, works) -> "DayAllocation":
-        grid = frozen_grid(works, dtype=np.int8)
+    def __post_init__(self):
+        grid = frozen_grid(self.works, dtype=np.int8)
         if grid.ndim != 2:
             raise ValueError("works grid must be 2-dimensional")
         if not np.isin(grid, (0, 1)).all():
             raise ValueError("works grid must be 0/1")
-        return cls(grid, frozen_grid(grid.sum(axis=0, dtype=np.int64)))
+        object.__setattr__(self, "works", grid)
+        object.__setattr__(self, "day_counts", frozen_grid(grid.sum(axis=0, dtype=np.int64)))
 
     @property
     def agent_count(self) -> int:

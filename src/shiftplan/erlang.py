@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RequirementMatrix, frozen_grid
+from .domain import RequirementMatrix
 
 # The sweep takes one step per erlang, so its time grows with the largest
 # load: a full 28 x 96 grid at this cap sizes in about 1.3 s.  Realistic
@@ -162,4 +162,4 @@ def requirements_from_volumes(
     with np.errstate(over="ignore"):  # an overflowing load is rejected below
         loads = grid * aht_seconds / interval_seconds
     required = _required_agents_sweep(loads, aht_seconds, sla)
-    return RequirementMatrix.from_interval_grid(frozen_grid(required))
+    return RequirementMatrix(required)

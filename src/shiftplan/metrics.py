@@ -11,7 +11,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .domain import Scenario, Schedule, coverage_from_schedule, require_valid, validate_schedule
+from .domain import Scenario, Schedule, coverage_from_schedule, validate_schedule
 from .model import SolveLimits, SolveStatus, count_variables
 from .phases import interval_objective_value, solve_multi_phase, solve_single_phase
 from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
@@ -76,7 +76,6 @@ def build_report(
     """
     if mode not in ("single", "multi"):
         raise ValueError(f"unknown mode {mode!r}")
-    require_valid(scenario)
     problems = validate_schedule(
         schedule,
         agent_count=scenario.agent_count,

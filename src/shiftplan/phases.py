@@ -12,8 +12,9 @@ rest to the shift phase.
 Every solve returns a ``solvers.SearchResult`` with its expansion filled in:
 the day phase's ``allocation`` feeds the shift phase, which carries the
 ``schedule``, and a multi solve returns the shift phase's record with both
-phases' evaluations and runtime.  Each phase's inputs are checked once, by
-its spec or by ``require_valid``.
+phases' evaluations and runtime.  Each input is checked once, when it is
+built: a spec checks its own fields, and a ``Scenario`` cannot be built
+invalid, so the single and multi solves take it as it is.
 
 ``interval_objective_value`` recomputes the interval objective from a
 coverage grid; reports use it so no reported number rests on the search.
@@ -31,7 +32,6 @@ from .domain import (
     ShiftCatalog,
     WeekPartition,
     frozen_grid,
-    require_valid,
 )
 from .model import Deadline, SolveLimits, SolveStatus
 from .solvers import (
@@ -87,12 +87,11 @@ class ShiftPhaseSpec:
 
     def __post_init__(self):
         r = self.requirements.per_interval
-        if r.ndim != 2:
-            raise ValueError("interval requirements must be a (days, intervals) grid")
         if len(self.allocation.day_counts) != r.shape[0]:
             raise ValueError("one head-count per day is required")
-        if len(self.catalog) == 0:
-            raise ValueError("shift catalog is empty")
+        problems = self.catalog.validate() + self.requirements.validate()
+        if problems:
+            raise ValueError("; ".join(problems))
         if self.catalog.intervals_per_day != r.shape[1]:
             raise ValueError("catalog interval grid differs from requirements")
 
@@ -134,7 +133,6 @@ def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
     5A cheapest increments (at most A per day) is optimal over those tables.
     The chosen splits are then descended.
     """
-    require_valid(scenario)
     weeks, agents = scenario.week_partition(), scenario.agent_count
     deadline = Deadline(limits)
     r, catalog = scenario.requirements.per_interval, scenario.shift_catalog
@@ -156,7 +154,6 @@ def solve_multi_phase(
     rest.  The record is the shift phase's, whose ``head_counts`` are the day
     phase's, with ``evaluations`` and ``runtime_seconds`` summed over both.
     """
-    require_valid(scenario)
     day = solve_day_allocation(
         DayPhaseSpec(
             day_requirements=scenario.requirements.per_day,

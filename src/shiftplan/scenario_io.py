@@ -28,8 +28,6 @@ from .domain import (
     ShiftCatalog,
     TripleError,
     build_week_partition,
-    require_valid,
-    validate_scenario,
 )
 from .erlang import SlaSpec, requirements_from_volumes
 from .metrics import ComparisonResult, SolveReport
@@ -98,7 +96,7 @@ def gen_peak_scenario(spec: PeakPresetSpec = PeakPresetSpec()) -> Scenario:
         intervals_per_day=spec.intervals_per_day,
         agent_count=spec.agents,
         shift_catalog=catalog,
-        requirements=RequirementMatrix.from_interval_grid(grid),
+        requirements=RequirementMatrix(grid),
         sla_target=0.8,
         sla_threshold_seconds=20.0,
         aht_seconds=300.0,
@@ -179,7 +177,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    require_valid(scenario)
     _write_json(scenario_to_dict(scenario), path)
 
 
@@ -279,7 +276,7 @@ def load_scenario(path: str) -> Scenario:
     aht = _need(data, "aht_seconds", float, "$")
     if "requirements" in data:
         grid = _grid(data["requirements"], len(days), intervals, "$.requirements", True)
-        requirements = RequirementMatrix.from_interval_grid(grid)
+        requirements = RequirementMatrix(grid)
     elif "volumes" in data:
         volumes = _grid(data["volumes"], len(days), intervals, "$.volumes", False)
         interval_seconds = _need(data, "interval_seconds", float, "$")
@@ -291,21 +288,20 @@ def load_scenario(path: str) -> Scenario:
             raise SchemaError(f"$.volumes: {exc}") from exc
     else:
         raise SchemaError("$: needs either 'requirements' or 'volumes'")
-    scenario = Scenario(
-        name=name,
-        days=days,
-        intervals_per_day=intervals,
-        agent_count=agents,
-        shift_catalog=ShiftCatalog(tuple(shifts), intervals),
-        requirements=requirements,
-        sla_target=sla_target,
-        sla_threshold_seconds=sla_threshold,
-        aht_seconds=aht,
-    )
-    problems = validate_scenario(scenario)
-    if problems:
-        raise SchemaError("$: invalid scenario: " + "; ".join(problems))
-    return scenario
+    try:
+        return Scenario(
+            name=name,
+            days=days,
+            intervals_per_day=intervals,
+            agent_count=agents,
+            shift_catalog=ShiftCatalog(tuple(shifts), intervals),
+            requirements=requirements,
+            sla_target=sla_target,
+            sla_threshold_seconds=sla_threshold,
+            aht_seconds=aht,
+        )
+    except ValueError as exc:
+        raise SchemaError(f"$: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

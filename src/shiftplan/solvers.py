@@ -94,12 +94,10 @@ def _week_head_counts(marginals, agent_count: int, weeks: WeekPartition) -> tupl
     """Each week's per-day head-counts: its 5A cheapest increments over the
     non-decreasing rows ``marginals[d]`` of A entries each, so at most A per
     day and ties to the earliest day."""
-    head_counts: list[int] = []
-    for w in range(weeks.count):
-        days = weeks.days_of(w)
-        taken = _take_smallest(marginals[days.start : days.stop], WORKDAYS_PER_WEEK * agent_count)
-        head_counts.extend(int(n) for n in taken)
-    return tuple(head_counts)
+    table = np.asarray(marginals).reshape(weeks.count, DAYS_PER_WEEK, agent_count)
+    return tuple(
+        int(n) for week in table for n in _take_smallest(week, WORKDAYS_PER_WEEK * agent_count)
+    )
 
 
 def day_head_counts(
@@ -279,7 +277,7 @@ def materialize_day(head_counts, agent_count: int, weeks: WeekPartition) -> DayA
     works = np.ones((agent_count, weeks.count, DAYS_PER_WEEK), dtype=np.int8)
     week = np.arange(weeks.count)[:, None, None]
     works[np.arange(agent_count), week, slots] = 0
-    return DayAllocation.from_works(works.reshape(agent_count, len(head_counts)))
+    return DayAllocation(works.reshape(agent_count, len(head_counts)))
 
 
 def materialize_shift(splits, allocation: DayAllocation) -> Schedule:

@@ -75,7 +75,7 @@ def _week_choice(values, agent_count: int, weeks):
     (head-counts, objective, evaluations)."""
     head_counts, objective, tried = [], 0, 0
     for w in range(weeks.count):
-        days = weeks.days_of(w)
+        days = range(7 * w, 7 * w + 7)
         table = values[days.start : days.stop]
         vec, obj, n = _first_min(
             bounded_vectors(agent_count, WORKDAYS_PER_WEEK * agent_count, DAYS_PER_WEEK),
@@ -151,7 +151,7 @@ def _workday_violations(days_worked, weeks) -> list[str]:
         f"agent {a} works {n} days in week {w}"
         for a, row in enumerate(days_worked)
         for w in range(weeks.count)
-        if (n := sum(row[d] for d in weeks.days_of(w))) != WORKDAYS_PER_WEEK
+        if (n := sum(row[d] for d in range(7 * w, 7 * w + 7))) != WORKDAYS_PER_WEEK
     ]
 
 
@@ -231,5 +231,5 @@ def scenario_from_grid(grid, agents, shifts, name="t"):
         intervals_per_day=intervals,
         agent_count=agents,
         shift_catalog=ShiftCatalog(shifts, intervals),
-        requirements=RequirementMatrix.from_interval_grid(grid),
+        requirements=RequirementMatrix(grid),
     )

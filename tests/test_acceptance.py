@@ -112,7 +112,7 @@ def micro_instances():
         exact_alloc = materialize_day(exact_day.head_counts, agents, ONE_WEEK)
         n_d = [int(x) for x in local_alloc.day_counts]
         exact_shift = oracles.exact_shift(r_dt, n_d, catalog)
-        requirements = RequirementMatrix.from_interval_grid(r_dt)
+        requirements = RequirementMatrix(r_dt)
         local_shift = solve_shift_allocation(
             ShiftPhaseSpec(requirements, local_alloc, catalog), limits
         )

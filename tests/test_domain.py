@@ -1,5 +1,7 @@
 """Core types: catalogs, partitions, requirements, schedules, coverage."""
 
+import re
+from dataclasses import replace
 from datetime import date, timedelta
 
 import numpy as np
@@ -15,7 +17,6 @@ from shiftplan.domain import (
     TripleError,
     build_week_partition,
     coverage_from_schedule,
-    validate_scenario,
     validate_schedule,
 )
 from shiftplan.phases import DayPhaseSpec
@@ -31,7 +32,7 @@ def make_scenario(days=7, intervals=4, agents=3, shifts=((0, 2), (2, 2))):
         intervals_per_day=intervals,
         agent_count=agents,
         shift_catalog=ShiftCatalog(shifts, intervals),
-        requirements=RequirementMatrix.from_interval_grid(grid),
+        requirements=RequirementMatrix(grid),
     )
 
 
@@ -65,10 +66,7 @@ class TestShiftCatalog:
 
 class TestWeekPartition:
     def test_two_weeks(self):
-        part = build_week_partition(14)
-        assert part.count == 2
-        assert list(part.days_of(0)) == list(range(7))
-        assert list(part.days_of(1)) == list(range(7, 14))
+        assert build_week_partition(14).count == 2
 
     @pytest.mark.parametrize("n", [0, 1, 6, 8, 13])
     def test_partial_weeks_rejected(self, n):
@@ -78,84 +76,104 @@ class TestWeekPartition:
 
 class TestRequirementMatrix:
     def test_per_day_is_row_max(self):
-        req = RequirementMatrix.from_interval_grid([[1, 5, 2], [0, 0, 3]])
+        req = RequirementMatrix([[1, 5, 2], [0, 0, 3]])
         assert req.per_day.tolist() == [5, 3]
         assert req.days == 2 and req.intervals == 3
 
-    def test_validate_catches_tampered_per_day(self):
-        req = RequirementMatrix.from_interval_grid([[1, 2]])
-        bad = RequirementMatrix(req.per_interval, np.array([9]))
-        assert bad.validate() == ["per_day is not the per-interval row maximum"]
-
     def test_fractional_cells_refused(self):
-        grid = np.full((7, 3), 1.5)
         with pytest.raises(ValueError, match="do not convert"):
-            RequirementMatrix(grid, grid.max(axis=1))
+            RequirementMatrix(np.full((7, 3), 1.5))
 
     def test_negative_entries_flagged(self):
-        req = RequirementMatrix.from_interval_grid([[1, -1]])
+        req = RequirementMatrix([[1, -1]])
         assert "negative interval requirement" in req.validate()
 
     def test_equality_by_value(self):
-        a = RequirementMatrix.from_interval_grid([[1, 2]])
-        b = RequirementMatrix.from_interval_grid([[1, 2]])
-        c = RequirementMatrix.from_interval_grid([[2, 1]])
+        a = RequirementMatrix([[1, 2]])
+        b = RequirementMatrix([[1, 2]])
+        c = RequirementMatrix([[2, 1]])
         assert a == b and a != c
 
 
 class TestScenarioValidation:
     def test_valid(self):
-        assert validate_scenario(make_scenario()) == []
+        make_scenario()  # building a scenario is its check
 
     def test_bad_horizon(self):
-        scn = make_scenario(days=6)
-        assert any("multiple of 7" in p for p in validate_scenario(scn))
+        with pytest.raises(ValueError, match="multiple of 7"):
+            make_scenario(days=6)
 
     def test_catalog_grid_mismatch(self):
         scn = make_scenario()
-        bad = Scenario(
-            name=scn.name,
-            days=scn.days,
-            intervals_per_day=scn.intervals_per_day,
-            agent_count=scn.agent_count,
-            shift_catalog=ShiftCatalog(((0, 2),), intervals_per_day=8),
-            requirements=scn.requirements,
-        )
-        problems = validate_scenario(bad)
-        assert "shift catalog interval grid differs from scenario" in problems
+        with pytest.raises(ValueError, match="shift catalog interval grid differs from scenario"):
+            Scenario(
+                name=scn.name,
+                days=scn.days,
+                intervals_per_day=scn.intervals_per_day,
+                agent_count=scn.agent_count,
+                shift_catalog=ShiftCatalog(((0, 2),), intervals_per_day=8),
+                requirements=scn.requirements,
+            )
 
     def test_bad_sla(self):
         scn = make_scenario()
-        bad = Scenario(
-            name=scn.name,
-            days=scn.days,
-            intervals_per_day=scn.intervals_per_day,
-            agent_count=scn.agent_count,
-            shift_catalog=scn.shift_catalog,
-            requirements=scn.requirements,
-            sla_target=0.0,
+        with pytest.raises(ValueError, match=re.escape("sla target must lie in (0, 1]")):
+            Scenario(
+                name=scn.name,
+                days=scn.days,
+                intervals_per_day=scn.intervals_per_day,
+                agent_count=scn.agent_count,
+                shift_catalog=scn.shift_catalog,
+                requirements=scn.requirements,
+                sla_target=0.0,
+            )
+
+    def test_every_problem_named_when_built(self):
+        scn = make_scenario()
+        with pytest.raises(ValueError) as caught:
+            Scenario(
+                name=scn.name,
+                days=scn.days,
+                intervals_per_day=scn.intervals_per_day,
+                agent_count=-1,
+                shift_catalog=ShiftCatalog(((3, 2),), 4),
+                requirements=scn.requirements,
+                sla_target=0.0,
+            )
+        assert str(caught.value) == (
+            "invalid scenario: agent_count must be >= 0; shift 0 exceeds day boundary;"
+            " sla target must lie in (0, 1]"
         )
-        assert "sla target must lie in (0, 1]" in validate_scenario(bad)
+
+    def test_replace_checks_again(self):
+        with pytest.raises(ValueError, match="invalid scenario: agent_count must be >= 0"):
+            replace(make_scenario(), agent_count=-1)
+
+    def test_derived_fields_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            RequirementMatrix([[1, 2]], per_day=[2])
+        with pytest.raises(TypeError):
+            DayAllocation([[1, 0]], day_counts=[1, 0])
 
 
 class TestDayAllocation:
     def test_counts_and_pairs(self):
-        alloc = DayAllocation.from_works([[1, 0, 1], [0, 1, 1]])
+        alloc = DayAllocation([[1, 0, 1], [0, 1, 1]])
         assert alloc.day_counts.tolist() == [1, 1, 2]
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0/1"):
-            DayAllocation.from_works([[2, 0]])
+            DayAllocation([[2, 0]])
 
     def test_weekly_quota_checked(self):
         works = np.zeros((1, 7), dtype=np.int8)
         works[0, :5] = 1
-        alloc = DayAllocation.from_works(works)
+        alloc = DayAllocation(works)
         assert validate_day_allocation(alloc, 1, build_week_partition(7)) == []
         works4 = works.copy()
         works4[0, 4] = 0
         problems = validate_day_allocation(
-            DayAllocation.from_works(works4), 1, build_week_partition(7)
+            DayAllocation(works4), 1, build_week_partition(7)
         )
         assert problems == ["agent 0 works 4 days in week 0, expected 5"]
 
@@ -385,7 +403,7 @@ class TestGridMatchesTriples:
             if works.shape[0] != agent_count:
                 problems.append(f"allocation has {works.shape[0]} agents, expected {agent_count}")
             for w in range(weeks.count):
-                days = weeks.days_of(w)
+                days = range(7 * w, 7 * w + 7)
                 week_days = works[:, days.start : days.stop].sum(axis=1)
                 for agent in np.nonzero(week_days != 5)[0]:
                     problems.append(
@@ -401,7 +419,7 @@ class TestGridMatchesTriples:
             partition = build_week_partition(7 * weeks)
             expected_agents = agents + int(rng.integers(0, 2))
             assert validate_day_allocation(
-                DayAllocation.from_works(works), expected_agents, partition
+                DayAllocation(works), expected_agents, partition
             ) == reference(works, expected_agents, partition)
 
 
@@ -412,13 +430,13 @@ class TestExactConversion:
         "build",
         [
             lambda: Schedule(np.array([[1.9, -1.0]])),
-            lambda: RequirementMatrix.from_interval_grid([[2.7, 1.2]]),
+            lambda: RequirementMatrix([[2.7, 1.2]]),
             lambda: DayPhaseSpec([2.5] * 7, 2, build_week_partition(7)),
-            lambda: DayAllocation.from_works(np.array([[257, 256]])),
+            lambda: DayAllocation(np.array([[257, 256]])),
             lambda: Schedule(np.array([[2**64 - 1]], dtype=np.uint64)),
-            lambda: RequirementMatrix.from_interval_grid([[2**70, 1]]),
-            lambda: RequirementMatrix.from_interval_grid([[1, -(2**70)]]),
-            lambda: RequirementMatrix.from_interval_grid([[None, 1]]),
+            lambda: RequirementMatrix([[2**70, 1]]),
+            lambda: RequirementMatrix([[1, -(2**70)]]),
+            lambda: RequirementMatrix([[None, 1]]),
         ],
         ids=[
             "fraction",
@@ -437,5 +455,5 @@ class TestExactConversion:
 
     def test_whole_numbers_of_another_dtype_convert(self):
         assert Schedule(np.array([[1.0, -1.0]])).shifts.tolist() == [[1, OFF]]
-        assert DayAllocation.from_works(np.array([[1, 0]])).works.dtype == np.int8
+        assert DayAllocation(np.array([[1, 0]])).works.dtype == np.int8
 

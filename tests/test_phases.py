@@ -157,16 +157,15 @@ class TestSinglePhase:
 
     def test_invalid_scenario_refused(self):
         scn = weekday_micro()
-        bad = Scenario(
-            name=scn.name,
-            days=scn.days[:6],
-            intervals_per_day=scn.intervals_per_day,
-            agent_count=scn.agent_count,
-            shift_catalog=scn.shift_catalog,
-            requirements=scn.requirements,
-        )
         with pytest.raises(ValueError, match="invalid scenario"):
-            solve_single_phase(bad, SolveLimits())
+            Scenario(
+                name=scn.name,
+                days=scn.days[:6],
+                intervals_per_day=scn.intervals_per_day,
+                agent_count=scn.agent_count,
+                shift_catalog=scn.shift_catalog,
+                requirements=scn.requirements,
+            )
 
 
 class TestAudits:

@@ -49,8 +49,8 @@ ONE_WEEK = build_week_partition(7)
 def shift_spec(r_dt, n_d, catalog):
     """Shift-phase inputs whose first ``n_d[d]`` agents work day ``d``."""
     works = np.arange(max(n_d))[:, None] < np.asarray(n_d)
-    allocation = DayAllocation.from_works(works)
-    return ShiftPhaseSpec(RequirementMatrix.from_interval_grid(r_dt), allocation, catalog)
+    allocation = DayAllocation(works)
+    return ShiftPhaseSpec(RequirementMatrix(r_dt), allocation, catalog)
 
 
 def brute_force_day(r_week, agents, penalty):
@@ -145,7 +145,7 @@ def reference_materialize_single(head_counts, splits, agent_count, weeks):
     works = materialize_day(head_counts, agent_count, weeks).works.tolist()
     triples = []
     for w in range(weeks.count):
-        days = weeks.days_of(w)
+        days = range(7 * w, 7 * w + 7)
         plans = reference_plans_from_week(
             [row[days.start : days.stop] for row in works], splits[days.start : days.stop]
         )
@@ -310,24 +310,34 @@ class TestExactSingle:
 
 
 class TestJointInputChecks:
-    """The joint solve refuses malformed inputs with a ``ValueError``."""
+    """A malformed joint input is refused with a ``ValueError`` when built."""
 
     def test_interval_grid_mismatch(self):
-        scenario = replace(
-            scenario_from_grid(np.ones((7, 3), dtype=np.int64), 2, ((0, 2), (1, 2))),
-            shift_catalog=ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6),
-        )
+        scenario = scenario_from_grid(np.ones((7, 3), dtype=np.int64), 2, ((0, 2), (1, 2)))
         with pytest.raises(ValueError, match="catalog interval grid differs from scenario"):
-            solve_single_phase(scenario, SolveLimits(move_cap=100))
+            replace(scenario, shift_catalog=ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6))
 
     def test_one_dimensional_grid(self):
-        r = np.ones(7, dtype=np.int64)
-        scenario = replace(
-            scenario_from_grid(np.ones((7, 1), dtype=np.int64), 2, ((0, 1),)),
-            requirements=RequirementMatrix(r, r),
-        )
         with pytest.raises(ValueError, match="per_interval must be 2-dimensional"):
-            solve_single_phase(scenario, SolveLimits(move_cap=100))
+            RequirementMatrix(np.ones(7, dtype=np.int64))
+
+
+class TestShiftSpecChecks:
+    """The shift phase refuses the catalog and requirement problems a
+    scenario refuses."""
+
+    @pytest.mark.parametrize(
+        "r_dt, catalog, message",
+        [
+            ([[1] * 24], ShiftCatalog(((0, 10), (20, 10)), 24), "shift 1 exceeds day boundary"),
+            ([[1, -1, 0, 1]], ShiftCatalog(((0, 2),), 4), "negative interval requirement"),
+            ([[1, 1]], ShiftCatalog((), 2), "shift catalog is empty"),
+        ],
+        ids=["out-of-day-shift", "negative-cell", "empty-catalog"],
+    )
+    def test_bad_part_refused(self, r_dt, catalog, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            shift_spec(r_dt, [1], catalog)
 
 
 def draw_kernel_case(data):
