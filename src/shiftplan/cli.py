@@ -16,8 +16,7 @@ import argparse
 import sys
 
 from .metrics import build_report, compare_modes
-from .model import SolveLimits
-from .phases import solve_multi_phase, solve_single_phase
+from .phases import MAX_PENALTY, SolveLimits, solve_multi_phase, solve_single_phase
 from .scenario_io import (
     PRESETS,
     gen_preset_scenario,
@@ -58,6 +57,7 @@ def _checked(kind, ok, need: str):
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "a positive number of seconds")
+_PENALTY = _checked(_NON_NEGATIVE_INT, lambda v: v <= MAX_PENALTY, f"at most {MAX_PENALTY}")
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -109,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(solve)
     penalty = solve.add_mutually_exclusive_group()
     penalty.add_argument(
-        "--penalty", type=_NON_NEGATIVE_INT, default=0, help="day-balancing penalty factor K"
+        "--penalty", type=_PENALTY, default=0, help="day-balancing penalty factor K"
     )
     penalty.add_argument(
         "--tune",
@@ -127,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
     tune.add_argument("--patience", type=_POSITIVE_INT, default=2)
-    tune.add_argument("--k-max", type=_NON_NEGATIVE_INT, default=50)
+    tune.add_argument("--k-max", type=_PENALTY, default=50)
     tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
     tune.add_argument("--out", default=None, help="chosen-K schedule CSV (default <name>-tuned-schedule.csv)")
     tune.add_argument("--report", default=None, help="optional report JSON for the tuned schedule")
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
     compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(compare)
-    compare.add_argument("--penalty", type=_NON_NEGATIVE_INT, default=0)
+    compare.add_argument("--penalty", type=_PENALTY, default=0)
     compare.add_argument("--out", default=None, help="comparison JSON (default <name>-compare.json)")
     compare.set_defaults(handler=_cmd_compare)
 

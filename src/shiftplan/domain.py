@@ -124,6 +124,8 @@ class RequirementMatrix:
         grid = frozen_grid(self.per_interval)
         if grid.ndim != 2:
             raise ValueError("per_interval must be 2-dimensional")
+        if grid.shape[1] == 0:  # a day without intervals has no peak
+            raise ValueError("per_interval must have at least one interval per day")
         object.__setattr__(self, "per_interval", grid)
         object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 
@@ -179,8 +181,6 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
         problems.append(f"horizon not a multiple of 7: got {n_days} days")
     if any(scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)):
         problems.append("days are not strictly increasing")
-    if scenario.intervals_per_day < 1:
-        problems.append("intervals_per_day must be >= 1")
     if scenario.agent_count < 0:
         problems.append("agent_count must be >= 0")
     if scenario.shift_catalog.intervals_per_day != scenario.intervals_per_day:

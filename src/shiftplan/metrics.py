@@ -12,8 +12,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .domain import Scenario, Schedule, coverage_from_schedule, validate_schedule
-from .model import SolveLimits, SolveStatus, count_variables
-from .phases import interval_objective_value, solve_multi_phase, solve_single_phase
+from .phases import (
+    SolveLimits,
+    SolveStatus,
+    interval_objective_value,
+    solve_multi_phase,
+    solve_single_phase,
+)
 from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
 
 
@@ -57,6 +62,41 @@ class SolveReport:
     per_day_coverage: tuple[int, ...]
     evaluations: int
     runtime_seconds: float
+
+
+def count_variables(
+    agents: int,
+    days: int,
+    shifts: int,
+    intervals: int,
+    mode: str,
+    assigned_pairs: int | None = None,
+) -> int:
+    """Decision-variable count of the underlying integer formulation.
+
+    ``single``: one binary per (agent, day, shift) plus under/over deviation
+    slots per (day, interval).  ``multi``: day-phase binaries per (agent, day)
+    and one per-day deviation slot, then shift binaries only for the
+    ``assigned_pairs`` agent-days that actually work, plus the same interval
+    deviation slots.
+    """
+    for label, value in (
+        ("agents", agents),
+        ("days", days),
+        ("shifts", shifts),
+        ("intervals", intervals),
+    ):
+        if value < 0:
+            raise ValueError(f"{label} must be non-negative")
+    if mode == "single":
+        return agents * days * shifts + 2 * days * intervals
+    if mode == "multi":
+        if assigned_pairs is None:
+            raise ValueError("multi mode requires assigned_pairs")
+        if assigned_pairs < 0:
+            raise ValueError("assigned_pairs must be non-negative")
+        return agents * days + days + assigned_pairs * shifts + 2 * days * intervals
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def build_report(

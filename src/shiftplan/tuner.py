@@ -2,7 +2,7 @@
 
 Raising the penalty factor pulls scheduled head-counts away from "everyone on
 the busiest days" toward the shape of the demand itself.  The sweep takes the
-day phase's head-counts (``solvers.day_head_counts``) for K = 0, 1, 2, ... and
+day phase's head-counts (``phases.day_head_counts``) for K = 0, 1, 2, ... and
 keeps the K whose normalized scheduled day profile sits closest (in KL
 divergence) to the normalized required profile, stopping after a
 configurable run of non-improving steps.  It keeps head-counts only: a caller
@@ -15,9 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .domain import WeekPartition
-from .model import SolveLimits
-from .phases import DayPhaseSpec
-from .solvers import day_head_counts
+from .phases import MAX_PENALTY, DayPhaseSpec, SolveLimits, day_head_counts
 
 DEFAULT_EPSILON = 1e-9
 
@@ -89,6 +87,8 @@ class StopConfig:
             raise ValueError("patience must be at least 1")
         if self.k_max < 0:
             raise ValueError("k_max must be non-negative")
+        if self.k_max > MAX_PENALTY:  # every swept K is a day phase's penalty factor
+            raise ValueError(f"k_max must be at most {MAX_PENALTY}")
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,7 @@ from shiftplan.domain import (
     Scenario,
     ShiftCatalog,
 )
-from shiftplan.model import SolveStatus
-from shiftplan.solvers import SearchResult, day_term, squared_norm
+from shiftplan.phases import SearchResult, SolveStatus, day_term, squared_norm
 
 # All 5-day patterns of a week, in lexicographic order.
 DAY_PATTERNS: tuple[tuple[int, ...], ...] = tuple(

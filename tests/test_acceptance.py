@@ -29,12 +29,14 @@ from shiftplan.erlang import (
     required_agents,
     service_level,
 )
-from shiftplan.metrics import build_report, compare_modes
-from shiftplan.model import SolveLimits, count_variables
+from shiftplan.metrics import build_report, compare_modes, count_variables
 from shiftplan.phases import (
     DayPhaseSpec,
     ShiftPhaseSpec,
+    SolveLimits,
     interval_objective_value,
+    materialize_day,
+    materialize_shift,
     solve_day_allocation,
     solve_multi_phase,
     solve_shift_allocation,
@@ -50,7 +52,6 @@ from shiftplan.scenario_io import (
     write_schedule,
     write_sweep_trace,
 )
-from shiftplan.solvers import materialize_day, materialize_shift
 from shiftplan.tuner import DistributionPair, kl_divergence, tune_penalty
 
 import oracles

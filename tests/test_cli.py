@@ -216,9 +216,12 @@ class TestFlagRanges:
             ["solve", "--mode", "multi", "--time-budget", "nan"],
             ["solve", "--mode", "multi", "--seed", "-1"],
             ["solve", "--mode", "multi", "--penalty", "-1"],
+            ["solve", "--mode", "multi", "--penalty", "3037000500"],  # K² beyond int64
+            ["compare", "--penalty", "1000001"],
             ["compare", "--runs", "0"],
             ["tune-penalty", "--patience", "0"],
             ["tune-penalty", "--k-max", "-1"],
+            ["tune-penalty", "--k-max", "1000001"],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )

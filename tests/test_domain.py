@@ -88,6 +88,10 @@ class TestRequirementMatrix:
         req = RequirementMatrix([[1, -1]])
         assert "negative interval requirement" in req.validate()
 
+    def test_zero_interval_grid_refused(self):
+        with pytest.raises(ValueError, match="at least one interval per day"):
+            RequirementMatrix(np.zeros((7, 0), dtype=np.int64))
+
     def test_equality_by_value(self):
         a = RequirementMatrix([[1, 2]])
         b = RequirementMatrix([[1, 2]])
@@ -144,6 +148,19 @@ class TestScenarioValidation:
             "invalid scenario: agent_count must be >= 0; shift 0 exceeds day boundary;"
             " sla target must lie in (0, 1]"
         )
+
+    def test_each_rule_named_once(self):
+        scn = make_scenario()
+        with pytest.raises(ValueError) as caught:
+            Scenario(
+                name=scn.name,
+                days=scn.days,
+                intervals_per_day=0,
+                agent_count=scn.agent_count,
+                shift_catalog=ShiftCatalog((), 0),
+                requirements=RequirementMatrix(np.zeros((7, 1), dtype=np.int64)),
+            )
+        assert str(caught.value).count("intervals_per_day must be >= 1") == 1
 
     def test_replace_checks_again(self):
         with pytest.raises(ValueError, match="invalid scenario: agent_count must be >= 0"):

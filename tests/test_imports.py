@@ -1,6 +1,7 @@
 """Every module uses each name it imports: a deletion that leaves an import
 behind fails here.  The package's ``__init__.py`` imports to re-export, so it
-is not scanned."""
+is not scanned for unused names.  No package module imports another's
+private (underscore-prefixed) names: what a module shares, it names publicly."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,22 @@ def test_no_unused_imports(directory):
     paths = sorted(p for p in (ROOT / directory).glob("*.py") if p.name != "__init__.py")
     assert paths
     assert [line for p in paths for line in unused_imports(p)] == []
+
+
+def private_imports(path: Path) -> list[str]:
+    """Underscore-prefixed names imported from another module of the package."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "shiftplan")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_no_private_names_across_package_modules():
+    paths = sorted((ROOT / "src/shiftplan").glob("*.py"))
+    assert paths
+    assert [line for p in paths for line in private_imports(p)] == []

@@ -19,8 +19,7 @@ from shiftplan.domain import (
     TripleError,
 )
 from shiftplan.metrics import build_report
-from shiftplan.model import SolveLimits
-from shiftplan.phases import solve_multi_phase
+from shiftplan.phases import SolveLimits, solve_multi_phase
 from shiftplan.scenario_io import (
     DEFAULT_INTRADAY_PROFILE,
     PRESETS,

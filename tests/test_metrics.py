@@ -10,8 +10,7 @@ from shiftplan.metrics import (
     dvdi,
     ivdi,
 )
-from shiftplan.model import SolveLimits
-from shiftplan.phases import solve_multi_phase
+from shiftplan.phases import SolveLimits, solve_multi_phase
 
 from oracles import scenario_from_grid
 

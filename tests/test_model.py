@@ -4,8 +4,9 @@ import time
 
 import pytest
 
-from shiftplan import model
-from shiftplan.model import Deadline, SolveLimits, count_variables
+from shiftplan import phases
+from shiftplan.metrics import count_variables
+from shiftplan.phases import Deadline, SolveLimits
 
 
 class TestSolveLimits:
@@ -51,7 +52,7 @@ class TestDeadline:
         deadline = Deadline(SolveLimits(time_budget_seconds=1e-9, move_cap=5))
         # in cap mode even an expired clock budget does not matter
         time.sleep(0.001)
-        monkeypatch.setattr(model, "time", None)  # any clock read would raise
+        monkeypatch.setattr(phases, "time", None)  # any clock read would raise
         for _ in range(4):
             deadline.spend()
             assert deadline.affords(1)

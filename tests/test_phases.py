@@ -12,17 +12,18 @@ from shiftplan.domain import (
     coverage_from_schedule,
     validate_schedule,
 )
-from shiftplan.model import SolveLimits
 from shiftplan.phases import (
     DayPhaseSpec,
     ShiftPhaseSpec,
+    SolveLimits,
     interval_objective_value,
+    materialize_day,
+    materialize_shift,
     solve_day_allocation,
     solve_multi_phase,
     solve_shift_allocation,
     solve_single_phase,
 )
-from shiftplan.solvers import materialize_day, materialize_shift
 
 import oracles
 from oracles import scenario_from_grid
@@ -95,6 +96,11 @@ class TestDayPhase:
             DayPhaseSpec(np.array([1, 2, 3]), 1, ONE_WEEK)
         with pytest.raises(ValueError, match="penalty_factor"):
             DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=-1)
+
+    def test_penalty_beyond_max_refused(self):
+        DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=phases.MAX_PENALTY)
+        with pytest.raises(ValueError, match="penalty_factor must be at most 1000000"):
+            DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=phases.MAX_PENALTY + 1)
 
 
 class TestShiftPhase:

@@ -24,21 +24,24 @@ from shiftplan.domain import (
     build_week_partition,
     validate_schedule,
 )
-from shiftplan.model import Deadline, SolveLimits, SolveStatus
 from shiftplan.phases import (
+    MAX_PENALTY,
     DayPhaseSpec,
+    Deadline,
     ShiftPhaseSpec,
-    solve_day_allocation,
-    solve_shift_allocation,
-    solve_single_phase,
-)
-from shiftplan.solvers import (
+    SolveLimits,
+    SolveStatus,
     _day_kernels,
+    day_head_counts,
     day_term,
     materialize_day,
     materialize_shift,
+    solve_day_allocation,
+    solve_shift_allocation,
+    solve_single_phase,
     squared_norm,
 )
+from shiftplan.scenario_io import MAX_AGENTS, MAX_REQUIREMENT
 
 import oracles
 from oracles import scenario_from_grid
@@ -197,6 +200,21 @@ class TestDayObjectiveHelpers:
             assert (result.head_counts, result.objective) == week_counts_loop(
                 r_week, agents, penalty
             )
+
+    def test_greedy_exact_at_max_penalty(self):
+        # the largest K, head-count and requirement accepted drive the int64
+        # marginals to about 2e17; the greedy in Python integers agrees
+        agents, k = MAX_AGENTS, MAX_PENALTY
+        r_week = [MAX_REQUIREMENT, 0, 7, MAX_REQUIREMENT // 3, 1, MAX_REQUIREMENT, 2]
+        increments = sorted(
+            (day_term(r, p + 1, agents, k) - day_term(r, p, agents, k), d)
+            for d, r in enumerate(r_week)
+            for p in range(agents)
+        )
+        expected = [0] * 7
+        for _, d in increments[: 5 * agents]:
+            expected[d] += 1
+        assert day_head_counts(r_week, agents, ONE_WEEK, k) == tuple(expected)
 
     @given(st.integers(min_value=1, max_value=6), st.data())
     @settings(max_examples=50)

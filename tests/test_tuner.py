@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from shiftplan.domain import build_week_partition
-from shiftplan.model import SolveLimits
+from shiftplan.phases import MAX_PENALTY, SolveLimits
 from shiftplan.tuner import (
     DistributionPair,
     StopConfig,
@@ -126,6 +126,11 @@ class TestTunePenalty:
         b = tune_penalty(r, 7, ONE_WEEK, SolveLimits(seed=3, move_cap=8000))
         assert [e.kl for e in a.trace.entries] == [e.kl for e in b.trace.entries]
         assert a.trace.selected == b.trace.selected
+
+    def test_k_max_beyond_max_penalty_refused(self):
+        StopConfig(k_max=MAX_PENALTY)
+        with pytest.raises(ValueError, match="k_max must be at most 1000000"):
+            StopConfig(k_max=MAX_PENALTY + 1)
 
     def test_needs_agents(self):
         with pytest.raises(ValueError, match="at least one agent"):

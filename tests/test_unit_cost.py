@@ -12,15 +12,16 @@ import pytest
 
 from shiftplan.domain import Scenario, build_week_partition, coverage_from_schedule
 from shiftplan.metrics import build_report
-from shiftplan.model import SolveLimits
 from shiftplan.phases import (
     ShiftPhaseSpec,
+    SolveLimits,
     interval_objective_value,
+    materialize_day,
+    materialize_shift,
     solve_shift_allocation,
     solve_single_phase,
 )
 from shiftplan.scenario_io import report_to_dict
-from shiftplan.solvers import materialize_day, materialize_shift
 
 import oracles
 from oracles import scenario_from_grid
