@@ -55,8 +55,9 @@ class ShiftCatalog:
     """The set of daily shifts an agent can take.
 
     Each shift is a ``(start_interval, length_intervals)`` block that must fit
-    inside a single day.  ``coverage[s, t]`` is 1 when shift ``s`` covers
-    interval ``t``.
+    inside a single day, and no shift is listed twice; building a catalog
+    that breaks a rule raises one ``ValueError`` naming every problem.
+    ``coverage[s, t]`` is 1 when shift ``s`` covers interval ``t``.
     """
 
     shifts: tuple[tuple[int, int], ...]
@@ -64,27 +65,14 @@ class ShiftCatalog:
     coverage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "shifts", tuple((int(s), int(l)) for s, l in self.shifts)
-        )
-        cov = np.zeros((len(self.shifts), self.intervals_per_day), dtype=np.int8)
-        for idx, (start, length) in enumerate(self.shifts):
-            if 0 <= start and length >= 1 and start + length <= self.intervals_per_day:
-                cov[idx, start : start + length] = 1
-        cov.setflags(write=False)
-        object.__setattr__(self, "coverage", cov)
-
-    def __len__(self) -> int:
-        return len(self.shifts)
-
-    def validate(self) -> list[str]:
+        shifts = tuple((int(s), int(l)) for s, l in self.shifts)
         problems: list[str] = []
         if self.intervals_per_day < 1:
             problems.append("intervals_per_day must be >= 1")
-        if not self.shifts:
+        if not shifts:
             problems.append("shift catalog is empty")
         seen: set[tuple[int, int]] = set()
-        for idx, (start, length) in enumerate(self.shifts):
+        for idx, (start, length) in enumerate(shifts):
             if length < 1:
                 problems.append(f"shift {idx} has non-positive length {length}")
             if start < 0:
@@ -94,7 +82,17 @@ class ShiftCatalog:
             if (start, length) in seen:
                 problems.append(f"shift {idx} duplicates ({start}, {length})")
             seen.add((start, length))
-        return problems
+        if problems:
+            raise ValueError("invalid shift catalog: " + "; ".join(problems))
+        cov = np.zeros((len(shifts), self.intervals_per_day), dtype=np.int8)
+        for idx, (start, length) in enumerate(shifts):
+            cov[idx, start : start + length] = 1
+        cov.setflags(write=False)
+        object.__setattr__(self, "shifts", shifts)
+        object.__setattr__(self, "coverage", cov)
+
+    def __len__(self) -> int:
+        return len(self.shifts)
 
 
 @dataclass(frozen=True)
@@ -114,7 +112,8 @@ def build_week_partition(day_count: int) -> WeekPartition:
 
 @dataclass(frozen=True, eq=False)
 class RequirementMatrix:
-    """Required head-counts per (day, interval), and each day's peak."""
+    """Required head-counts per (day, interval), none negative, and each
+    day's peak."""
 
     per_interval: np.ndarray  # shape (days, intervals), int
     per_day: np.ndarray = field(init=False, repr=False)  # shape (days,): the row maxima
@@ -126,6 +125,8 @@ class RequirementMatrix:
             raise ValueError("per_interval must be 2-dimensional")
         if grid.shape[1] == 0:  # a day without intervals has no peak
             raise ValueError("per_interval must have at least one interval per day")
+        if (grid < 0).any():
+            raise ValueError("negative interval requirement")
         object.__setattr__(self, "per_interval", grid)
         object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 
@@ -136,9 +137,6 @@ class RequirementMatrix:
     @property
     def intervals(self) -> int:
         return self.per_interval.shape[1]
-
-    def validate(self) -> list[str]:
-        return ["negative interval requirement"] if (self.per_interval < 0).any() else []
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, RequirementMatrix):
@@ -185,8 +183,6 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
         problems.append("agent_count must be >= 0")
     if scenario.shift_catalog.intervals_per_day != scenario.intervals_per_day:
         problems.append("shift catalog interval grid differs from scenario")
-    problems.extend(scenario.shift_catalog.validate())
-    problems.extend(scenario.requirements.validate())
     if scenario.requirements.days != n_days:
         problems.append("requirements day count differs from scenario days")
     if scenario.requirements.intervals != scenario.intervals_per_day:

@@ -271,47 +271,34 @@ class _DayKernel:
         return self._splits[n]
 
 
-def _greedy_passes(cr, overlap, caps) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's greedy pass at once, one argmin per step over the rows
-    still below their cap: row ``k`` starts from ``C·u = cr[k]`` and adds
-    ``caps[k]`` agents; ``picks[k, t]`` and ``adds[k, t]`` are step ``t``'s
-    shift and objective change (zero past the row's cap)."""
-    order = np.argsort([-cap for cap in caps], kind="stable")  # under-cap rows: a prefix
-    caps_desc, rows = [caps[k] for k in order], np.arange(len(caps))
-    base = np.diag(overlap) - 2 * cr[order]
-    steps = caps_desc[0] if caps_desc else 0
-    picks = np.zeros((steps, len(caps)), dtype=np.int64)
-    adds = np.zeros((steps, len(caps)), dtype=np.int64)
-    active = len(caps)
-    for t in range(steps):
-        while caps_desc[active - 1] <= t:
-            active -= 1
-        picks[t, :active] = s = base[:active].argmin(axis=1)
-        adds[t, :active] = base[rows[:active], s]
-        base[:active] += 2 * overlap[s]
-    unsort = np.argsort(order)
-    return picks.T[unsort], adds.T[unsort]
-
-
 def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
     """One kernel per day; days with equal requirement rows share one, built
-    up to the largest head-count among them."""
+    up to the largest head-count among them.
+
+    Every distinct row's greedy pass runs at once, one argmin per row and
+    step: row ``k`` starts from ``C·u = cr[k]``, and its kernel keeps the
+    first ``caps[k]`` steps' shifts and objective changes.
+    """
     cover = catalog.coverage.astype(np.int64)
     overlap = cover @ cover.T
-    keys = [r[d].tobytes() for d in range(r.shape[0])]
-    caps: dict = {}
-    first: dict = {}  # each distinct row's first day
-    for d, (key, cap) in enumerate(zip(keys, head_caps)):
-        caps[key] = max(caps.get(key, 0), cap)
-        first.setdefault(key, d)
-    days = list(first.values())
-    cr = r[days] @ cover.T
-    picks, adds = _greedy_passes(cr, overlap, list(caps.values()))
-    built = {
-        key: _DayKernel(overlap, cr[k], picks[k, :n], adds[k, :n], squared_norm(r[d]))
-        for k, (key, d, n) in enumerate(zip(caps, days, caps.values()))
-    }
-    return [built[key] for key in keys]
+    rows, inverse = np.unique(r, axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    caps = np.zeros(len(rows), dtype=np.int64)
+    np.maximum.at(caps, inverse, head_caps)
+    cr = rows @ cover.T
+    base = np.diag(overlap) - 2 * cr
+    steps = int(caps.max(initial=0))
+    picks = np.zeros((len(rows), steps), dtype=np.int64)
+    adds = np.zeros((len(rows), steps), dtype=np.int64)
+    for t in range(steps):
+        picks[:, t] = s = base.argmin(axis=1)
+        adds[:, t] = base[np.arange(len(rows)), s]
+        base += 2 * overlap[s]
+    built = [
+        _DayKernel(overlap, cr[k], picks[k, :n], adds[k, :n], squared_norm(rows[k]))
+        for k, n in enumerate(caps.tolist())
+    ]
+    return [built[k] for k in inverse.tolist()]
 
 
 def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResult:
@@ -445,12 +432,8 @@ class ShiftPhaseSpec:
         r = self.requirements.per_interval
         if len(self.allocation.day_counts) != r.shape[0]:
             raise ValueError("one head-count per day is required")
-        problems = self.catalog.validate() + self.requirements.validate()
-        if problems:
-            raise ValueError("; ".join(problems))
         if self.catalog.intervals_per_day != r.shape[1]:
             raise ValueError("catalog interval grid differs from requirements")
-
 
 
 def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> SearchResult:

@@ -276,7 +276,10 @@ def load_scenario(path: str) -> Scenario:
     aht = _need(data, "aht_seconds", float, "$")
     if "requirements" in data:
         grid = _grid(data["requirements"], len(days), intervals, "$.requirements", True)
-        requirements = RequirementMatrix(grid)
+        try:
+            requirements = RequirementMatrix(grid)
+        except ValueError as exc:
+            raise SchemaError(f"$.requirements: {exc}") from exc
     elif "volumes" in data:
         volumes = _grid(data["volumes"], len(days), intervals, "$.volumes", False)
         interval_seconds = _need(data, "interval_seconds", float, "$")

@@ -326,6 +326,12 @@ class TestGridCells:
         assert "$.requirements[3][1]: beyond 1000000000000 agents" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_requirement_is_schema_error(self, tmp_path):
+        proc = run_requirements(tmp_path, self.requirements_with(-1))
+        assert proc.returncode == 2
+        assert "$.requirements: negative interval requirement" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_fractional_volume_is_sized_as_given(self, tmp_path):
         # 6.6 calls / 15 min at 300 s AHT needs 5 agents; truncated to 6 it would be 4
         proc = run_requirements(tmp_path, week_scenario(volumes=[[6.6, 6]] * 7))

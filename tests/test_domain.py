@@ -44,19 +44,26 @@ class TestShiftCatalog:
         assert len(cat) == 2
 
     def test_valid_catalog_passes(self):
-        assert ShiftCatalog(((0, 8), (8, 8)), 24).validate() == []
+        assert ShiftCatalog(((0, 8), (8, 8)), 24).shifts == ((0, 8), (8, 8))
 
     def test_shift_past_day_boundary(self):
-        problems = ShiftCatalog(((20, 8),), 24).validate()
-        assert problems == ["shift 0 exceeds day boundary"]
+        with pytest.raises(ValueError) as caught:
+            ShiftCatalog(((20, 8),), 24)
+        assert str(caught.value) == "invalid shift catalog: shift 0 exceeds day boundary"
 
     def test_duplicate_and_bad_length(self):
-        problems = ShiftCatalog(((0, 2), (0, 2), (3, 0)), 8).validate()
-        assert "shift 1 duplicates (0, 2)" in problems
-        assert "shift 2 has non-positive length 0" in problems
+        with pytest.raises(ValueError) as caught:
+            ShiftCatalog(((0, 2), (0, 2), (3, 0)), 8)
+        assert "shift 1 duplicates (0, 2)" in str(caught.value)
+        assert "shift 2 has non-positive length 0" in str(caught.value)
 
     def test_empty_catalog(self):
-        assert "shift catalog is empty" in ShiftCatalog((), 8).validate()
+        with pytest.raises(ValueError, match="shift catalog is empty"):
+            ShiftCatalog((), 8)
+
+    def test_negative_intervals_per_day_refused(self):
+        with pytest.raises(ValueError, match="intervals_per_day must be >= 1"):
+            ShiftCatalog(((0, 1),), -1)
 
     def test_coverage_is_readonly(self):
         cat = ShiftCatalog(((0, 2),), 4)
@@ -85,8 +92,8 @@ class TestRequirementMatrix:
             RequirementMatrix(np.full((7, 3), 1.5))
 
     def test_negative_entries_flagged(self):
-        req = RequirementMatrix([[1, -1]])
-        assert "negative interval requirement" in req.validate()
+        with pytest.raises(ValueError, match="negative interval requirement"):
+            RequirementMatrix([[1, -1]])
 
     def test_zero_interval_grid_refused(self):
         with pytest.raises(ValueError, match="at least one interval per day"):
@@ -140,14 +147,15 @@ class TestScenarioValidation:
                 days=scn.days,
                 intervals_per_day=scn.intervals_per_day,
                 agent_count=-1,
-                shift_catalog=ShiftCatalog(((3, 2),), 4),
+                shift_catalog=scn.shift_catalog,
                 requirements=scn.requirements,
                 sla_target=0.0,
             )
         assert str(caught.value) == (
-            "invalid scenario: agent_count must be >= 0; shift 0 exceeds day boundary;"
-            " sla target must lie in (0, 1]"
+            "invalid scenario: agent_count must be >= 0; sla target must lie in (0, 1]"
         )
+        with pytest.raises(ValueError, match="^invalid shift catalog: shift 0 exceeds day boundary$"):
+            ShiftCatalog(((3, 2),), 4)
 
     def test_each_rule_named_once(self):
         scn = make_scenario()
