@@ -7,7 +7,7 @@ not the squared objectives the solvers minimize): the day-level index sums
 schedule so no number in a report depends on solver bookkeeping.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,17 +44,19 @@ def ivdi(interval_requirements, interval_coverage) -> int:
 class SolveReport:
     """Everything recomputable about one solved schedule."""
 
-    scenario_name: str
+    scenario: str
     mode: str  # "single" or "multi"
     status: str
     seed: int
-    agent_count: int
-    day_count: int
+    agents: int
+    days: int
     intervals_per_day: int
-    shift_count: int
+    shifts: int
     assigned_pairs: int
     variable_count: int
     objective_value: int
+    # no shift carries a price; the key stays for readers of the format
+    cost_value: float = field(default=0.0, init=False)
     dvdi: int
     ivdi: int
     kl_day_distribution: float | None
@@ -62,6 +64,10 @@ class SolveReport:
     per_day_coverage: tuple[int, ...]
     evaluations: int
     runtime_seconds: float
+
+
+# Problems an infeasible-schedule error names before it gives only their count.
+NAMED_PROBLEMS = 5
 
 
 def count_variables(
@@ -123,6 +129,8 @@ def build_report(
         catalog=scenario.shift_catalog,
         weeks=scenario.week_partition(),
     )
+    if len(problems) > NAMED_PROBLEMS:
+        problems = problems[:NAMED_PROBLEMS] + [f"... {len(problems)} problems in all"]
     if problems:
         raise ValueError("infeasible schedule: " + "; ".join(problems))
     coverage = coverage_from_schedule(schedule, scenario.shift_catalog)
@@ -149,14 +157,14 @@ def build_report(
     except ValueError:
         kl = None  # nothing scheduled or nothing required
     return SolveReport(
-        scenario_name=scenario.name,
+        scenario=scenario.name,
         mode=mode,
         status=status.value if isinstance(status, SolveStatus) else str(status),
         seed=seed,
-        agent_count=scenario.agent_count,
-        day_count=scenario.num_days,
+        agents=scenario.agent_count,
+        days=scenario.num_days,
         intervals_per_day=scenario.intervals_per_day,
-        shift_count=len(scenario.shift_catalog),
+        shifts=len(scenario.shift_catalog),
         assigned_pairs=assigned_pairs,
         variable_count=variable_count,
         objective_value=objective,
@@ -179,7 +187,7 @@ class ComparisonRun:
 
 @dataclass(frozen=True)
 class ComparisonResult:
-    scenario_name: str
+    scenario: str
     runs: tuple[ComparisonRun, ...]
     means: dict  # mode -> {metric: mean}
 

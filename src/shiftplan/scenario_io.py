@@ -15,7 +15,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from datetime import date, timedelta
 
 import numpy as np
@@ -409,61 +409,33 @@ def read_sweep_trace(path: str) -> SweepTrace:
 # ---------------------------------------------------------------------------
 
 
-def report_to_dict(report: SolveReport, deterministic: bool = False) -> dict:
-    """Fixed field order.  ``deterministic`` nulls the wall-clock runtime so
-    move-cap runs serialize byte-identically."""
-    return {
-        "scenario": report.scenario_name,
-        "mode": report.mode,
-        "status": report.status,
-        "seed": report.seed,
-        "agents": report.agent_count,
-        "days": report.day_count,
-        "intervals_per_day": report.intervals_per_day,
-        "shifts": report.shift_count,
-        "assigned_pairs": report.assigned_pairs,
-        "variable_count": report.variable_count,
-        "objective_value": report.objective_value,
-        "cost_value": 0.0,  # no shift carries a price; the key stays for readers of the format
-        "dvdi": report.dvdi,
-        "ivdi": report.ivdi,
-        "kl_day_distribution": report.kl_day_distribution,
-        "per_day_required": list(report.per_day_required),
-        "per_day_coverage": list(report.per_day_coverage),
-        "evaluations": report.evaluations,
-        "runtime_seconds": None if deterministic else report.runtime_seconds,
-    }
+def record_to_dict(record, deterministic: bool = False):
+    """A report or comparison as JSON data: each dataclass becomes its fields,
+    in field order, under their own names, and dicts and tuples are walked.
+    ``deterministic`` nulls every wall-clock ``runtime_seconds`` so move-cap
+    runs serialize byte-identically."""
+    if is_dataclass(record):
+        record = {f.name: getattr(record, f.name) for f in fields(record)}
+    if isinstance(record, dict):
+        return {
+            key: None
+            if deterministic and key == "runtime_seconds"
+            else record_to_dict(value, deterministic)
+            for key, value in record.items()
+        }
+    if isinstance(record, tuple):
+        return [record_to_dict(item, deterministic) for item in record]
+    return record
 
 
 def write_report(report: SolveReport, path: str, deterministic: bool = False) -> None:
-    _write_json(report_to_dict(report, deterministic), path)
-
-
-def comparison_to_dict(result: ComparisonResult, deterministic: bool = False) -> dict:
-    means = {}
-    for mode, metrics in result.means.items():
-        means[mode] = {
-            key: (None if deterministic and key == "runtime_seconds" else value)
-            for key, value in metrics.items()
-        }
-    return {
-        "scenario": result.scenario_name,
-        "runs": [
-            {
-                "seed": run.seed,
-                "single": report_to_dict(run.single, deterministic),
-                "multi": report_to_dict(run.multi, deterministic),
-            }
-            for run in result.runs
-        ],
-        "means": means,
-    }
+    _write_json(record_to_dict(report, deterministic), path)
 
 
 def write_comparison(
     result: ComparisonResult, path: str, deterministic: bool = False
 ) -> None:
-    _write_json(comparison_to_dict(result, deterministic), path)
+    _write_json(record_to_dict(result, deterministic), path)
 
 
 # ---------------------------------------------------------------------------

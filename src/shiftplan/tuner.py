@@ -115,7 +115,6 @@ def tune_penalty(
     weeks: WeekPartition,
     per_k_limits: SolveLimits,
     stop: StopConfig = StopConfig(),
-    epsilon: float = DEFAULT_EPSILON,
 ) -> TuneResult:
     """Sweep the day phase's head-counts over K = 0..k_max.
 
@@ -134,7 +133,7 @@ def tune_penalty(
     stagnant = 0
     for k in range(stop.k_max + 1):
         head_counts = day_head_counts(spec.day_requirements, agent_count, weeks, k)
-        kl = kl_divergence(DistributionPair(day_distribution(head_counts), target, epsilon))
+        kl = kl_divergence(DistributionPair(day_distribution(head_counts), target))
         entries.append(SweepEntry(k, kl, head_counts))
         if best_kl is None or kl < best_kl:
             best_kl = kl

@@ -47,7 +47,7 @@ from shiftplan.scenario_io import (
     load_scenario,
     read_schedule,
     read_sweep_trace,
-    report_to_dict,
+    record_to_dict,
     save_scenario,
     write_schedule,
     write_sweep_trace,
@@ -386,8 +386,8 @@ def test_criterion_5_directional_comparison(benchmark_artifacts):
             (run.single, replay_single),
             (run.multi, replay_multi),
         ):
-            a = report_to_dict(official_report, deterministic=True)
-            b = report_to_dict(replay, deterministic=True)
+            a = record_to_dict(official_report, deterministic=True)
+            b = record_to_dict(replay, deterministic=True)
             for skip in ("status", "evaluations"):
                 a.pop(skip), b.pop(skip)
             assert a == b

@@ -587,6 +587,29 @@ class TestMetrics:
         assert code == 2
         assert "infeasible schedule" in capsys.readouterr().err
 
+    def metrics_of_empty_schedule(self, scenario, tmp_path) -> int:
+        sched = tmp_path / "empty.csv"
+        sched.write_text("agent,day_index,shift_start,shift_length\n")
+        return main(["metrics", "--scenario", scenario, "--schedule", str(sched),
+                     "--mode", "multi", "--out", str(tmp_path / "m.json")])
+
+    def test_few_problems_are_all_named(self, tiny_scenario, tmp_path, capsys):
+        assert self.metrics_of_empty_schedule(tiny_scenario, tmp_path) == 2
+        assert capsys.readouterr().err == "error: infeasible schedule: " + "; ".join(
+            f"agent {a} works 0 days in week 0, expected 5" for a in range(3)
+        ) + "\n"
+
+    def test_many_problems_are_counted_not_listed(self, tmp_path, capsys):
+        scenario = tmp_path / "crowd.json"
+        save_scenario(gen_peak_scenario(PeakPresetSpec(agents=400, weeks=2)), str(scenario))
+        assert self.metrics_of_empty_schedule(str(scenario), tmp_path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: infeasible schedule: agent 0 works 0 days in week 0,")
+        assert err.count("works 0 days") == 5
+        assert err.endswith("; ... 800 problems in all\n")
+        assert len(err.encode()) < 1024
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestCompare:
     def test_writes_summary(self, tiny_scenario, tmp_path):

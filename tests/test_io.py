@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import tracemalloc
+from dataclasses import fields
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from shiftplan.domain import (
     ShiftCatalog,
     TripleError,
 )
-from shiftplan.metrics import build_report
+from shiftplan.metrics import _MEAN_FIELDS, SolveReport, build_report, compare_modes
 from shiftplan.phases import SolveLimits, solve_multi_phase
 from shiftplan.scenario_io import (
     DEFAULT_INTRADAY_PROFILE,
@@ -32,8 +33,9 @@ from shiftplan.scenario_io import (
     load_scenario,
     read_schedule,
     read_sweep_trace,
-    report_to_dict,
+    record_to_dict,
     save_scenario,
+    write_comparison,
     write_report,
     write_requirements,
     write_schedule,
@@ -437,6 +439,30 @@ class TestSweepCsv:
             write_sweep_trace(SweepTrace((), 0), str(tmp_path / "t.csv"))
 
 
+# A report's JSON keys, in order: SolveReport's field names.
+REPORT_KEYS = [
+    "scenario",
+    "mode",
+    "status",
+    "seed",
+    "agents",
+    "days",
+    "intervals_per_day",
+    "shifts",
+    "assigned_pairs",
+    "variable_count",
+    "objective_value",
+    "cost_value",
+    "dvdi",
+    "ivdi",
+    "kl_day_distribution",
+    "per_day_required",
+    "per_day_coverage",
+    "evaluations",
+    "runtime_seconds",
+]
+
+
 class TestReportJson:
     def make_report(self):
         scn = gen_preset_scenario("peak-week")
@@ -453,9 +479,9 @@ class TestReportJson:
 
     def test_deterministic_serialization_nulls_runtime(self, tmp_path):
         report = self.make_report()
-        d = report_to_dict(report, deterministic=True)
+        d = record_to_dict(report, deterministic=True)
         assert d["runtime_seconds"] is None
-        assert report_to_dict(report)["runtime_seconds"] == report.runtime_seconds
+        assert record_to_dict(report)["runtime_seconds"] == report.runtime_seconds
 
     def test_write_and_parse(self, tmp_path):
         report = self.make_report()
@@ -466,27 +492,32 @@ class TestReportJson:
         assert data["mode"] == "multi"
         assert data["objective_value"] == report.objective_value
         assert data["per_day_required"] == [225] * 5 + [110] * 2
-        assert list(data) == [
-            "scenario",
-            "mode",
-            "status",
-            "seed",
-            "agents",
-            "days",
-            "intervals_per_day",
-            "shifts",
-            "assigned_pairs",
-            "variable_count",
-            "objective_value",
-            "cost_value",
-            "dvdi",
-            "ivdi",
-            "kl_day_distribution",
-            "per_day_required",
-            "per_day_coverage",
-            "evaluations",
-            "runtime_seconds",
-        ]
+        assert list(data) == REPORT_KEYS
+
+    def test_report_fields_are_its_keys(self):
+        assert [f.name for f in fields(SolveReport)] == REPORT_KEYS
+
+
+class TestComparisonJson:
+    def test_shape(self, tmp_path):
+        scn = gen_preset_scenario("peak-week")
+        result = compare_modes(scn, 2, SolveLimits(seed=4, move_cap=2000))
+        path = tmp_path / "c.json"
+        write_comparison(result, str(path), deterministic=True)
+        data = json.loads(path.read_text())
+        assert list(data) == ["scenario", "runs", "means"]
+        assert data["scenario"] == "peak-week"
+        assert [run["seed"] for run in data["runs"]] == [4, 5]
+        for run in data["runs"]:
+            assert list(run) == ["seed", "single", "multi"]
+            for mode in ("single", "multi"):
+                assert list(run[mode]) == REPORT_KEYS
+                assert run[mode]["mode"] == mode
+                assert run[mode]["runtime_seconds"] is None
+        assert list(data["means"]) == ["single", "multi"]
+        for means in data["means"].values():
+            assert list(means) == list(_MEAN_FIELDS)
+            assert means["runtime_seconds"] is None
 
 
 class TestRequirementsCsv:

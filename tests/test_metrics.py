@@ -53,10 +53,10 @@ class TestBuildReport:
             status=result.status,
             evaluations=result.evaluations,
         )
-        assert report.scenario_name == "t"
+        assert report.scenario == "t"
         assert report.mode == "multi"
-        assert report.agent_count == 2 and report.day_count == 7
-        assert report.shift_count == 3 and report.intervals_per_day == 2
+        assert report.agents == 2 and report.days == 7
+        assert report.shifts == 3 and report.intervals_per_day == 2
         assert report.assigned_pairs == 10  # 2 agents x 5 workdays
         # A*D + D + pairs*S + 2*D*T
         assert report.variable_count == 2 * 7 + 7 + 10 * 3 + 2 * 7 * 2

@@ -21,7 +21,7 @@ from shiftplan.phases import (
     solve_shift_allocation,
     solve_single_phase,
 )
-from shiftplan.scenario_io import report_to_dict
+from shiftplan.scenario_io import record_to_dict
 
 import oracles
 from oracles import scenario_from_grid
@@ -74,5 +74,5 @@ class TestReport:
         scn = micro_instance(random.Random(3))
         schedule = solve_single_phase(scn, LOCAL).schedule
         report = build_report(scn, schedule, "single", seed=0, runtime_seconds=0.0)
-        assert report_to_dict(report)["cost_value"] == 0.0
+        assert record_to_dict(report)["cost_value"] == 0.0
         assert report.objective_value == deviation(scn, schedule)
