@@ -391,7 +391,7 @@ def materialize_shift(splits, allocation: DayAllocation) -> Schedule:
 # ---------------------------------------------------------------------------
 
 # The day phase's share of a multi solve's budget; perfbench/traced.py copies it
-# to replay the CLI byte for byte, so the two change together (ROADMAP item 4).
+# to replay the CLI byte for byte, so the two change together (ROADMAP item 6).
 DAY_SHARE = 0.2
 # The largest idle-day penalty factor K.  With the loader's MAX_AGENTS and
 # MAX_REQUIREMENT, no int64 marginal of ``day_head_counts`` exceeds 2.1e17.

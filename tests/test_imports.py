@@ -1,7 +1,6 @@
 """Every module uses each name it imports: a deletion that leaves an import
-behind fails here.  The package's ``__init__.py`` imports to re-export, so it
-is not scanned for unused names.  No package module imports another's
-private (underscore-prefixed) names: what a module shares, it names publicly."""
+behind fails here.  No package module imports another's private
+(underscore-prefixed) names: what a module shares, it names publicly."""
 
 import ast
 from pathlib import Path
@@ -55,7 +54,7 @@ def unused_imports(path: Path) -> list[str]:
 
 @pytest.mark.parametrize("directory", ["src/shiftplan", "tests", "demos"])
 def test_no_unused_imports(directory):
-    paths = sorted(p for p in (ROOT / directory).glob("*.py") if p.name != "__init__.py")
+    paths = sorted((ROOT / directory).glob("*.py"))
     assert paths
     assert [line for p in paths for line in unused_imports(p)] == []
 
