@@ -41,7 +41,6 @@ requirements = RequirementMatrix(r_dt)
 scenario = Scenario(
     name="walkthrough",
     days=tuple(date(2024, 1, 1) + timedelta(days=d) for d in range(7)),
-    intervals_per_day=8,
     agent_count=6,
     shift_catalog=catalog,
     requirements=requirements,

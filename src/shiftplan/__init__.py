@@ -20,13 +20,13 @@ _EXPORTS = {
         "Scenario",
         "Schedule",
         "ShiftCatalog",
+        "SlaSpec",
         "WeekPartition",
         "build_week_partition",
         "coverage_from_schedule",
         "validate_schedule",
     ),
     "erlang": (
-        "SlaSpec",
         "erlang_b_blocking",
         "erlang_c_wait_probability",
         "required_agents",

@@ -23,7 +23,6 @@ from .scenario_io import (
     load_scenario,
     read_schedule,
     save_scenario,
-    write_comparison,
     write_report,
     write_requirements,
     write_schedule,
@@ -256,7 +255,7 @@ def _cmd_compare(args) -> int:
     limits = _limits(args)
     result = compare_modes(scenario, args.runs, limits, penalty_factor=args.penalty)
     out = args.out or f"{scenario.name}-compare.json"
-    write_comparison(result, out, deterministic=args.move_cap is not None)
+    write_report(result, out, deterministic=args.move_cap is not None)
     wins = result.wins("ivdi")
     print(f"wrote {out} (multi wins ivdi in {wins}/{args.runs} runs)")
     return 0

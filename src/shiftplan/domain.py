@@ -8,7 +8,8 @@ problem data distinguishes one agent from another.
 
 Everything in this module is an immutable value, checked once when it is
 built; the functions are pure.  No type stores a fact it can derive: daily
-peaks and day counts are computed from their grids on construction.
+peaks and day counts are computed from their grids on construction, and a
+scenario's interval count is its requirement grid's.
 """
 
 from dataclasses import dataclass, field
@@ -145,17 +146,32 @@ class RequirementMatrix:
 
 
 @dataclass(frozen=True)
+class SlaSpec:
+    """Service-level goal: fraction of calls answered within the threshold."""
+
+    target: float
+    threshold_seconds: float
+
+    def __post_init__(self):
+        if not 0.0 < self.target <= 1.0:
+            raise ValueError("target must lie in (0, 1]")
+        if not self.threshold_seconds >= 0:
+            raise ValueError("threshold_seconds must be non-negative")
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """A complete scheduling problem instance; building an invalid one raises."""
+    """A complete scheduling problem instance; building an invalid one raises.
+
+    The interval count is the requirement grid's, and the SLA checks itself.
+    """
 
     name: str
     days: tuple[date, ...]
-    intervals_per_day: int
     agent_count: int
     shift_catalog: ShiftCatalog
     requirements: RequirementMatrix
-    sla_target: float = 0.8
-    sla_threshold_seconds: float = 20.0
+    sla: SlaSpec = SlaSpec(0.8, 20.0)
     aht_seconds: float = 300.0
 
     def __post_init__(self):
@@ -166,6 +182,10 @@ class Scenario:
     @property
     def num_days(self) -> int:
         return len(self.days)
+
+    @property
+    def intervals_per_day(self) -> int:
+        return self.requirements.intervals
 
     def week_partition(self) -> WeekPartition:
         return build_week_partition(self.num_days)
@@ -181,16 +201,10 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
         problems.append("days are not strictly increasing")
     if scenario.agent_count < 0:
         problems.append("agent_count must be >= 0")
-    if scenario.shift_catalog.intervals_per_day != scenario.intervals_per_day:
-        problems.append("shift catalog interval grid differs from scenario")
+    if scenario.shift_catalog.intervals_per_day != scenario.requirements.intervals:
+        problems.append("shift catalog interval grid differs from requirements")
     if scenario.requirements.days != n_days:
         problems.append("requirements day count differs from scenario days")
-    if scenario.requirements.intervals != scenario.intervals_per_day:
-        problems.append("requirements interval count differs from scenario")
-    if not 0.0 < scenario.sla_target <= 1.0:
-        problems.append("sla target must lie in (0, 1]")
-    if scenario.sla_threshold_seconds <= 0:
-        problems.append("sla threshold must be positive")
     if scenario.aht_seconds <= 0:
         problems.append("average handling time must be positive")
     return problems

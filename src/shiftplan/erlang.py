@@ -18,30 +18,15 @@ are rejected with a ``ValueError``.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import RequirementMatrix
+from .domain import RequirementMatrix, SlaSpec
 
 # The sweep takes one step per erlang, so its time grows with the largest
 # load: a full 28 x 96 grid at this cap sizes in about 1.3 s.  Realistic
 # contact-center cells are a few hundred erlangs.
 MAX_LOAD_ERLANGS = 100_000
-
-
-@dataclass(frozen=True)
-class SlaSpec:
-    """Service-level goal: fraction of calls answered within the threshold."""
-
-    target: float
-    threshold_seconds: float
-
-    def __post_init__(self):
-        if not 0.0 < self.target <= 1.0:
-            raise ValueError("target must lie in (0, 1]")
-        if not self.threshold_seconds >= 0:
-            raise ValueError("threshold_seconds must be non-negative")
 
 
 def erlang_b_blocking(agents: int, load: float) -> float:

@@ -22,22 +22,22 @@ from .phases import (
 from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
 
 
+def _absolute_deviation(required, scheduled) -> int:
+    r = np.asarray(required, dtype=np.int64)
+    p = np.asarray(scheduled, dtype=np.int64)
+    if r.shape != p.shape:
+        raise ValueError("requirement and coverage shapes differ")
+    return int(np.abs(r - p).sum())
+
+
 def dvdi(day_requirements, day_coverage) -> int:
     """Day-level absolute deviation: sum over days of |required - scheduled|."""
-    r = np.asarray(day_requirements, dtype=np.int64)
-    p = np.asarray(day_coverage, dtype=np.int64)
-    if r.shape != p.shape:
-        raise ValueError("requirement and coverage lengths differ")
-    return int(np.abs(r - p).sum())
+    return _absolute_deviation(day_requirements, day_coverage)
 
 
 def ivdi(interval_requirements, interval_coverage) -> int:
     """Interval-level absolute deviation across every (day, interval) cell."""
-    r = np.asarray(interval_requirements, dtype=np.int64)
-    p = np.asarray(interval_coverage, dtype=np.int64)
-    if r.shape != p.shape:
-        raise ValueError("requirement and coverage shapes differ")
-    return int(np.abs(r - p).sum())
+    return _absolute_deviation(interval_requirements, interval_coverage)
 
 
 @dataclass(frozen=True)

@@ -220,14 +220,14 @@ class _DayKernel:
     ``|u|²`` by ``len_s - 2(C·u)_s``.  The greedy pass adds agents one at a
     time to the cheapest shift (``picks``, ``marginals``); ``values[n]`` is
     the objective of the greedy split of ``n``.  Every add lowers ``C·u`` by
-    a column of ``O >= 0``, so ``marginals`` never decrease.
+    a column of ``O >= 0``, so ``marginals`` never decrease.  ``overlap`` and
+    ``swap_base`` depend on the catalog alone, so every kernel of one catalog
+    shares them.
     """
 
-    def __init__(self, overlap, cr, picks, marginals, empty_value):
+    def __init__(self, overlap, swap_base, cr, picks, marginals, empty_value):
         self.overlap = overlap
-        self.lengths = np.diag(overlap)
-        # Δ[o, i] of moving one agent from o to i, less its (C·u) terms
-        self.swap_base = self.lengths[:, None] + self.lengths[None, :] - 2 * overlap
+        self.swap_base = swap_base
         self.cr = cr  # C·u of the empty split
         self.picks = picks
         self.marginals = marginals
@@ -249,7 +249,7 @@ class _DayKernel:
         """
         if n in self._splits:
             return self._splits[n]
-        S = len(self.lengths)
+        S = len(self.overlap)
         y = np.bincount(self.picks[:n], minlength=S)
         value = self.values[n]
         cu = self.cr - self.overlap @ y
@@ -277,16 +277,20 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
 
     Every distinct row's greedy pass runs at once, one argmin per row and
     step: row ``k`` starts from ``C·u = cr[k]``, and its kernel keeps the
-    first ``caps[k]`` steps' shifts and objective changes.
+    first ``caps[k]`` steps' shifts and objective changes.  The catalog's
+    shift lengths and swap table are computed once, for all the kernels.
     """
     cover = catalog.coverage.astype(np.int64)
     overlap = cover @ cover.T
+    lengths = np.diag(overlap)
+    # Δ[o, i] of moving one agent from o to i, less its (C·u) terms
+    swap_base = lengths[:, None] + lengths[None, :] - 2 * overlap
     rows, inverse = np.unique(r, axis=0, return_inverse=True)
     inverse = inverse.ravel()
     caps = np.zeros(len(rows), dtype=np.int64)
     np.maximum.at(caps, inverse, head_caps)
     cr = rows @ cover.T
-    base = np.diag(overlap) - 2 * cr
+    base = lengths - 2 * cr
     steps = int(caps.max(initial=0))
     picks = np.zeros((len(rows), steps), dtype=np.int64)
     adds = np.zeros((len(rows), steps), dtype=np.int64)
@@ -295,7 +299,7 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
         adds[:, t] = base[np.arange(len(rows)), s]
         base += 2 * overlap[s]
     built = [
-        _DayKernel(overlap, cr[k], picks[k, :n], adds[k, :n], squared_norm(rows[k]))
+        _DayKernel(overlap, swap_base, cr[k], picks[k, :n], adds[k, :n], squared_norm(rows[k]))
         for k, n in enumerate(caps.tolist())
     ]
     return [built[k] for k in inverse.tolist()]

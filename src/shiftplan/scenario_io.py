@@ -26,10 +26,11 @@ from .domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
+    SlaSpec,
     TripleError,
     build_week_partition,
 )
-from .erlang import SlaSpec, requirements_from_volumes
+from .erlang import requirements_from_volumes
 from .metrics import ComparisonResult, SolveReport
 from .tuner import SweepEntry, SweepTrace
 
@@ -93,13 +94,9 @@ def gen_peak_scenario(spec: PeakPresetSpec = PeakPresetSpec()) -> Scenario:
     return Scenario(
         name=spec.name,
         days=days,
-        intervals_per_day=spec.intervals_per_day,
         agent_count=spec.agents,
         shift_catalog=catalog,
         requirements=RequirementMatrix(grid),
-        sla_target=0.8,
-        sla_threshold_seconds=20.0,
-        aht_seconds=300.0,
     )
 
 
@@ -169,8 +166,8 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             [int(x) for x in row] for row in scenario.requirements.per_interval
         ],
         "sla": {
-            "target": scenario.sla_target,
-            "threshold_seconds": scenario.sla_threshold_seconds,
+            "target": scenario.sla.target,
+            "threshold_seconds": scenario.sla.threshold_seconds,
         },
         "aht_seconds": scenario.aht_seconds,
     }
@@ -202,6 +199,13 @@ def _need(data: dict, key: str, kind, path: str):
         return _finite_number(value, f"{path}.{key}")
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SchemaError(f"{path}.{key}: expected {kind.__name__}")
+    return value
+
+
+def _positive(data: dict, key: str, path: str) -> float:
+    value = _need(data, key, float, path)
+    if not value > 0:
+        raise SchemaError(f"{path}.{key}: must be positive")
     return value
 
 
@@ -270,10 +274,14 @@ def load_scenario(path: str) -> Scenario:
                 _need(entry, "length", int, f"$.shift_catalog[{i}]"),
             )
         )
-    sla = _need(data, "sla", dict, "$")
-    sla_target = _need(sla, "target", float, "$.sla")
-    sla_threshold = _need(sla, "threshold_seconds", float, "$.sla")
-    aht = _need(data, "aht_seconds", float, "$")
+    raw_sla = _need(data, "sla", dict, "$")
+    target = _need(raw_sla, "target", float, "$.sla")
+    threshold = _need(raw_sla, "threshold_seconds", float, "$.sla")
+    try:
+        sla = SlaSpec(target, threshold)
+    except ValueError as exc:
+        raise SchemaError(f"$.sla: {exc}") from exc
+    aht = _positive(data, "aht_seconds", "$")
     if "requirements" in data:
         grid = _grid(data["requirements"], len(days), intervals, "$.requirements", True)
         try:
@@ -282,11 +290,9 @@ def load_scenario(path: str) -> Scenario:
             raise SchemaError(f"$.requirements: {exc}") from exc
     elif "volumes" in data:
         volumes = _grid(data["volumes"], len(days), intervals, "$.volumes", False)
-        interval_seconds = _need(data, "interval_seconds", float, "$")
+        interval_seconds = _positive(data, "interval_seconds", "$")
         try:
-            requirements = requirements_from_volumes(
-                volumes, aht, SlaSpec(sla_target, sla_threshold), interval_seconds
-            )
+            requirements = requirements_from_volumes(volumes, aht, sla, interval_seconds)
         except ValueError as exc:
             raise SchemaError(f"$.volumes: {exc}") from exc
     else:
@@ -295,12 +301,10 @@ def load_scenario(path: str) -> Scenario:
         return Scenario(
             name=name,
             days=days,
-            intervals_per_day=intervals,
             agent_count=agents,
             shift_catalog=ShiftCatalog(tuple(shifts), intervals),
             requirements=requirements,
-            sla_target=sla_target,
-            sla_threshold_seconds=sla_threshold,
+            sla=sla,
             aht_seconds=aht,
         )
     except ValueError as exc:
@@ -428,14 +432,10 @@ def record_to_dict(record, deterministic: bool = False):
     return record
 
 
-def write_report(report: SolveReport, path: str, deterministic: bool = False) -> None:
-    _write_json(record_to_dict(report, deterministic), path)
-
-
-def write_comparison(
-    result: ComparisonResult, path: str, deterministic: bool = False
+def write_report(
+    record: SolveReport | ComparisonResult, path: str, deterministic: bool = False
 ) -> None:
-    _write_json(record_to_dict(result, deterministic), path)
+    _write_json(record_to_dict(record, deterministic), path)
 
 
 # ---------------------------------------------------------------------------

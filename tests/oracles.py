@@ -227,7 +227,6 @@ def scenario_from_grid(grid, agents, shifts, name="t"):
     return Scenario(
         name=name,
         days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(days)),
-        intervals_per_day=intervals,
         agent_count=agents,
         shift_catalog=ShiftCatalog(shifts, intervals),
         requirements=RequirementMatrix(grid),

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from shiftplan.cli import main
-from shiftplan.scenario_io import PeakPresetSpec, gen_peak_scenario, save_scenario
+from shiftplan.domain import SlaSpec
+from shiftplan.erlang import required_agents
+from shiftplan.scenario_io import PeakPresetSpec, gen_peak_scenario, load_scenario, save_scenario
 from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
@@ -294,6 +296,60 @@ class TestNonFiniteNumbers:
         proc = run_requirements(tmp_path, week_scenario(aht_seconds=float("nan")))
         assert proc.returncode == 2
         assert "$.aht_seconds: expected a finite number" in proc.stderr
+
+
+# A bad SLA, AHT or interval length, and the message that names its key.
+BAD_FIELDS = {
+    "sla-target": ({"sla": {"target": 1.5, "threshold_seconds": 20.0}},
+                   "$.sla: target must lie in (0, 1]"),
+    "sla-threshold": ({"sla": {"target": 0.8, "threshold_seconds": -1.0}},
+                      "$.sla: threshold_seconds must be non-negative"),
+    "aht": ({"aht_seconds": 0.0}, "$.aht_seconds: must be positive"),
+    "interval": ({"interval_seconds": -900}, "$.interval_seconds: must be positive"),
+}
+
+
+def scenario_of_kind(kind: str, **fields) -> dict:
+    """``week_scenario(**fields)`` as a volumes file, or as a requirements
+    file of [1, 2] per day."""
+    scenario = week_scenario(**fields)
+    if kind == "requirements":
+        scenario["requirements"] = [[1, 2]] * 7
+        del scenario["volumes"]
+    return scenario
+
+
+class TestSlaAndRates:
+    """The SLA is checked by ``SlaSpec`` for both file kinds, and the loader
+    names the key at fault."""
+
+    @pytest.mark.parametrize("kind", ["volumes", "requirements"])
+    def test_zero_threshold_solves(self, tmp_path, kind):
+        sla = SlaSpec(0.8, 0.0)
+        scenario = scenario_of_kind(kind, sla={"target": 0.8, "threshold_seconds": 0})
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario))
+        argv = ["solve", "--scenario", str(path), "--mode", "multi", "--move-cap", "100",
+                "--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json")]
+        assert main(argv) == 0
+        loaded = load_scenario(str(path))
+        assert loaded.sla == sla
+        if kind == "volumes":
+            expected = [[required_agents(v * 300.0 / 900, 300.0, sla) for v in row]
+                        for row in scenario["volumes"]]
+            assert loaded.requirements.per_interval.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "kind, case",
+        [(kind, case) for kind in ("volumes", "requirements") for case in BAD_FIELDS
+         if not (kind == "requirements" and case == "interval")],  # no interval length there
+    )
+    def test_bad_field_names_its_key(self, tmp_path, capsys, kind, case):
+        fields, message = BAD_FIELDS[case]
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(scenario_of_kind(kind, **fields)))
+        assert main(["requirements", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert message in capsys.readouterr().err
 
 
 class TestGridCells:

@@ -14,6 +14,7 @@ from shiftplan.domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
+    SlaSpec,
     TripleError,
     build_week_partition,
     coverage_from_schedule,
@@ -29,7 +30,6 @@ def make_scenario(days=7, intervals=4, agents=3, shifts=((0, 2), (2, 2))):
     return Scenario(
         name="t",
         days=tuple(date(2024, 1, 1) + timedelta(days=i) for i in range(days)),
-        intervals_per_day=intervals,
         agent_count=agents,
         shift_catalog=ShiftCatalog(shifts, intervals),
         requirements=RequirementMatrix(grid),
@@ -116,43 +116,45 @@ class TestScenarioValidation:
 
     def test_catalog_grid_mismatch(self):
         scn = make_scenario()
-        with pytest.raises(ValueError, match="shift catalog interval grid differs from scenario"):
+        with pytest.raises(ValueError, match="shift catalog interval grid differs from requirements"):
             Scenario(
                 name=scn.name,
                 days=scn.days,
-                intervals_per_day=scn.intervals_per_day,
                 agent_count=scn.agent_count,
                 shift_catalog=ShiftCatalog(((0, 2),), intervals_per_day=8),
                 requirements=scn.requirements,
             )
 
+    def test_interval_count_is_the_requirements(self):
+        scn = make_scenario(intervals=5, shifts=((0, 5),))
+        assert scn.intervals_per_day == scn.requirements.intervals == 5
+        with pytest.raises(TypeError):
+            replace(scn, intervals_per_day=5)
+
     def test_bad_sla(self):
-        scn = make_scenario()
-        with pytest.raises(ValueError, match=re.escape("sla target must lie in (0, 1]")):
-            Scenario(
-                name=scn.name,
-                days=scn.days,
-                intervals_per_day=scn.intervals_per_day,
-                agent_count=scn.agent_count,
-                shift_catalog=scn.shift_catalog,
-                requirements=scn.requirements,
-                sla_target=0.0,
-            )
+        # a scenario holds an SlaSpec, which refuses a bad goal when built
+        with pytest.raises(ValueError, match=re.escape("target must lie in (0, 1]")):
+            SlaSpec(0.0, 20.0)
+        with pytest.raises(ValueError, match="threshold_seconds must be non-negative"):
+            SlaSpec(0.8, -1.0)
+
+    def test_zero_threshold_builds(self):
+        scn = replace(make_scenario(), sla=SlaSpec(0.8, 0.0))
+        assert scn.sla == SlaSpec(0.8, 0.0)
 
     def test_every_problem_named_when_built(self):
         scn = make_scenario()
         with pytest.raises(ValueError) as caught:
             Scenario(
                 name=scn.name,
-                days=scn.days,
-                intervals_per_day=scn.intervals_per_day,
+                days=scn.days[:6],
                 agent_count=-1,
                 shift_catalog=scn.shift_catalog,
                 requirements=scn.requirements,
-                sla_target=0.0,
             )
         assert str(caught.value) == (
-            "invalid scenario: agent_count must be >= 0; sla target must lie in (0, 1]"
+            "invalid scenario: horizon not a multiple of 7: got 6 days; agent_count must be >= 0;"
+            " requirements day count differs from scenario days"
         )
         with pytest.raises(ValueError, match="^invalid shift catalog: shift 0 exceeds day boundary$"):
             ShiftCatalog(((3, 2),), 4)
@@ -163,7 +165,6 @@ class TestScenarioValidation:
             Scenario(
                 name=scn.name,
                 days=scn.days,
-                intervals_per_day=0,
                 agent_count=scn.agent_count,
                 shift_catalog=ShiftCatalog((), 0),
                 requirements=RequirementMatrix(np.zeros((7, 1), dtype=np.int64)),

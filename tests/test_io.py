@@ -17,6 +17,7 @@ from shiftplan.domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
+    SlaSpec,
     TripleError,
 )
 from shiftplan.metrics import _MEAN_FIELDS, SolveReport, build_report, compare_modes
@@ -35,7 +36,6 @@ from shiftplan.scenario_io import (
     read_sweep_trace,
     record_to_dict,
     save_scenario,
-    write_comparison,
     write_report,
     write_requirements,
     write_schedule,
@@ -49,7 +49,6 @@ def one_shift_scenario():
     return Scenario(
         name="s",
         days=tuple(date(2024, 1, 1 + d) for d in range(7)),
-        intervals_per_day=4,
         agent_count=1,
         shift_catalog=ShiftCatalog(((0, 2),), 4),
         requirements=RequirementMatrix(np.ones((7, 4), dtype=np.int64)),
@@ -155,7 +154,7 @@ class TestScenarioJson:
         path.write_text(json.dumps(data))
         scn = load_scenario(str(path))
         assert scn.requirements.per_interval.tolist() == [[4, 4]] * 7
-        assert scn.sla_target == 0.8
+        assert scn.sla == SlaSpec(0.8, 20.0)
 
     def test_needs_requirements_or_volumes(self, tmp_path):
         data = {
@@ -356,7 +355,6 @@ def wide_scenario(agents: int, days: int) -> Scenario:
     return Scenario(
         name="wide",
         days=tuple(date(2024, 1, 1) + timedelta(days=d) for d in range(days)),
-        intervals_per_day=96,
         agent_count=agents,
         shift_catalog=WIDE_CATALOG,
         requirements=RequirementMatrix(np.zeros((days, 96), dtype=np.int64)),
@@ -503,7 +501,7 @@ class TestComparisonJson:
         scn = gen_preset_scenario("peak-week")
         result = compare_modes(scn, 2, SolveLimits(seed=4, move_cap=2000))
         path = tmp_path / "c.json"
-        write_comparison(result, str(path), deterministic=True)
+        write_report(result, str(path), deterministic=True)
         data = json.loads(path.read_text())
         assert list(data) == ["scenario", "runs", "means"]
         assert data["scenario"] == "peak-week"

@@ -167,7 +167,6 @@ class TestSinglePhase:
             Scenario(
                 name=scn.name,
                 days=scn.days[:6],
-                intervals_per_day=scn.intervals_per_day,
                 agent_count=scn.agent_count,
                 shift_catalog=scn.shift_catalog,
                 requirements=scn.requirements,

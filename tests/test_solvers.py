@@ -8,6 +8,7 @@ no code with either, and checks the oracle.
 
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -332,7 +333,7 @@ class TestJointInputChecks:
 
     def test_interval_grid_mismatch(self):
         scenario = scenario_from_grid(np.ones((7, 3), dtype=np.int64), 2, ((0, 2), (1, 2)))
-        with pytest.raises(ValueError, match="catalog interval grid differs from scenario"):
+        with pytest.raises(ValueError, match="catalog interval grid differs from requirements"):
             replace(scenario, shift_catalog=ShiftCatalog(((0, 2), (2, 4)), intervals_per_day=6))
 
     def test_one_dimensional_grid(self):
@@ -482,6 +483,22 @@ class TestDayKernel:
         spent = deadline.evaluations
         assert kernels[0].split(3, deadline) == (split, value)
         assert deadline.evaluations == spent  # the second day reuses the first
+
+    def test_kernels_share_the_catalog_tables(self):
+        # 455 shifts: lengths 16 to 40 in steps of 2, starting every 2 intervals
+        shifts = tuple((a, n) for n in range(16, 41, 2) for a in range(0, 96 - n + 1, 2))
+        catalog = ShiftCatalog(shifts, 96)
+        r = np.random.default_rng(0).integers(0, 300, size=(28, 96))
+        tracemalloc.start()
+        try:
+            kernels = _day_kernels(r, catalog, [400] * 28)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(catalog) == 455 and len(set(map(id, kernels))) == 28
+        assert all(k.swap_base is kernels[0].swap_base for k in kernels)
+        # one S x S swap table per distinct row peaked at 48.6 MiB
+        assert peak < 48.6 * 2**20 / 5
 
 
 class TestLocalSearchDay:
