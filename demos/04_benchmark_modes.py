@@ -19,7 +19,7 @@ single_vars = count_variables(
     scenario.agent_count, scenario.num_days, len(scenario.shift_catalog),
     scenario.intervals_per_day, "single",
 )
-pairs = scenario.agent_count * 5 * scenario.week_partition().count
+pairs = scenario.agent_count * 5 * scenario.week_partition()
 multi_vars = count_variables(
     scenario.agent_count, scenario.num_days, len(scenario.shift_catalog),
     scenario.intervals_per_day, "multi", assigned_pairs=pairs,

@@ -21,7 +21,6 @@ _EXPORTS = {
         "Schedule",
         "ShiftCatalog",
         "SlaSpec",
-        "WeekPartition",
         "build_week_partition",
         "coverage_from_schedule",
         "validate_schedule",

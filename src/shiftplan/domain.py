@@ -12,13 +12,17 @@ peaks and day counts are computed from their grids on construction, and a
 scenario's interval count is its requirement grid's.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import date
 
 import numpy as np
 
 DAYS_PER_WEEK = 7
 WORKDAYS_PER_WEEK = 5
+# Largest requirement: far enough below int64 that the solves' sums cannot wrap.
+MAX_REQUIREMENT = 10**12
+# Largest head-count the day phase takes: every command builds agents x days grids.
+MAX_AGENTS = 100_000
 
 
 def frozen_grid(values, dtype=np.int64) -> np.ndarray:
@@ -44,6 +48,28 @@ def frozen_grid(values, dtype=np.int64) -> np.ndarray:
         raise ValueError(f"grid values do not convert to {np.dtype(dtype)} unchanged")
     arr.setflags(write=False)
     return arr
+
+
+class _Grid:
+    """A value compared by its first field, the grid the others derive from."""
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        grid = fields(self)[0].name
+        return np.array_equal(getattr(self, grid), getattr(other, grid))
+
+
+def check_aht_seconds(aht_seconds: float) -> None:
+    """The handling-time rule: positive, so NaN is refused too."""
+    if not aht_seconds > 0:
+        raise ValueError("aht_seconds must be positive")
+
+
+def check_threshold_seconds(threshold_seconds: float) -> None:
+    """The service-level threshold rule: non-negative, so NaN is refused too."""
+    if not threshold_seconds >= 0:
+        raise ValueError("threshold_seconds must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -96,25 +122,18 @@ class ShiftCatalog:
         return len(self.shifts)
 
 
-@dataclass(frozen=True)
-class WeekPartition:
-    """A horizon of ``count`` consecutive 7-day weeks from day 0: week ``w``
-    is days ``7w`` to ``7w + 6``."""
-
-    count: int
-
-
-def build_week_partition(day_count: int) -> WeekPartition:
-    """Split ``day_count`` days into full weeks; partial weeks are rejected."""
+def build_week_partition(day_count: int) -> int:
+    """The number of consecutive 7-day weeks in ``day_count`` days from day
+    0, week ``w`` being days ``7w`` to ``7w + 6``; a partial week is refused."""
     if day_count <= 0 or day_count % DAYS_PER_WEEK != 0:
         raise ValueError(f"horizon not a multiple of 7: got {day_count} days")
-    return WeekPartition(day_count // DAYS_PER_WEEK)
+    return day_count // DAYS_PER_WEEK
 
 
 @dataclass(frozen=True, eq=False)
-class RequirementMatrix:
-    """Required head-counts per (day, interval), none negative, and each
-    day's peak."""
+class RequirementMatrix(_Grid):
+    """Required head-counts per (day, interval), each in
+    ``[0, MAX_REQUIREMENT]``, and each day's peak."""
 
     per_interval: np.ndarray  # shape (days, intervals), int
     per_day: np.ndarray = field(init=False, repr=False)  # shape (days,): the row maxima
@@ -128,6 +147,8 @@ class RequirementMatrix:
             raise ValueError("per_interval must have at least one interval per day")
         if (grid < 0).any():
             raise ValueError("negative interval requirement")
+        if (grid > MAX_REQUIREMENT).any():
+            raise ValueError(f"interval requirement above {MAX_REQUIREMENT}")
         object.__setattr__(self, "per_interval", grid)
         object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 
@@ -138,11 +159,6 @@ class RequirementMatrix:
     @property
     def intervals(self) -> int:
         return self.per_interval.shape[1]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RequirementMatrix):
-            return NotImplemented
-        return np.array_equal(self.per_interval, other.per_interval)
 
 
 @dataclass(frozen=True)
@@ -155,8 +171,7 @@ class SlaSpec:
     def __post_init__(self):
         if not 0.0 < self.target <= 1.0:
             raise ValueError("target must lie in (0, 1]")
-        if not self.threshold_seconds >= 0:
-            raise ValueError("threshold_seconds must be non-negative")
+        check_threshold_seconds(self.threshold_seconds)
 
 
 @dataclass(frozen=True)
@@ -187,16 +202,23 @@ class Scenario:
     def intervals_per_day(self) -> int:
         return self.requirements.intervals
 
-    def week_partition(self) -> WeekPartition:
+    def week_partition(self) -> int:
         return build_week_partition(self.num_days)
+
+
+def _refusal(check, value) -> list[str]:
+    """The message ``check(value)`` raises, as a one-item list; empty if none."""
+    try:
+        check(value)
+    except ValueError as exc:
+        return [str(exc)]
+    return []
 
 
 def _scenario_problems(scenario: Scenario) -> list[str]:
     """Every contract violation in ``scenario`` (empty list = valid)."""
-    problems: list[str] = []
     n_days = scenario.num_days
-    if n_days == 0 or n_days % DAYS_PER_WEEK != 0:
-        problems.append(f"horizon not a multiple of 7: got {n_days} days")
+    problems = _refusal(build_week_partition, n_days)
     if any(scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)):
         problems.append("days are not strictly increasing")
     if scenario.agent_count < 0:
@@ -205,8 +227,9 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
         problems.append("shift catalog interval grid differs from requirements")
     if scenario.requirements.days != n_days:
         problems.append("requirements day count differs from scenario days")
-    if scenario.aht_seconds <= 0:
-        problems.append("average handling time must be positive")
+    problems += _refusal(check_aht_seconds, scenario.aht_seconds)
+    if not isinstance(scenario.sla, SlaSpec):
+        problems.append("sla must be an SlaSpec")
     return problems
 
 
@@ -216,7 +239,7 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
 
 
 @dataclass(frozen=True, eq=False)
-class DayAllocation:
+class DayAllocation(_Grid):
     """Which days each agent works: ``works[a, d]`` is 0/1."""
 
     works: np.ndarray  # shape (agents, days), int8
@@ -239,11 +262,6 @@ class DayAllocation:
     def num_days(self) -> int:
         return self.works.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DayAllocation):
-            return NotImplemented
-        return np.array_equal(self.works, other.works)
-
 
 OFF = -1  # the shift index of a day off
 
@@ -257,7 +275,7 @@ class TripleError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class Schedule:
+class Schedule(_Grid):
     """Each agent's shift on each day: ``shifts[a, d]`` is a catalog index,
     or ``OFF`` on a day off.  One cell per agent-day, so a double booking
     cannot be represented."""
@@ -294,11 +312,6 @@ class Schedule:
         """Working agent-days."""
         return int(np.count_nonzero(self.shifts != OFF))
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Schedule):
-            return NotImplemented
-        return np.array_equal(self.shifts, other.shifts)
-
 
 @dataclass(frozen=True, eq=False)
 class CoverageProfile:
@@ -331,10 +344,10 @@ def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> Coverag
     return CoverageProfile(per_interval, per_day)
 
 
-def _quota_problems(works: np.ndarray, weeks: WeekPartition) -> list[str]:
+def _quota_problems(works: np.ndarray, weeks: int) -> list[str]:
     """One problem per (agent, week) not worked exactly five days, ordered by
     agent then week."""
-    week_days = works.reshape(len(works), weeks.count, DAYS_PER_WEEK).sum(axis=2)
+    week_days = works.reshape(len(works), weeks, DAYS_PER_WEEK).sum(axis=2)
     return [
         f"agent {a} works {week_days[a, w]} days in week {w}, expected {WORKDAYS_PER_WEEK}"
         for a, w in np.argwhere(week_days != WORKDAYS_PER_WEEK)
@@ -347,7 +360,7 @@ def validate_schedule(
     agent_count: int,
     day_count: int,
     catalog: ShiftCatalog,
-    weeks: WeekPartition,
+    weeks: int,
 ) -> list[str]:
     """Check the grid shape, the shift indices, and the weekly workday quota."""
     agents, days = schedule.shifts.shape

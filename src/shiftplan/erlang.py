@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .domain import RequirementMatrix, SlaSpec
+from .domain import RequirementMatrix, SlaSpec, check_aht_seconds, check_threshold_seconds
 
 # The sweep takes one step per erlang, so its time grows with the largest
 # load: a full 28 x 96 grid at this cap sizes in about 1.3 s.  Realistic
@@ -29,12 +29,17 @@ from .domain import RequirementMatrix, SlaSpec
 MAX_LOAD_ERLANGS = 100_000
 
 
-def erlang_b_blocking(agents: int, load: float) -> float:
-    """Erlang-B blocking probability via the stable recurrence."""
+def _check_queue(load, agents: int = 0) -> None:
+    """Refuse a negative head-count, or a negative or NaN load (or array of loads)."""
     if agents < 0:
         raise ValueError("agents must be non-negative")
-    if load < 0:
+    if not (np.asarray(load) >= 0).all():
         raise ValueError("load must be non-negative")
+
+
+def erlang_b_blocking(agents: int, load: float) -> float:
+    """Erlang-B blocking probability via the stable recurrence."""
+    _check_queue(load, agents)
     b = 1.0
     for k in range(1, agents + 1):
         b = load * b / (k + load * b)
@@ -46,10 +51,7 @@ def erlang_c_wait_probability(agents: int, load: float) -> float:
 
     Saturated systems (``load >= agents``) return 1.0.
     """
-    if agents < 0:
-        raise ValueError("agents must be non-negative")
-    if load < 0:
-        raise ValueError("load must be non-negative")
+    _check_queue(load, agents)
     if load >= agents:
         return 1.0
     b = erlang_b_blocking(agents, load)
@@ -60,11 +62,10 @@ def service_level(
     agents: int, load: float, aht_seconds: float, threshold_seconds: float
 ) -> float:
     """Fraction of calls answered within the threshold, clamped to [0, 1]."""
-    if aht_seconds <= 0:
-        raise ValueError("aht_seconds must be positive")
-    if threshold_seconds < 0:
-        raise ValueError("threshold_seconds must be non-negative")
-    if load >= agents:
+    check_aht_seconds(aht_seconds)
+    check_threshold_seconds(threshold_seconds)
+    _check_queue(load, agents)
+    if load >= agents:  # saturated; math.exp below would overflow
         return 0.0
     wait = erlang_c_wait_probability(agents, load)
     level = 1.0 - wait * math.exp(-(agents - load) * threshold_seconds / aht_seconds)
@@ -83,12 +84,10 @@ def _required_agents_sweep(loads: np.ndarray, aht_seconds: float, sla: SlaSpec) 
     scalar recurrence gives.  Non-finite loads are rejected: a NaN cell
     would never meet the target.  So are loads above ``MAX_LOAD_ERLANGS``.
     """
-    if not aht_seconds > 0:
-        raise ValueError("aht_seconds must be positive")
+    check_aht_seconds(aht_seconds)
     if not np.isfinite(loads).all():
         raise ValueError("load must be finite")
-    if (loads < 0).any():
-        raise ValueError("load must be non-negative")
+    _check_queue(loads)
     if (loads > MAX_LOAD_ERLANGS).any():
         raise ValueError(f"load above {MAX_LOAD_ERLANGS} erlangs")
     required = np.zeros(loads.size, dtype=np.int64)

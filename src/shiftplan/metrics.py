@@ -15,6 +15,7 @@ from .domain import Scenario, Schedule, coverage_from_schedule, validate_schedul
 from .phases import (
     SolveLimits,
     SolveStatus,
+    deviation,
     interval_objective_value,
     solve_multi_phase,
     solve_single_phase,
@@ -23,11 +24,7 @@ from .tuner import DistributionPair, day_distribution, kl_divergence, target_dis
 
 
 def _absolute_deviation(required, scheduled) -> int:
-    r = np.asarray(required, dtype=np.int64)
-    p = np.asarray(scheduled, dtype=np.int64)
-    if r.shape != p.shape:
-        raise ValueError("requirement and coverage shapes differ")
-    return int(np.abs(r - p).sum())
+    return int(np.abs(deviation(required, scheduled)).sum())
 
 
 def dvdi(day_requirements, day_coverage) -> int:
@@ -120,8 +117,15 @@ def build_report(
     Refuses schedules that break the hard constraints; every reported number
     is derived here from the scenario and schedule alone.
     """
-    if mode not in ("single", "multi"):
-        raise ValueError(f"unknown mode {mode!r}")
+    assigned_pairs = len(schedule)
+    variable_count = count_variables(  # refuses an unknown mode
+        scenario.agent_count,
+        scenario.num_days,
+        len(scenario.shift_catalog),
+        scenario.intervals_per_day,
+        mode,
+        assigned_pairs,
+    )
     problems = validate_schedule(
         schedule,
         agent_count=scenario.agent_count,
@@ -134,15 +138,6 @@ def build_report(
     if problems:
         raise ValueError("infeasible schedule: " + "; ".join(problems))
     coverage = coverage_from_schedule(schedule, scenario.shift_catalog)
-    assigned_pairs = len(schedule)
-    variable_count = count_variables(
-        scenario.agent_count,
-        scenario.num_days,
-        len(scenario.shift_catalog),
-        scenario.intervals_per_day,
-        mode,
-        assigned_pairs=assigned_pairs if mode == "multi" else None,
-    )
     objective = interval_objective_value(
         scenario.requirements.per_interval, coverage.per_interval
     )

@@ -15,11 +15,11 @@ against the interval-level objective, and ``solve_single_phase`` chooses days
 and shifts jointly against it, both by one per-day kernel: greedy splits
 improved by steepest swap descent within the budget that ``SolveLimits`` sets
 (wall clock or move cap) and ``Deadline`` tracks.  ``solve_multi_phase``
-feeds the day phase's allocation to the shift phase; the day phase gets
-``DAY_SHARE`` of the budget and spends none of it, and the record is the
-shift phase's with both phases' evaluations and runtime.  Each input is
-checked once, when it is built: a spec checks its own fields, and a
-``Scenario`` cannot be built invalid, so the solves take it as it is.
+feeds the day phase's allocation to the shift phase; the day phase spends
+no budget, and the record is the shift phase's with both phases'
+evaluations and runtime.  Each input is checked once, when it is built: a
+spec checks its own fields, and a ``Scenario`` cannot be built invalid, so
+the solves take it as it is.
 
 Every objective is an exact integer, and reports recompute the interval
 objective with ``interval_objective_value``, so no reported number rests on
@@ -38,6 +38,8 @@ import numpy as np
 
 from .domain import (
     DAYS_PER_WEEK,
+    MAX_AGENTS,
+    MAX_REQUIREMENT,
     OFF,
     WORKDAYS_PER_WEEK,
     DayAllocation,
@@ -45,7 +47,6 @@ from .domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
-    WeekPartition,
     frozen_grid,
 )
 
@@ -158,13 +159,18 @@ def squared_norm(diff) -> int:
     return sum(x * x for x in np.asarray(diff).ravel().tolist())
 
 
-def interval_objective_value(r_dt, p_dt) -> int:
-    """Interval-phase objective recomputed from scratch."""
-    r = np.asarray(r_dt, dtype=np.int64)
-    p = np.asarray(p_dt, dtype=np.int64)
+def deviation(required, scheduled) -> np.ndarray:
+    """``required - scheduled`` as int64; raises if the shapes differ."""
+    r = np.asarray(required, dtype=np.int64)
+    p = np.asarray(scheduled, dtype=np.int64)
     if r.shape != p.shape:
         raise ValueError("requirement and coverage shapes differ")
-    return squared_norm(r - p)
+    return r - p
+
+
+def interval_objective_value(r_dt, p_dt) -> int:
+    """Interval-phase objective recomputed from scratch."""
+    return squared_norm(deviation(r_dt, p_dt))
 
 
 # ---------------------------------------------------------------------------
@@ -184,19 +190,17 @@ def _take_smallest(marginals, total: int) -> np.ndarray:
     return np.bincount(taken // table.shape[1], minlength=table.shape[0])
 
 
-def _week_head_counts(marginals, agent_count: int, weeks: WeekPartition) -> tuple[int, ...]:
+def _week_head_counts(marginals, agent_count: int, weeks: int) -> tuple[int, ...]:
     """Each week's per-day head-counts: its 5A cheapest increments over the
     non-decreasing rows ``marginals[d]`` of A entries each, so at most A per
     day and ties to the earliest day."""
-    table = np.asarray(marginals).reshape(weeks.count, DAYS_PER_WEEK, agent_count)
+    table = np.asarray(marginals).reshape(weeks, DAYS_PER_WEEK, agent_count)
     return tuple(
         int(n) for week in table for n in _take_smallest(week, WORKDAYS_PER_WEEK * agent_count)
     )
 
 
-def day_head_counts(
-    r_day, agent_count: int, weeks: WeekPartition, penalty_factor: int
-) -> tuple[int, ...]:
+def day_head_counts(r_day, agent_count: int, weeks: int, penalty_factor: int) -> tuple[int, ...]:
     """The exact day allocation's head-counts: each week's 5A cheapest unit
     increments of ``day_term``.
 
@@ -305,8 +309,9 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
     return [built[k] for k in inverse.tolist()]
 
 
-def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResult:
-    """Descend every day's greedy split at its head-count, in day order.
+def _descend_days(kernels: list, head_counts, allocation, deadline: Deadline) -> SearchResult:
+    """Descend every day's greedy split at its head-count, in day order, and
+    hand the splits to ``allocation``'s working agents.
 
     The record's trace starts at the greedy total and records the total after
     each day that improved; its runtime is read when the descent ends.
@@ -328,6 +333,8 @@ def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResul
         tuple(trace),
         deadline.evaluations,
         deadline.elapsed(),
+        allocation,
+        materialize_shift(splits, allocation),
     )
 
 
@@ -336,7 +343,7 @@ def _descend_days(kernels: list, head_counts, deadline: Deadline) -> SearchResul
 # ---------------------------------------------------------------------------
 
 
-def materialize_day(head_counts, agent_count: int, weeks: WeekPartition) -> DayAllocation:
+def materialize_day(head_counts, agent_count: int, weeks: int) -> DayAllocation:
     """Expand per-day head-counts to per-agent working days by wrap-around.
 
     Each week has ``2A`` off-day slots, ``A - n_d`` copies of day ``d``,
@@ -347,20 +354,20 @@ def materialize_day(head_counts, agent_count: int, weeks: WeekPartition) -> DayA
     within a week a lower agent index has the lexicographically smaller
     pattern.
     """
-    if len(head_counts) != weeks.count * DAYS_PER_WEEK:
+    if len(head_counts) != weeks * DAYS_PER_WEEK:
         raise ValueError(
-            f"expected {weeks.count * DAYS_PER_WEEK} day head-counts, got {len(head_counts)}"
+            f"expected {weeks * DAYS_PER_WEEK} day head-counts, got {len(head_counts)}"
         )
-    counts = np.asarray(head_counts, dtype=np.int64).reshape(weeks.count, DAYS_PER_WEEK)
+    counts = np.asarray(head_counts, dtype=np.int64).reshape(weeks, DAYS_PER_WEEK)
     if counts.min() < 0 or counts.max() > agent_count:
         raise ValueError("day head-counts outside [0, agent_count]")
     if (counts.sum(axis=1) != WORKDAYS_PER_WEEK * agent_count).any():
         raise ValueError("day head-counts do not sum to 5 * agent_count")
     off = (agent_count - counts)[:, ::-1].ravel()  # each week's days, latest first
-    latest_first = np.tile(np.arange(DAYS_PER_WEEK - 1, -1, -1), weeks.count)
-    slots = np.repeat(latest_first, off).reshape(weeks.count, 2, agent_count)
-    works = np.ones((agent_count, weeks.count, DAYS_PER_WEEK), dtype=np.int8)
-    week = np.arange(weeks.count)[:, None, None]
+    latest_first = np.tile(np.arange(DAYS_PER_WEEK - 1, -1, -1), weeks)
+    slots = np.repeat(latest_first, off).reshape(weeks, 2, agent_count)
+    works = np.ones((agent_count, weeks, DAYS_PER_WEEK), dtype=np.int8)
+    week = np.arange(weeks)[:, None, None]
     works[np.arange(agent_count), week, slots] = 0
     return DayAllocation(works.reshape(agent_count, len(head_counts)))
 
@@ -394,33 +401,38 @@ def materialize_shift(splits, allocation: DayAllocation) -> Schedule:
 # phase specs and solves
 # ---------------------------------------------------------------------------
 
-# The day phase's share of a multi solve's budget; perfbench/traced.py copies it
-# to replay the CLI byte for byte, so the two change together (ROADMAP item 6).
+# The share of a multi solve's budget withheld from its shift phase.
+# perfbench/traced.py copies it to replay the CLI byte for byte (ROADMAP item 6).
 DAY_SHARE = 0.2
-# The largest idle-day penalty factor K.  With the loader's MAX_AGENTS and
-# MAX_REQUIREMENT, no int64 marginal of ``day_head_counts`` exceeds 2.1e17.
+# The largest idle-day penalty factor K.  With the MAX_AGENTS and
+# MAX_REQUIREMENT that ``DayPhaseSpec`` enforces, no int64 marginal of
+# ``day_head_counts`` exceeds 2.1e17.
 MAX_PENALTY = 10**6
 
 
 @dataclass(frozen=True)
 class DayPhaseSpec:
-    """Inputs of the day-allocation phase."""
+    """Inputs of the day-allocation phase, bounded so that int64 stays exact."""
 
     day_requirements: np.ndarray  # per-day peak head-counts R_D
     agent_count: int
-    weeks: WeekPartition
+    weeks: int
     penalty_factor: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "day_requirements", frozen_grid(self.day_requirements))
         if self.agent_count < 0:
             raise ValueError("agent_count must be non-negative")
+        if self.agent_count > MAX_AGENTS:
+            raise ValueError(f"agent_count must be at most {MAX_AGENTS}")
+        r = self.day_requirements
+        if ((r < 0) | (r > MAX_REQUIREMENT)).any():
+            raise ValueError(f"day requirements must lie in [0, {MAX_REQUIREMENT}]")
         if self.penalty_factor < 0:
             raise ValueError("penalty_factor must be non-negative")
         if self.penalty_factor > MAX_PENALTY:
             raise ValueError(f"penalty_factor must be at most {MAX_PENALTY}")
-        r = self.day_requirements
-        if r.ndim != 1 or r.shape[0] != self.weeks.count * DAYS_PER_WEEK:
+        if r.ndim != 1 or r.shape[0] != self.weeks * DAYS_PER_WEEK:
             raise ValueError("day requirements do not match the week partition")
 
 
@@ -460,9 +472,7 @@ def solve_shift_allocation(spec: ShiftPhaseSpec, limits: SolveLimits) -> SearchR
     deadline = Deadline(limits)
     n_d = [int(n) for n in spec.allocation.day_counts]
     kernels = _day_kernels(spec.requirements.per_interval, spec.catalog, n_d)
-    result = _descend_days(kernels, n_d, deadline)
-    schedule = materialize_shift(result.splits, spec.allocation)
-    return replace(result, allocation=spec.allocation, schedule=schedule)
+    return _descend_days(kernels, n_d, spec.allocation, deadline)
 
 
 def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
@@ -477,11 +487,8 @@ def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
     r, catalog = scenario.requirements.per_interval, scenario.shift_catalog
     kernels = _day_kernels(r, catalog, [agents] * scenario.num_days)
     head_counts = _week_head_counts([k.marginals for k in kernels], agents, weeks)
-    result = _descend_days(kernels, head_counts, deadline)
     allocation = materialize_day(head_counts, agents, weeks)
-    return replace(
-        result, allocation=allocation, schedule=materialize_shift(result.splits, allocation)
-    )
+    return _descend_days(kernels, head_counts, allocation, deadline)
 
 
 def solve_multi_phase(
@@ -489,9 +496,10 @@ def solve_multi_phase(
 ) -> SearchResult:
     """Day allocation against daily peaks, then shift allocation within days.
 
-    The day phase gets ``limits.scaled(DAY_SHARE)`` and the shift phase the
-    rest.  The record is the shift phase's, whose ``head_counts`` are the day
-    phase's, with ``evaluations`` and ``runtime_seconds`` summed over both.
+    The day phase spends no budget, so it takes ``limits`` as they are; the
+    shift phase gets ``limits.scaled(1 - DAY_SHARE)``.  The record is the
+    shift phase's, whose ``head_counts`` are the day phase's, with
+    ``evaluations`` and ``runtime_seconds`` summed over both.
     """
     day = solve_day_allocation(
         DayPhaseSpec(
@@ -500,7 +508,7 @@ def solve_multi_phase(
             weeks=scenario.week_partition(),
             penalty_factor=penalty_factor,
         ),
-        limits.scaled(DAY_SHARE),
+        limits,
     )
     shift = solve_shift_allocation(
         ShiftPhaseSpec(scenario.requirements, day.allocation, scenario.shift_catalog),

@@ -21,6 +21,8 @@ from datetime import date, timedelta
 import numpy as np
 
 from .domain import (
+    MAX_AGENTS,
+    MAX_REQUIREMENT,
     OFF,
     RequirementMatrix,
     Scenario,
@@ -209,13 +211,6 @@ def _positive(data: dict, key: str, path: str) -> float:
     return value
 
 
-# Largest requirement cell accepted: far enough below int64 that the solvers'
-# day marginals and per-shift sums of a row cannot wrap.
-MAX_REQUIREMENT = 10**12
-# Largest head-count accepted: every command builds agents x days grids.
-MAX_AGENTS = 100_000
-
-
 def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
     """A (count x width) grid of finite numbers; an ``integral`` grid holds
     whole numbers of magnitude at most ``MAX_REQUIREMENT``; rows are checked
@@ -393,19 +388,17 @@ def read_sweep_trace(path: str) -> SweepTrace:
         header = next(reader, None)
         if not header or header[:2] != ["k", "kl"]:
             raise SchemaError("$: expected header k,kl,p_d0,...")
-        width = len(header) - 2
         for i, row in enumerate(reader):
             if len(row) != len(header):
                 raise SchemaError(f"$[{i}]: expected {len(header)} fields")
-            entries.append(
-                SweepEntry(
-                    int(row[0]), float(row[1]), tuple(int(x) for x in row[2 : 2 + width])
-                )
-            )
+            try:
+                entry = SweepEntry(int(row[0]), float(row[1]), tuple(map(int, row[2:])))
+            except ValueError as exc:
+                raise SchemaError(f"$[{i}]: expected numbers ({exc})") from exc
+            entries.append(entry)
     if not entries:
         raise SchemaError("$: trace has no rows")
-    best = min(entries, key=lambda e: (e.kl, e.penalty_factor))
-    return SweepTrace(tuple(entries), best.penalty_factor)
+    return SweepTrace(tuple(entries))
 
 
 # ---------------------------------------------------------------------------

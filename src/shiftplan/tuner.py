@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import WeekPartition
 from .phases import MAX_PENALTY, DayPhaseSpec, SolveLimits, day_head_counts
 
 DEFAULT_EPSILON = 1e-9
@@ -57,22 +56,22 @@ def kl_divergence(pair: DistributionPair) -> float:
     return total
 
 
+def _normalized(counts, kind: str) -> tuple[float, ...]:
+    values = np.asarray(counts, dtype=np.float64)
+    total = values.sum()
+    if total <= 0:
+        raise ValueError(f"cannot normalize: total {kind} head-count is zero")
+    return tuple(float(x) for x in values / total)
+
+
 def day_distribution(day_counts) -> tuple[float, ...]:
     """Scheduled per-day head-counts, normalized to sum 1."""
-    counts = np.asarray(day_counts, dtype=np.float64)
-    total = counts.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize: total scheduled head-count is zero")
-    return tuple(float(x) for x in counts / total)
+    return _normalized(day_counts, "scheduled")
 
 
 def target_distribution(day_requirements) -> tuple[float, ...]:
     """Required per-day head-counts, normalized to sum 1."""
-    req = np.asarray(day_requirements, dtype=np.float64)
-    total = req.sum()
-    if total <= 0:
-        raise ValueError("cannot normalize: total required head-count is zero")
-    return tuple(float(x) for x in req / total)
+    return _normalized(day_requirements, "required")
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,11 @@ class SweepEntry:
 @dataclass(frozen=True)
 class SweepTrace:
     entries: tuple[SweepEntry, ...]
-    selected: int  # chosen penalty factor (smallest K on KL ties)
+
+    @property
+    def selected(self) -> int:
+        """The chosen penalty factor: least KL, smallest K on ties."""
+        return min(self.entries, key=lambda e: (e.kl, e.penalty_factor)).penalty_factor
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class TuneResult:
 def tune_penalty(
     day_requirements,
     agent_count: int,
-    weeks: WeekPartition,
+    weeks: int,
     per_k_limits: SolveLimits,
     stop: StopConfig = StopConfig(),
 ) -> TuneResult:
@@ -129,18 +132,15 @@ def tune_penalty(
     target = target_distribution(spec.day_requirements)
     entries: list[SweepEntry] = []
     best_kl: float | None = None
-    selected = 0
     stagnant = 0
     for k in range(stop.k_max + 1):
         head_counts = day_head_counts(spec.day_requirements, agent_count, weeks, k)
         kl = kl_divergence(DistributionPair(day_distribution(head_counts), target))
         entries.append(SweepEntry(k, kl, head_counts))
         if best_kl is None or kl < best_kl:
-            best_kl = kl
-            selected = k
-            stagnant = 0
+            best_kl, stagnant = kl, 0
         else:
             stagnant += 1
             if stagnant >= stop.patience:
                 break
-    return TuneResult(SweepTrace(tuple(entries), selected))
+    return TuneResult(SweepTrace(tuple(entries)))

@@ -73,7 +73,7 @@ def _week_choice(values, agent_count: int, weeks):
     """Each week's best per-day head-counts over the tables ``values[d][n]``:
     (head-counts, objective, evaluations)."""
     head_counts, objective, tried = [], 0, 0
-    for w in range(weeks.count):
+    for w in range(weeks):
         days = range(7 * w, 7 * w + 7)
         table = values[days.start : days.stop]
         vec, obj, n = _first_min(
@@ -149,7 +149,7 @@ def _workday_violations(days_worked, weeks) -> list[str]:
     return [
         f"agent {a} works {n} days in week {w}"
         for a, row in enumerate(days_worked)
-        for w in range(weeks.count)
+        for w in range(weeks)
         if (n := sum(row[d] for d in range(7 * w, 7 * w + 7))) != WORKDAYS_PER_WEEK
     ]
 
@@ -206,7 +206,7 @@ def validate_day_allocation(allocation, agent_count: int, weeks) -> list[str]:
             f"allocation has {allocation.agent_count} agents, expected {agent_count}"
         )
     works = allocation.works
-    week_days = works.reshape(len(works), weeks.count, DAYS_PER_WEEK).sum(axis=2)
+    week_days = works.reshape(len(works), weeks, DAYS_PER_WEEK).sum(axis=2)
     return problems + [
         f"agent {a} works {week_days[a, w]} days in week {w}, expected {WORKDAYS_PER_WEEK}"
         for w, a in np.argwhere(week_days.T != WORKDAYS_PER_WEEK)

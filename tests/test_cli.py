@@ -690,6 +690,22 @@ class TestCompare:
         assert data["means"]["multi"]["runtime_seconds"] is None
 
 
+class TestTinyTimeBudget:
+    """The smallest positive budget is accepted and solved with: the day
+    phase takes it as given, where 5e-324 x 0.2 rounded to 0.0 and exited 2."""
+
+    @pytest.mark.parametrize("command", [
+        ["solve", "--mode", "multi", "--out", "s.csv", "--report", "r.json"],
+        ["tune-penalty", "--trace", "t.csv", "--out", "s.csv"],
+        ["compare", "--runs", "1", "--out", "c.json"],
+    ])
+    def test_exits_zero(self, tiny_scenario, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        argv = command[:1] + ["--scenario", tiny_scenario, "--time-budget", "5e-324"]
+        assert main(argv + command[1:]) == 0
+        assert capsys.readouterr().err == ""
+
+
 class TestEntryPoints:
     def test_no_arguments_is_usage_error(self, capsys):
         assert main([]) == 1

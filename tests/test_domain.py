@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftplan.domain import (
+    MAX_REQUIREMENT,
     OFF,
     DayAllocation,
     RequirementMatrix,
@@ -21,6 +22,7 @@ from shiftplan.domain import (
     validate_schedule,
 )
 from shiftplan.phases import DayPhaseSpec
+from shiftplan.scenario_io import gen_preset_scenario
 
 from oracles import covers, validate_day_allocation
 
@@ -53,9 +55,10 @@ class TestShiftCatalog:
 
     def test_duplicate_and_bad_length(self):
         with pytest.raises(ValueError) as caught:
-            ShiftCatalog(((0, 2), (0, 2), (3, 0)), 8)
+            ShiftCatalog(((0, 2), (0, 2), (3, 0), (-1, 2)), 8)
         assert "shift 1 duplicates (0, 2)" in str(caught.value)
         assert "shift 2 has non-positive length 0" in str(caught.value)
+        assert "shift 3 has negative start -1" in str(caught.value)
 
     def test_empty_catalog(self):
         with pytest.raises(ValueError, match="shift catalog is empty"):
@@ -73,7 +76,7 @@ class TestShiftCatalog:
 
 class TestWeekPartition:
     def test_two_weeks(self):
-        assert build_week_partition(14).count == 2
+        assert build_week_partition(14) == make_scenario(days=14).week_partition() == 2
 
     @pytest.mark.parametrize("n", [0, 1, 6, 8, 13])
     def test_partial_weeks_rejected(self, n):
@@ -94,6 +97,13 @@ class TestRequirementMatrix:
     def test_negative_entries_flagged(self):
         with pytest.raises(ValueError, match="negative interval requirement"):
             RequirementMatrix([[1, -1]])
+
+    def test_cell_above_max_requirement_refused(self):
+        # the peak week x 10^16 fits int64, but the solves' sums would wrap
+        grid = gen_preset_scenario("peak-week").requirements.per_interval * 10**16
+        with pytest.raises(ValueError, match=f"interval requirement above {MAX_REQUIREMENT}"):
+            RequirementMatrix(grid)
+        assert RequirementMatrix([[MAX_REQUIREMENT]]).per_day.tolist() == [MAX_REQUIREMENT]
 
     def test_zero_interval_grid_refused(self):
         with pytest.raises(ValueError, match="at least one interval per day"):
@@ -137,6 +147,20 @@ class TestScenarioValidation:
             SlaSpec(0.0, 20.0)
         with pytest.raises(ValueError, match="threshold_seconds must be non-negative"):
             SlaSpec(0.8, -1.0)
+
+    @pytest.mark.parametrize("aht", [float("nan"), 0.0, -1.0])
+    def test_bad_aht_refused(self, aht):
+        with pytest.raises(ValueError, match="^invalid scenario: aht_seconds must be positive$"):
+            replace(make_scenario(), aht_seconds=aht)
+
+    def test_sla_must_be_a_spec(self):
+        with pytest.raises(ValueError, match="sla must be an SlaSpec"):
+            replace(make_scenario(), sla=(0.8, 20.0))
+
+    def test_days_must_increase(self):
+        scn = make_scenario()
+        with pytest.raises(ValueError, match="days are not strictly increasing"):
+            replace(scn, days=scn.days[1:2] + scn.days[1:])
 
     def test_zero_threshold_builds(self):
         scn = replace(make_scenario(), sla=SlaSpec(0.8, 0.0))
@@ -186,6 +210,12 @@ class TestDayAllocation:
     def test_counts_and_pairs(self):
         alloc = DayAllocation([[1, 0, 1], [0, 1, 1]])
         assert alloc.day_counts.tolist() == [1, 1, 2]
+
+    def test_equality_by_value(self):
+        works = np.array([[1, 0], [0, 1]])
+        a, b = DayAllocation(works), DayAllocation(works.copy())
+        assert a == b and a != DayAllocation(works[::-1])
+        assert a != Schedule(works)  # another grid type is never equal
 
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError, match="0/1"):
@@ -308,7 +338,7 @@ def reference_validate(triples, agent_count, day_count, catalog, weeks):
     """Problems of a set of triples, in sorted-triple order (reference)."""
     problems = []
     seen_pairs = set()
-    week_days = np.zeros((agent_count, weeks.count), dtype=np.int64)
+    week_days = np.zeros((agent_count, weeks), dtype=np.int64)
     for agent, day, shift in sorted(triples):
         if not 0 <= agent < agent_count:
             problems.append(f"agent index {agent} out of range")
@@ -326,7 +356,7 @@ def reference_validate(triples, agent_count, day_count, catalog, weeks):
         week_days[agent, day // 7] += 1
     if not problems:
         for agent in range(agent_count):
-            for w in range(weeks.count):
+            for w in range(weeks):
                 if week_days[agent, w] != 5:
                     problems.append(
                         f"agent {agent} works {int(week_days[agent, w])} days in"
@@ -428,7 +458,7 @@ class TestGridMatchesTriples:
             problems = []
             if works.shape[0] != agent_count:
                 problems.append(f"allocation has {works.shape[0]} agents, expected {agent_count}")
-            for w in range(weeks.count):
+            for w in range(weeks):
                 days = range(7 * w, 7 * w + 7)
                 week_days = works[:, days.start : days.stop].sum(axis=1)
                 for agent in np.nonzero(week_days != 5)[0]:

@@ -111,7 +111,30 @@ class TestErlangC:
         assert c >= erlang_b_blocking(n, a) - 1e-12
 
 
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="agents must be non-negative"):
+            erlang_c_wait_probability(-1, 0.0)
+        with pytest.raises(ValueError, match="load must be non-negative"):
+            erlang_c_wait_probability(1, -1.0)
+        with pytest.raises(ValueError, match="load must be non-negative"):
+            erlang_b_blocking(1, float("nan"))  # was NaN
+
+
 class TestServiceLevel:
+    @pytest.mark.parametrize("args, message", [
+        ((-1, 0.0, 300.0, 20.0), "agents must be non-negative"),
+        ((5, -1.0, 300.0, 20.0), "load must be non-negative"),
+        ((5, float("nan"), 300.0, 20.0), "load must be non-negative"),
+        ((5, 1.0, float("nan"), 20.0), "aht_seconds must be positive"),
+        ((5, 1.0, 0.0, 20.0), "aht_seconds must be positive"),
+        ((5, 1.0, 300.0, -1.0), "threshold_seconds must be non-negative"),
+        ((5, 1.0, 300.0, float("nan")), "threshold_seconds must be non-negative"),
+    ])
+    def test_refusals(self, args, message):
+        # a negative head-count, a NaN load, AHT or threshold each gave 0.0
+        with pytest.raises(ValueError, match=message):
+            service_level(*args)
+
     def test_hand_values(self):
         assert service_level(3, 2.0, 300.0, 20.0) == pytest.approx(0.5842, abs=1e-4)
         assert service_level(4, 2.0, 300.0, 20.0) == pytest.approx(0.8478, abs=1e-4)

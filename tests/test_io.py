@@ -130,6 +130,12 @@ class TestScenarioJson:
         with pytest.raises(SchemaError, match=r"\$\.requirements\[2\]\[3\]: expected a finite"):
             load_scenario(str(path))
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "x.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(SchemaError, match=r"^\$: expected a JSON object$"):
+            load_scenario(str(path))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "x.json"
         path.write_text("not json at all")
@@ -422,7 +428,6 @@ class TestSweepCsv:
                 SweepEntry(1, 0.05986, (67, 67, 66, 66, 66, 9, 9)),
                 SweepEntry(2, float("inf"), (57, 57, 57, 57, 56, 33, 33)),
             ),
-            selected=1,
         )
         path = tmp_path / "t.csv"
         write_sweep_trace(trace, str(path))
@@ -434,7 +439,22 @@ class TestSweepCsv:
 
     def test_empty_trace_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty sweep trace"):
-            write_sweep_trace(SweepTrace((), 0), str(tmp_path / "t.csv"))
+            write_sweep_trace(SweepTrace(()), str(tmp_path / "t.csv"))
+
+    @pytest.mark.parametrize("text, message", [
+        ("", r"^\$: expected header k,kl,p_d0,\.\.\.$"),
+        ("k,cost,p_d0\n0,0.5,3\n", r"^\$: expected header"),
+        ("k,kl,p_d0\n", r"^\$: trace has no rows$"),
+        ("k,kl,p_d0\n0,0.5,3\n1,0.25\n", r"^\$\[1\]: expected 3 fields$"),
+        ("k,kl,p_d0\n0,0.5,3\nx,0.25,4\n", r"^\$\[1\]: expected numbers \(invalid literal"),
+        ("k,kl,p_d0\n0,low,3\n", r"^\$\[0\]: expected numbers \(could not convert"),
+        ("k,kl,p_d0\n0,0.5,3.5\n", r"^\$\[0\]: expected numbers \(invalid literal"),
+    ])
+    def test_bad_file_names_the_row(self, tmp_path, text, message):
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        with pytest.raises(SchemaError, match=message):
+            read_sweep_trace(str(path))
 
 
 # A report's JSON keys, in order: SolveReport's field names.

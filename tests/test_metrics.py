@@ -10,7 +10,7 @@ from shiftplan.metrics import (
     dvdi,
     ivdi,
 )
-from shiftplan.phases import SolveLimits, solve_multi_phase
+from shiftplan.phases import SolveLimits, interval_objective_value, solve_multi_phase
 
 from oracles import scenario_from_grid
 
@@ -33,6 +33,9 @@ class TestIndices:
             dvdi([1, 2], [1])
         with pytest.raises(ValueError):
             ivdi([[1, 2]], [[1], [2]])
+        # the objective shares the indices' shape check
+        with pytest.raises(ValueError, match="requirement and coverage shapes differ"):
+            interval_objective_value([[1, 2]], [[1], [2]])
 
 
 def micro_scenario():

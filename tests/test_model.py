@@ -109,3 +109,5 @@ class TestVariableCounting:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             count_variables(-1, 7, 1, 1, "single")
+        with pytest.raises(ValueError, match="assigned_pairs must be non-negative"):
+            count_variables(1, 7, 1, 1, "multi", assigned_pairs=-1)

@@ -1,10 +1,14 @@
 """Phase orchestration, with every exact optimum audited per agent by the oracle."""
 
+import re
+
 import numpy as np
 import pytest
 
 from shiftplan import phases
 from shiftplan.domain import (
+    MAX_AGENTS,
+    MAX_REQUIREMENT,
     OFF,
     Scenario,
     ShiftCatalog,
@@ -97,6 +101,20 @@ class TestDayPhase:
         with pytest.raises(ValueError, match="penalty_factor"):
             DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=-1)
 
+    def test_bounds_that_keep_int64_exact(self):
+        # 5e18 fits int64, but its marginals would wrap: the greedy then put
+        # agents on the weekend, where (2, 2, 2, 2, 2, 0, 0) is right
+        outside = re.escape(f"day requirements must lie in [0, {MAX_REQUIREMENT}]")
+        for r_week in ([5 * 10**18] * 5 + [0, 0], [-5 * 10**18] + [0] * 6):
+            with pytest.raises(ValueError, match=outside):
+                DayPhaseSpec(r_week, 2, ONE_WEEK)
+        with pytest.raises(ValueError, match=f"agent_count must be at most {MAX_AGENTS}"):
+            DayPhaseSpec(np.zeros(7), MAX_AGENTS + 1, ONE_WEEK)
+        with pytest.raises(ValueError, match="agent_count must be non-negative"):
+            DayPhaseSpec(np.zeros(7), -1, ONE_WEEK)
+        spec = DayPhaseSpec([MAX_REQUIREMENT] * 5 + [0, 0], 2, ONE_WEEK)
+        assert solve_day_allocation(spec, SolveLimits()).head_counts == (2, 2, 2, 2, 2, 0, 0)
+
     def test_penalty_beyond_max_refused(self):
         DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=phases.MAX_PENALTY)
         with pytest.raises(ValueError, match="penalty_factor must be at most 1000000"):
@@ -142,6 +160,14 @@ class TestShiftPhase:
         allocation, _ = solve_exact(DayPhaseSpec(scn.requirements.per_day, 1, ONE_WEEK))
         with pytest.raises(ValueError, match="interval grid"):
             ShiftPhaseSpec(scn.requirements, allocation, ShiftCatalog(((0, 3),), 3))
+        two_weeks = materialize_day((1,) * 5 + (0, 0) + (1,) * 5 + (0, 0), 1, 2)
+        with pytest.raises(ValueError, match="one head-count per day is required"):
+            ShiftPhaseSpec(scn.requirements, two_weeks, scn.shift_catalog)
+
+    def test_negative_shift_count_refused(self):
+        allocation = materialize_day((1,) * 5 + (0, 0), 1, ONE_WEEK)
+        with pytest.raises(ValueError, match="negative shift count"):
+            materialize_shift([(2, -1)] + [(1, 0)] * 4 + [(0, 0)] * 2, allocation)
 
 
 class TestSinglePhase:
@@ -286,6 +312,7 @@ class TestMultiPhase:
             monkeypatch.setattr(phases, name, spy)
         result = solve_multi_phase(capped_scenario(), SolveLimits(move_cap=1000))
         (day_limits, day), (shift_limits, shift) = calls
-        assert (day_limits.move_cap, shift_limits.move_cap) == (200, 800)
+        # the day phase spends nothing, so it takes the budget as given
+        assert (day_limits.move_cap, shift_limits.move_cap) == (1000, 800)
         assert result.evaluations == day.evaluations + shift.evaluations
         assert result.runtime_seconds == day.runtime_seconds + shift.runtime_seconds

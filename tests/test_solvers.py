@@ -148,7 +148,7 @@ def reference_materialize_single(head_counts, splits, agent_count, weeks):
     """Week plans to agents: lowest index, lexicographically first plan (reference)."""
     works = materialize_day(head_counts, agent_count, weeks).works.tolist()
     triples = []
-    for w in range(weeks.count):
+    for w in range(weeks):
         days = range(7 * w, 7 * w + 7)
         plans = reference_plans_from_week(
             [row[days.start : days.stop] for row in works], splits[days.start : days.stop]
@@ -158,7 +158,7 @@ def reference_materialize_single(head_counts, splits, agent_count, weeks):
             for _ in range(plans[plan]):
                 triples.extend((agent, days.start + d, s) for d, s in plan)
                 agent += 1
-    return Schedule.from_triples(triples, agent_count, weeks.count * 7)
+    return Schedule.from_triples(triples, agent_count, weeks * 7)
 
 
 def shift_tally(schedule, day_count, shift_count):
@@ -674,7 +674,7 @@ def random_week_plan_instance(rng):
     weeks = build_week_partition(7 * rng.randint(1, 3))
     shifts = rng.randint(1, 5)
     head_counts = []
-    for _ in range(weeks.count):
+    for _ in range(weeks):
         week = [0] * 7
         for _ in range(agents):
             for d in rng.choice(oracles.DAY_PATTERNS):
@@ -714,13 +714,13 @@ class TestMaterialization:
         for case in range(300):
             agents = (0, 200)[case] if case < 2 else rng.randint(1, 200)
             weeks = build_week_partition(7 * rng.randint(1, 3))
-            head_counts = [n for _ in range(weeks.count) for n in random_week_counts(rng, agents)]
+            head_counts = [n for _ in range(weeks) for n in random_week_counts(rng, agents)]
             seen.update(("off", "on")[n > 0] for n in head_counts if agents and n in (0, agents))
             alloc = materialize_day(head_counts, agents, weeks)
             assert alloc.day_counts.tolist() == head_counts
-            week_rows = alloc.works.reshape(agents, weeks.count, 7)
+            week_rows = alloc.works.reshape(agents, weeks, 7)
             assert (week_rows.sum(axis=2) == 5).all()
-            for w in range(weeks.count):
+            for w in range(weeks):
                 patterns = [tuple(np.flatnonzero(row).tolist()) for row in week_rows[:, w]]
                 assert patterns == sorted(patterns)
         assert seen == {"off", "on"}  # days with everyone off, days with everyone on

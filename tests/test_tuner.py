@@ -11,6 +11,8 @@ from shiftplan.phases import MAX_PENALTY, SolveLimits
 from shiftplan.tuner import (
     DistributionPair,
     StopConfig,
+    SweepEntry,
+    SweepTrace,
     day_distribution,
     kl_divergence,
     target_distribution,
@@ -60,6 +62,8 @@ class TestKlDivergence:
             DistributionPair((0.9,), (1.0,))
         with pytest.raises(ValueError, match="negative entries"):
             DistributionPair((1.5, -0.5), (0.5, 0.5))
+        with pytest.raises(ValueError, match="epsilon must be non-negative"):
+            DistributionPair((1.0,), (1.0,), epsilon=-1e-9)
 
 
 class TestNormalization:
@@ -120,12 +124,26 @@ class TestTunePenalty:
         first_best = next(e.penalty_factor for e in entries if e.kl == best)
         assert result.trace.selected == first_best
 
+    def test_selected_is_least_kl_smallest_k_on_ties(self):
+        def trace(*pairs):
+            return SweepTrace(tuple(SweepEntry(k, kl, (k,)) for k, kl in pairs))
+
+        assert trace((0, 0.5), (1, 0.2), (2, 0.2), (3, 0.3)).selected == 1
+        assert trace((2, 0.2), (1, 0.2), (0, 0.5)).selected == 1  # not the first listed
+        assert trace((0, float("inf")), (1, 0.7)).selected == 1
+
     def test_sweep_is_deterministic(self):
         r = np.array([22, 22, 22, 22, 23, 11, 11])
         a = tune_penalty(r, 7, ONE_WEEK, SolveLimits(seed=3, move_cap=8000))
         b = tune_penalty(r, 7, ONE_WEEK, SolveLimits(seed=3, move_cap=8000))
         assert [e.kl for e in a.trace.entries] == [e.kl for e in b.trace.entries]
         assert a.trace.selected == b.trace.selected
+
+    def test_stop_config_refusals(self):
+        with pytest.raises(ValueError, match="patience must be at least 1"):
+            StopConfig(patience=0)
+        with pytest.raises(ValueError, match="k_max must be non-negative"):
+            StopConfig(k_max=-1)
 
     def test_k_max_beyond_max_penalty_refused(self):
         StopConfig(k_max=MAX_PENALTY)
