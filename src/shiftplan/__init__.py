@@ -54,9 +54,11 @@ _EXPORTS = {
         "solve_shift_allocation",
         "solve_single_phase",
     ),
-    "scenario_io": (
+    "presets": (
         "PRESETS",
         "PeakPresetSpec",
+    ),
+    "scenario_io": (
         "SchemaError",
         "gen_peak_scenario",
         "gen_preset_scenario",

@@ -15,20 +15,9 @@ budget; with it, repeated runs produce byte-identical output files.
 import argparse
 import sys
 
-from .metrics import build_report, compare_modes
-from .phases import MAX_PENALTY, SolveLimits, solve_multi_phase, solve_single_phase
-from .scenario_io import (
-    PRESETS,
-    gen_preset_scenario,
-    load_scenario,
-    read_schedule,
-    save_scenario,
-    write_report,
-    write_requirements,
-    write_schedule,
-    write_sweep_trace,
-)
-from .tuner import StopConfig, tune_penalty
+# Only the presets load with this module: each handler imports what it runs,
+# so gen-scenario, --help and usage errors start without numpy.
+from .presets import PRESETS, peak_scenario_data, write_json
 
 
 class UsageError(Exception):
@@ -56,7 +45,17 @@ def _checked(kind, ok, need: str):
 _POSITIVE_INT = _checked(int, lambda v: v > 0, "a positive integer")
 _NON_NEGATIVE_INT = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "a positive number of seconds")
-_PENALTY = _checked(_NON_NEGATIVE_INT, lambda v: v <= MAX_PENALTY, f"at most {MAX_PENALTY}")
+
+
+def _penalty(text: str) -> int:
+    """A penalty factor K; ``phases.MAX_PENALTY`` is read only when a value
+    is given, since importing ``phases`` loads numpy."""
+    from .phases import MAX_PENALTY
+
+    return _checked(_NON_NEGATIVE_INT, lambda v: v <= MAX_PENALTY, f"at most {MAX_PENALTY}")(text)
+
+
+_penalty.__name__ = _NON_NEGATIVE_INT.__name__
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -77,7 +76,9 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _limits(args) -> SolveLimits:
+def _limits(args):
+    from .phases import SolveLimits
+
     return SolveLimits(
         time_budget_seconds=args.time_budget,
         seed=args.seed,
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget_flags(solve)
     penalty = solve.add_mutually_exclusive_group()
     penalty.add_argument(
-        "--penalty", type=_PENALTY, default=0, help="day-balancing penalty factor K"
+        "--penalty", type=_penalty, default=0, help="day-balancing penalty factor K"
     )
     penalty.add_argument(
         "--tune",
@@ -126,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
     tune.add_argument("--patience", type=_POSITIVE_INT, default=2)
-    tune.add_argument("--k-max", type=_PENALTY, default=50)
+    tune.add_argument("--k-max", type=_penalty, default=50)
     tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
     tune.add_argument("--out", default=None, help="chosen-K schedule CSV (default <name>-tuned-schedule.csv)")
     tune.add_argument("--report", default=None, help="optional report JSON for the tuned schedule")
@@ -149,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
     compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(compare)
-    compare.add_argument("--penalty", type=_PENALTY, default=0)
+    compare.add_argument("--penalty", type=_penalty, default=0)
     compare.add_argument("--out", default=None, help="comparison JSON (default <name>-compare.json)")
     compare.set_defaults(handler=_cmd_compare)
 
@@ -162,14 +163,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_scenario(args) -> int:
-    scenario = gen_preset_scenario(args.preset)
     out = args.out or f"{args.preset}.json"
-    save_scenario(scenario, out)
+    write_json(peak_scenario_data(PRESETS[args.preset]), out)
     print(f"wrote {out}")
     return 0
 
 
 def _cmd_requirements(args) -> int:
+    from .scenario_io import load_scenario, write_requirements
+
     scenario = load_scenario(args.scenario)
     out = args.out or f"{scenario.name}-requirements.csv"
     write_requirements(scenario.requirements, out)
@@ -180,6 +182,9 @@ def _cmd_requirements(args) -> int:
 def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
     """Write ``result``'s schedule to ``out`` and, unless ``report_path`` is
     None, its report; returns the report or None."""
+    from .metrics import build_report
+    from .scenario_io import write_report, write_schedule
+
     write_schedule(result.schedule, scenario.shift_catalog, out)
     if report_path is None:
         return None
@@ -196,8 +201,12 @@ def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
     return report
 
 
-def _tune_and_solve(args, scenario, stop: StopConfig = StopConfig()):
-    """The K sweep, then the multi solve at the chosen K with the whole budget."""
+def _tune_and_solve(args, scenario, stop):
+    """The K sweep under ``stop``, then the multi solve at the chosen K with
+    the whole budget."""
+    from .phases import solve_multi_phase
+    from .tuner import tune_penalty
+
     limits = _limits(args)
     tuned = tune_penalty(
         scenario.requirements.per_day,
@@ -210,11 +219,15 @@ def _tune_and_solve(args, scenario, stop: StopConfig = StopConfig()):
 
 
 def _cmd_solve(args) -> int:
+    from .phases import solve_multi_phase, solve_single_phase
+    from .scenario_io import load_scenario
+    from .tuner import StopConfig
+
     scenario = load_scenario(args.scenario)
     if args.tune and args.mode != "multi":
         raise UsageError("--tune applies to --mode multi only")
     if args.tune:
-        _, result = _tune_and_solve(args, scenario)
+        _, result = _tune_and_solve(args, scenario, StopConfig())
     elif args.mode == "multi":
         result = solve_multi_phase(scenario, _limits(args), args.penalty)
     else:
@@ -227,6 +240,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_tune(args) -> int:
+    from .scenario_io import load_scenario, write_sweep_trace
+    from .tuner import StopConfig
+
     scenario = load_scenario(args.scenario)
     stop = StopConfig(patience=args.patience, k_max=args.k_max)
     tuned, result = _tune_and_solve(args, scenario, stop)
@@ -239,6 +255,9 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_metrics(args) -> int:
+    from .metrics import build_report
+    from .scenario_io import load_scenario, read_schedule, write_report
+
     scenario = load_scenario(args.scenario)
     schedule = read_schedule(args.schedule, scenario)
     report = build_report(
@@ -251,6 +270,9 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .metrics import compare_modes
+    from .scenario_io import load_scenario, write_report
+
     scenario = load_scenario(args.scenario)
     limits = _limits(args)
     result = compare_modes(scenario, args.runs, limits, penalty_factor=args.penalty)

@@ -17,6 +17,8 @@ from datetime import date
 
 import numpy as np
 
+from .presets import DEFAULT_AHT_SECONDS, DEFAULT_SLA_TARGET, DEFAULT_THRESHOLD_SECONDS
+
 DAYS_PER_WEEK = 7
 WORKDAYS_PER_WEEK = 5
 # Largest requirement: far enough below int64 that the solves' sums cannot wrap.
@@ -70,6 +72,14 @@ def check_threshold_seconds(threshold_seconds: float) -> None:
     """The service-level threshold rule: non-negative, so NaN is refused too."""
     if not threshold_seconds >= 0:
         raise ValueError("threshold_seconds must be non-negative")
+
+
+def check_agent_count(agent_count: int) -> None:
+    """The head-count rule: non-negative and at most ``MAX_AGENTS``."""
+    if agent_count < 0:
+        raise ValueError("agent_count must be non-negative")
+    if agent_count > MAX_AGENTS:
+        raise ValueError(f"agent_count must be at most {MAX_AGENTS}")
 
 
 # ---------------------------------------------------------------------------
@@ -186,8 +196,8 @@ class Scenario:
     agent_count: int
     shift_catalog: ShiftCatalog
     requirements: RequirementMatrix
-    sla: SlaSpec = SlaSpec(0.8, 20.0)
-    aht_seconds: float = 300.0
+    sla: SlaSpec = SlaSpec(DEFAULT_SLA_TARGET, DEFAULT_THRESHOLD_SECONDS)
+    aht_seconds: float = DEFAULT_AHT_SECONDS
 
     def __post_init__(self):
         problems = _scenario_problems(self)
@@ -221,8 +231,7 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
     problems = _refusal(build_week_partition, n_days)
     if any(scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)):
         problems.append("days are not strictly increasing")
-    if scenario.agent_count < 0:
-        problems.append("agent_count must be >= 0")
+    problems += _refusal(check_agent_count, scenario.agent_count)
     if scenario.shift_catalog.intervals_per_day != scenario.requirements.intervals:
         problems.append("shift catalog interval grid differs from requirements")
     if scenario.requirements.days != n_days:
@@ -323,15 +332,23 @@ class CoverageProfile:
 
 def _shift_range_problems(schedule: Schedule, catalog: ShiftCatalog) -> list[str]:
     grid = schedule.shifts
+    if not grid.size or (grid.min() >= OFF and grid.max() < len(catalog)):
+        return []  # no grid-sized mask: the schedule writer's memory stays one block's
     bad = grid[(grid < OFF) | (grid >= len(catalog))]
     return [f"shift index {int(s)} out of range" for s in bad]
 
 
-def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> CoverageProfile:
-    """Aggregate a schedule into interval-level and day-level head-counts."""
+def check_shift_range(schedule: Schedule, catalog: ShiftCatalog) -> None:
+    """The shift-index rule: every cell is ``OFF`` or an index into ``catalog``;
+    the first cell that breaks it is named."""
     problems = _shift_range_problems(schedule, catalog)
     if problems:
         raise ValueError(problems[0])
+
+
+def coverage_from_schedule(schedule: Schedule, catalog: ShiftCatalog) -> CoverageProfile:
+    """Aggregate a schedule into interval-level and day-level head-counts."""
+    check_shift_range(schedule, catalog)
     shifts, days = len(catalog), schedule.shifts.shape[1]
     # agents per (day, shift), one day's column at a time; OFF tallies at index 0
     per_shift = np.zeros((days, shifts), dtype=np.int64)

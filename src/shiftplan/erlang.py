@@ -13,8 +13,8 @@ and the service level to 0.0 rather than evaluating the undefined formulas.
 Sizing a volume grid runs one vectorised sweep over all its cells instead of
 one search per cell.  The sweep repeats the scalar functions' floating-point
 operations in their order, so its head-counts are bit-identical to theirs.
-NaN and infinite volumes or loads, and loads above ``MAX_LOAD_ERLANGS``,
-are rejected with a ``ValueError``.
+Negative, NaN and infinite loads, and loads above ``MAX_LOAD_ERLANGS``, are
+rejected with a ``ValueError``; a volume is checked as the load it makes.
 """
 
 import math
@@ -137,10 +137,6 @@ def requirements_from_volumes(
     grid = np.asarray(volumes, dtype=np.float64)
     if grid.ndim != 2:
         raise ValueError("volumes grid must be 2-dimensional")
-    if not np.isfinite(grid).all():
-        raise ValueError("volumes must be finite")
-    if (grid < 0).any():
-        raise ValueError("volumes must be non-negative")
     if not interval_seconds > 0:
         raise ValueError("interval_seconds must be positive")
     with np.errstate(over="ignore"):  # an overflowing load is rejected below

@@ -38,7 +38,6 @@ import numpy as np
 
 from .domain import (
     DAYS_PER_WEEK,
-    MAX_AGENTS,
     MAX_REQUIREMENT,
     OFF,
     WORKDAYS_PER_WEEK,
@@ -47,6 +46,7 @@ from .domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
+    check_agent_count,
     frozen_grid,
 )
 
@@ -421,10 +421,7 @@ class DayPhaseSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "day_requirements", frozen_grid(self.day_requirements))
-        if self.agent_count < 0:
-            raise ValueError("agent_count must be non-negative")
-        if self.agent_count > MAX_AGENTS:
-            raise ValueError(f"agent_count must be at most {MAX_AGENTS}")
+        check_agent_count(self.agent_count)
         r = self.day_requirements
         if ((r < 0) | (r > MAX_REQUIREMENT)).any():
             raise ValueError(f"day requirements must lie in [0, {MAX_REQUIREMENT}]")

@@ -1,27 +1,26 @@
-"""Scenario presets and every on-disk format.
+"""Every on-disk format, and scenarios built from their JSON data.
 
 Formats are part of the public contract and bit-stable: fixed JSON field
 order, fixed CSV headers, ``\\n`` line endings, and atomic writes
-(temp file + rename) so readers never observe a half-written file.
+(temp file + rename, ``presets.atomic_open``) so readers never observe a
+half-written file.
 
 A scenario file carries either an explicit ``requirements`` grid or raw call
 ``volumes`` (plus AHT, interval length, and SLA) from which the requirements
-are derived on load via the Erlang-C sizing rule.
+are derived on load via the Erlang-C sizing rule.  The bundled presets are
+scenario-file data (``presets``), so ``gen_peak_scenario`` builds its
+``Scenario`` through the loader.
 """
 
-import contextlib
 import csv
 import json
 import math
-import os
-import tempfile
-from dataclasses import dataclass, fields, is_dataclass
-from datetime import date, timedelta
+from dataclasses import fields, is_dataclass
+from datetime import date
 
 import numpy as np
 
 from .domain import (
-    MAX_AGENTS,
     MAX_REQUIREMENT,
     OFF,
     RequirementMatrix,
@@ -31,123 +30,17 @@ from .domain import (
     SlaSpec,
     TripleError,
     build_week_partition,
+    check_agent_count,
+    check_shift_range,
 )
 from .erlang import requirements_from_volumes
 from .metrics import ComparisonResult, SolveReport
+from .presets import PRESETS, PeakPresetSpec, atomic_open, peak_scenario_data, write_json
 from .tuner import SweepEntry, SweepTrace
 
 
 class SchemaError(ValueError):
     """A file's content does not match its documented format."""
-
-
-# ---------------------------------------------------------------------------
-# synthetic scenarios
-# ---------------------------------------------------------------------------
-
-# Intraday demand shape in percent of the daily peak, one value per hour:
-# overnight trickle, a morning ramp, full load through office hours, and an
-# evening tail.
-DEFAULT_INTRADAY_PROFILE = (
-    (10,) * 7 + (50, 80) + (100,) * 8 + (70, 50) + (30,) * 3 + (10,) * 2
-)
-
-
-@dataclass(frozen=True)
-class PeakPresetSpec:
-    """A peak-season style week: heavy weekdays, light weekends.
-
-    Interval requirements are ``ceil(day_peak * profile_percent / 100)``; the
-    default catalog offers 10-hour shifts starting on each hour that still
-    fits in the day.
-    """
-
-    name: str = "peak-week"
-    agents: int = 70
-    weekday_peak: int = 225
-    weekend_peak: int = 110
-    weeks: int = 1
-    intervals_per_day: int = 24
-    profile_percent: tuple[int, ...] = DEFAULT_INTRADAY_PROFILE
-    shift_length: int = 10
-    shift_starts: tuple[int, ...] = tuple(range(15))
-    start_date: date = date(2024, 1, 1)  # a Monday, so days 5 and 6 are the weekend
-
-    def __post_init__(self):
-        if len(self.profile_percent) != self.intervals_per_day:
-            raise ValueError("profile length must equal intervals_per_day")
-        if self.weeks < 1:
-            raise ValueError("weeks must be at least 1")
-
-
-def gen_peak_scenario(spec: PeakPresetSpec = PeakPresetSpec()) -> Scenario:
-    """Build the synthetic peak-demand scenario described by ``spec``."""
-    day_count = 7 * spec.weeks
-    days = tuple(spec.start_date + timedelta(days=i) for i in range(day_count))
-    grid = np.zeros((day_count, spec.intervals_per_day), dtype=np.int64)
-    for d in range(day_count):
-        peak = spec.weekday_peak if d % 7 < 5 else spec.weekend_peak
-        for t, pct in enumerate(spec.profile_percent):
-            grid[d, t] = -(-peak * pct // 100)  # ceil in integer arithmetic
-    catalog = ShiftCatalog(
-        tuple((s, spec.shift_length) for s in spec.shift_starts),
-        spec.intervals_per_day,
-    )
-    return Scenario(
-        name=spec.name,
-        days=days,
-        agent_count=spec.agents,
-        shift_catalog=catalog,
-        requirements=RequirementMatrix(grid),
-    )
-
-
-PRESETS: dict[str, PeakPresetSpec] = {
-    "peak-week": PeakPresetSpec(),
-    # mid-sized two-week instance used for mode benchmarking
-    "benchmark-2wk": PeakPresetSpec(
-        name="benchmark-2wk",
-        agents=50,
-        weekday_peak=60,
-        weekend_peak=30,
-        weeks=2,
-        shift_starts=(1, 4, 7, 10, 13),
-    ),
-}
-
-
-def gen_preset_scenario(preset: str) -> Scenario:
-    if preset not in PRESETS:
-        known = ", ".join(sorted(PRESETS))
-        raise SchemaError(f"unknown preset {preset!r} (known: {known})")
-    return gen_peak_scenario(PRESETS[preset])
-
-
-# ---------------------------------------------------------------------------
-# atomic writes
-# ---------------------------------------------------------------------------
-
-
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text handle on a temp file beside ``path``; the file replaces ``path``
-    when the block exits cleanly and is removed on any exception."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            yield handle
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(data: dict, path: str) -> None:
-    with _atomic_open(path) as handle:
-        json.dump(data, handle, indent=2)
-        handle.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +69,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def save_scenario(scenario: Scenario, path: str) -> None:
-    _write_json(scenario_to_dict(scenario), path)
+    write_json(scenario_to_dict(scenario), path)
 
 
 def _finite_number(value, where: str) -> float:
@@ -233,13 +126,18 @@ def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray
 
 
 def load_scenario(path: str) -> Scenario:
-    """Parse and validate a scenario file; derive requirements from volumes
-    when no explicit grid is present."""
+    """Parse and validate a scenario file (see ``scenario_from_data``)."""
     with open(path, "r") as handle:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"$: not valid JSON ({exc})") from exc
+    return scenario_from_data(data)
+
+
+def scenario_from_data(data) -> Scenario:
+    """The scenario that a file's JSON data describes, checked field by field;
+    requirements are derived from volumes when no explicit grid is present."""
     if not isinstance(data, dict):
         raise SchemaError("$: expected a JSON object")
     name = _need(data, "name", str, "$")
@@ -256,8 +154,10 @@ def load_scenario(path: str) -> Scenario:
     if intervals < 1:
         raise SchemaError("$.intervals_per_day: must be at least 1")
     agents = _need(data, "agents", int, "$")
-    if agents > MAX_AGENTS:
-        raise SchemaError(f"$.agents: beyond {MAX_AGENTS} agents")
+    try:
+        check_agent_count(agents)
+    except ValueError as exc:
+        raise SchemaError(f"$.agents: {exc}") from exc
     raw_catalog = _need(data, "shift_catalog", list, "$")
     shifts = []
     for i, entry in enumerate(raw_catalog):
@@ -306,6 +206,18 @@ def load_scenario(path: str) -> Scenario:
         raise SchemaError(f"$: {exc}") from exc
 
 
+def gen_peak_scenario(spec: PeakPresetSpec = PeakPresetSpec()) -> Scenario:
+    """Build the synthetic peak-demand scenario described by ``spec``."""
+    return scenario_from_data(peak_scenario_data(spec))
+
+
+def gen_preset_scenario(preset: str) -> Scenario:
+    if preset not in PRESETS:
+        known = ", ".join(sorted(PRESETS))
+        raise SchemaError(f"unknown preset {preset!r} (known: {known})")
+    return gen_peak_scenario(PRESETS[preset])
+
+
 # ---------------------------------------------------------------------------
 # schedule CSV
 # ---------------------------------------------------------------------------
@@ -318,11 +230,10 @@ SCHEDULE_BLOCK_AGENTS = 256
 
 def write_schedule(schedule: Schedule, catalog: ShiftCatalog, path: str) -> None:
     """Rows sorted by (agent, day); shifts written as start/length pairs."""
+    check_shift_range(schedule, catalog)
     grid = schedule.shifts
-    if grid.size and (grid.min() < OFF or grid.max() >= len(catalog)):
-        raise ValueError("schedule holds a shift index outside the catalog")
     spans = np.array(catalog.shifts, dtype=np.int64).reshape(-1, 2)
-    with _atomic_open(path) as handle:
+    with atomic_open(path) as handle:
         handle.write(",".join(SCHEDULE_HEADER) + "\n")
         for first in range(0, grid.shape[0], SCHEDULE_BLOCK_AGENTS):
             block = grid[first : first + SCHEDULE_BLOCK_AGENTS]
@@ -372,7 +283,7 @@ def write_sweep_trace(trace: SweepTrace, path: str) -> None:
     if not trace.entries:
         raise ValueError("cannot write an empty sweep trace")
     day_count = len(trace.entries[0].day_counts)
-    with _atomic_open(path) as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["k", "kl"] + [f"p_d{d}" for d in range(day_count)])
         for entry in trace.entries:
@@ -428,7 +339,7 @@ def record_to_dict(record, deterministic: bool = False):
 def write_report(
     record: SolveReport | ComparisonResult, path: str, deterministic: bool = False
 ) -> None:
-    _write_json(record_to_dict(record, deterministic), path)
+    write_json(record_to_dict(record, deterministic), path)
 
 
 # ---------------------------------------------------------------------------
@@ -437,7 +348,7 @@ def write_report(
 
 
 def write_requirements(requirements: RequirementMatrix, path: str) -> None:
-    with _atomic_open(path) as handle:
+    with atomic_open(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(
             ["day_index"] + [f"i{t}" for t in range(requirements.intervals)] + ["peak"]

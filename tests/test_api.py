@@ -1,7 +1,8 @@
 """The public surface: every exported name resolves from the module the
 package's export table names, a bare ``import shiftplan`` loads none of the
-modules, and the benchmark's in-process replay finds every name it calls and
-splits the budget as the package does."""
+modules, the CLI module and the presets load no numpy, and the benchmark's
+in-process replay finds every name it calls and splits the budget as the
+package does."""
 
 import importlib.util
 import inspect
@@ -35,9 +36,13 @@ import sys
 import shiftplan
 loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("shiftplan."))
 assert loaded == [], loaded
+import shiftplan.cli
+from shiftplan import PeakPresetSpec, PRESETS
+loaded = sorted(m for m in sys.modules if m == "numpy" or m.startswith("shiftplan."))
+assert loaded == ["shiftplan.cli", "shiftplan.presets"], loaded
 shiftplan.SlaSpec
 assert "shiftplan.domain" in sys.modules
-assert not {"shiftplan.erlang", "shiftplan.phases", "shiftplan.cli"} & sys.modules.keys()
+assert not {"shiftplan.erlang", "shiftplan.phases"} & sys.modules.keys()
 from shiftplan import *
 assert len(shiftplan.__all__) == 51 and set(shiftplan.__all__) <= globals().keys()
 try:

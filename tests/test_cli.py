@@ -11,7 +11,14 @@ import pytest
 from shiftplan.cli import main
 from shiftplan.domain import SlaSpec
 from shiftplan.erlang import required_agents
-from shiftplan.scenario_io import PeakPresetSpec, gen_peak_scenario, load_scenario, save_scenario
+from shiftplan.presets import PRESETS
+from shiftplan.scenario_io import (
+    PeakPresetSpec,
+    gen_peak_scenario,
+    gen_preset_scenario,
+    load_scenario,
+    save_scenario,
+)
 from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
@@ -24,6 +31,19 @@ TINY = PeakPresetSpec(
     shift_length=3,
     shift_starts=(0, 1, 2, 3),
 )
+
+
+# Runs the CLI module as ``python3 -m shiftplan.cli ARGS`` does, then prints
+# the exit code and every numpy and shiftplan module loaded.
+AS_MAIN = """
+import json, runpy, sys
+try:
+    runpy.run_module("shiftplan.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+loaded = sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "shiftplan"))
+print(json.dumps([code, loaded]))
+"""
 
 
 @pytest.fixture
@@ -49,6 +69,27 @@ class TestGenScenario:
     def test_unknown_preset_is_usage_error(self, capsys):
         assert main(["gen-scenario", "--preset", "nope"]) == 1
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [(["gen-scenario", "--out", "{tmp}/p.json"], 0), (["--help"], 0), (["solve"], 1)],
+        ids=["gen-scenario", "help", "usage-error"],
+    )
+    def test_start_up_loads_no_solver(self, tmp_path, argv, code):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        done = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == [code, ["shiftplan", "shiftplan.presets"]]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_preset_file_is_the_scenario_written(self, tmp_path, preset):
+        out, saved = tmp_path / "gen.json", tmp_path / "saved.json"
+        assert main(["gen-scenario", "--preset", preset, "--out", str(out)]) == 0
+        scenario = gen_preset_scenario(preset)
+        save_scenario(scenario, str(saved))
+        assert out.read_bytes() == saved.read_bytes()
+        assert load_scenario(str(out)) == scenario
 
 
 class TestSolve:
@@ -388,6 +429,12 @@ class TestGridCells:
         assert "$.requirements: negative interval requirement" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_negative_volume_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(week_scenario(volumes=[[10, -1]] + [[10, 20]] * 6)))
+        assert main(["requirements", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error: $.volumes: load must be non-negative\n" == capsys.readouterr().err
+
     def test_fractional_volume_is_sized_as_given(self, tmp_path):
         # 6.6 calls / 15 min at 300 s AHT needs 5 agents; truncated to 6 it would be 4
         proc = run_requirements(tmp_path, week_scenario(volumes=[[6.6, 6]] * 7))
@@ -506,8 +553,14 @@ class TestAgentBound:
             timeout=60,
         )
         assert proc.returncode == 2
-        assert "$.agents: beyond 100000 agents" in proc.stderr
+        assert "$.agents: agent_count must be at most 100000" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    def test_negative_agent_count_is_schema_error(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(week_scenario(agents=-1)))
+        assert main(["requirements", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "error: $.agents: agent_count must be non-negative\n" == capsys.readouterr().err
 
 
 class TestObjectiveBeyondInt64:

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from shiftplan.domain import (
+    MAX_AGENTS,
     MAX_REQUIREMENT,
     OFF,
     DayAllocation,
@@ -177,7 +178,8 @@ class TestScenarioValidation:
                 requirements=scn.requirements,
             )
         assert str(caught.value) == (
-            "invalid scenario: horizon not a multiple of 7: got 6 days; agent_count must be >= 0;"
+            "invalid scenario: horizon not a multiple of 7: got 6 days;"
+            " agent_count must be non-negative;"
             " requirements day count differs from scenario days"
         )
         with pytest.raises(ValueError, match="^invalid shift catalog: shift 0 exceeds day boundary$"):
@@ -195,8 +197,13 @@ class TestScenarioValidation:
             )
         assert str(caught.value).count("intervals_per_day must be >= 1") == 1
 
+    def test_agent_count_above_max_refused(self):
+        # the day phase's bound: a scenario beyond it built, then failed only the multi solve
+        with pytest.raises(ValueError, match=f"^invalid scenario: agent_count must be at most {MAX_AGENTS}$"):
+            make_scenario(agents=MAX_AGENTS + 1)
+
     def test_replace_checks_again(self):
-        with pytest.raises(ValueError, match="invalid scenario: agent_count must be >= 0"):
+        with pytest.raises(ValueError, match="invalid scenario: agent_count must be non-negative"):
             replace(make_scenario(), agent_count=-1)
 
     def test_derived_fields_are_not_arguments(self):

@@ -200,7 +200,7 @@ class TestRequirementsFromVolumes:
         assert req.per_day.tolist() == [4, 7]
 
     def test_negative_volume_rejected(self):
-        with pytest.raises(ValueError, match="non-negative"):
+        with pytest.raises(ValueError, match="^load must be non-negative$"):
             requirements_from_volumes([[-1.0]], 300.0, SlaSpec(0.8, 20.0), 1800.0)
 
     def test_non_grid_rejected(self):
@@ -209,7 +209,7 @@ class TestRequirementsFromVolumes:
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_volume_rejected(self, bad):
-        with pytest.raises(ValueError, match="volumes must be finite"):
+        with pytest.raises(ValueError, match="^load must be finite$"):
             requirements_from_volumes([[1.0, bad]], 300.0, SlaSpec(0.8, 20.0), 1800.0)
 
     def test_overflowing_load_rejected(self):

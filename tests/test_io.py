@@ -22,8 +22,8 @@ from shiftplan.domain import (
 )
 from shiftplan.metrics import _MEAN_FIELDS, SolveReport, build_report, compare_modes
 from shiftplan.phases import SolveLimits, solve_multi_phase
+from shiftplan.presets import DEFAULT_INTRADAY_PROFILE
 from shiftplan.scenario_io import (
-    DEFAULT_INTRADAY_PROFILE,
     PRESETS,
     SCHEDULE_BLOCK_AGENTS,
     SCHEDULE_HEADER,
@@ -217,7 +217,7 @@ class TestScheduleCsv:
     def test_shift_outside_catalog_rejected_on_write(self, tmp_path, shift):
         # numpy would read -2 as the second-to-last catalog shift
         sched = Schedule([[0, shift]])
-        with pytest.raises(ValueError, match="shift index outside the catalog"):
+        with pytest.raises(ValueError, match=f"^shift index {shift} out of range$"):
             write_schedule(sched, ShiftCatalog(((0, 2), (2, 2)), 4), str(tmp_path / "s.csv"))
         assert list(tmp_path.iterdir()) == []  # refused before any temp file exists
 

@@ -17,6 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftplan.domain import (
+    MAX_AGENTS,
+    MAX_REQUIREMENT,
     OFF,
     DayAllocation,
     RequirementMatrix,
@@ -42,7 +44,6 @@ from shiftplan.phases import (
     solve_single_phase,
     squared_norm,
 )
-from shiftplan.scenario_io import MAX_AGENTS, MAX_REQUIREMENT
 
 import oracles
 from oracles import scenario_from_grid
