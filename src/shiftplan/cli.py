@@ -219,13 +219,13 @@ def _tune_and_solve(args, scenario, stop):
 
 
 def _cmd_solve(args) -> int:
+    if args.tune and args.mode != "multi":  # a usage error: before any file is read
+        raise UsageError("--tune applies to --mode multi only")
     from .phases import solve_multi_phase, solve_single_phase
     from .scenario_io import load_scenario
     from .tuner import StopConfig
 
     scenario = load_scenario(args.scenario)
-    if args.tune and args.mode != "multi":
-        raise UsageError("--tune applies to --mode multi only")
     if args.tune:
         _, result = _tune_and_solve(args, scenario, StopConfig())
     elif args.mode == "multi":

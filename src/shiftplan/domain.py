@@ -14,6 +14,7 @@ scenario's interval count is its requirement grid's.
 
 from dataclasses import dataclass, field, fields
 from datetime import date
+from functools import cached_property
 
 import numpy as np
 
@@ -32,7 +33,8 @@ def frozen_grid(values, dtype=np.int64) -> np.ndarray:
     read-only, of ``dtype``, and owns its memory is returned as it is.
 
     Raises ``ValueError`` if the conversion to ``dtype`` would change a cell:
-    a fraction, a value out of range, NaN or infinity.
+    a fraction, a value out of range, NaN or infinity; the first such cell is
+    named unless the input holds Python objects that numpy cannot convert.
     """
     owned = isinstance(values, np.ndarray) and values.base is None
     if owned and values.dtype == dtype and not values.flags.writeable:
@@ -41,15 +43,22 @@ def frozen_grid(values, dtype=np.int64) -> np.ndarray:
     try:
         with np.errstate(invalid="ignore"):  # a cell that does not fit is refused below
             arr = source.astype(dtype)
-            unchanged = source.dtype == arr.dtype or (
-                np.array_equal(arr, source) and np.array_equal(arr.astype(source.dtype), source)
+            bad = source.dtype != arr.dtype and (
+                (arr != source) | (arr.astype(source.dtype) != source)
             )
     except (OverflowError, TypeError):  # an object cell: an int beyond 64 bits, None
-        unchanged = False
-    if not unchanged:
-        raise ValueError(f"grid values do not convert to {np.dtype(dtype)} unchanged")
+        bad = True
+    if np.any(bad):
+        raise ValueError(f"grid values do not convert to {np.dtype(dtype)} unchanged{_cell(bad)}")
     arr.setflags(write=False)
     return arr
+
+
+def _cell(mask) -> str:
+    """`` at [i][j]``, the index of ``mask``'s first true cell; empty for a scalar."""
+    if np.ndim(mask) == 0:
+        return ""
+    return " at " + "".join(f"[{i}]" for i in np.argwhere(mask)[0])
 
 
 class _Grid:
@@ -94,12 +103,12 @@ class ShiftCatalog:
     Each shift is a ``(start_interval, length_intervals)`` block that must fit
     inside a single day, and no shift is listed twice; building a catalog
     that breaks a rule raises one ``ValueError`` naming every problem.
-    ``coverage[s, t]`` is 1 when shift ``s`` covers interval ``t``.
+    ``coverage[s, t]`` is 1 when shift ``s`` covers interval ``t``; it is
+    built on first use, so checking a catalog allocates nothing.
     """
 
     shifts: tuple[tuple[int, int], ...]
     intervals_per_day: int = 24
-    coverage: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         shifts = tuple((int(s), int(l)) for s, l in self.shifts)
@@ -121,12 +130,15 @@ class ShiftCatalog:
             seen.add((start, length))
         if problems:
             raise ValueError("invalid shift catalog: " + "; ".join(problems))
-        cov = np.zeros((len(shifts), self.intervals_per_day), dtype=np.int8)
-        for idx, (start, length) in enumerate(shifts):
+        object.__setattr__(self, "shifts", shifts)
+
+    @cached_property
+    def coverage(self) -> np.ndarray:
+        cov = np.zeros((len(self.shifts), self.intervals_per_day), dtype=np.int8)
+        for idx, (start, length) in enumerate(self.shifts):
             cov[idx, start : start + length] = 1
         cov.setflags(write=False)
-        object.__setattr__(self, "shifts", shifts)
-        object.__setattr__(self, "coverage", cov)
+        return cov
 
     def __len__(self) -> int:
         return len(self.shifts)
@@ -155,10 +167,11 @@ class RequirementMatrix(_Grid):
             raise ValueError("per_interval must be 2-dimensional")
         if grid.shape[1] == 0:  # a day without intervals has no peak
             raise ValueError("per_interval must have at least one interval per day")
-        if (grid < 0).any():
-            raise ValueError("negative interval requirement")
-        if (grid > MAX_REQUIREMENT).any():
-            raise ValueError(f"interval requirement above {MAX_REQUIREMENT}")
+        negative, above = grid < 0, grid > MAX_REQUIREMENT
+        if negative.any():
+            raise ValueError(f"negative interval requirement{_cell(negative)}")
+        if above.any():
+            raise ValueError(f"interval requirement above {MAX_REQUIREMENT}{_cell(above)}")
         object.__setattr__(self, "per_interval", grid)
         object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 
@@ -216,10 +229,16 @@ class Scenario:
         return build_week_partition(self.num_days)
 
 
-def _refusal(check, value) -> list[str]:
-    """The message ``check(value)`` raises, as a one-item list; empty if none."""
+def check_interval_grid(catalog: ShiftCatalog, requirements: RequirementMatrix) -> None:
+    """The grid rule: the catalog's day has the requirements' intervals."""
+    if catalog.intervals_per_day != requirements.intervals:
+        raise ValueError("shift catalog interval grid differs from requirements")
+
+
+def _refusal(check, *values) -> list[str]:
+    """The message ``check(*values)`` raises, as a one-item list; empty if none."""
     try:
-        check(value)
+        check(*values)
     except ValueError as exc:
         return [str(exc)]
     return []
@@ -232,8 +251,7 @@ def _scenario_problems(scenario: Scenario) -> list[str]:
     if any(scenario.days[i] >= scenario.days[i + 1] for i in range(n_days - 1)):
         problems.append("days are not strictly increasing")
     problems += _refusal(check_agent_count, scenario.agent_count)
-    if scenario.shift_catalog.intervals_per_day != scenario.requirements.intervals:
-        problems.append("shift catalog interval grid differs from requirements")
+    problems += _refusal(check_interval_grid, scenario.shift_catalog, scenario.requirements)
     if scenario.requirements.days != n_days:
         problems.append("requirements day count differs from scenario days")
     problems += _refusal(check_aht_seconds, scenario.aht_seconds)

@@ -29,6 +29,12 @@ from .domain import RequirementMatrix, SlaSpec, check_aht_seconds, check_thresho
 MAX_LOAD_ERLANGS = 100_000
 
 
+def check_interval_seconds(interval_seconds: float) -> None:
+    """The interval-length rule: positive, so NaN is refused too."""
+    if not interval_seconds > 0:
+        raise ValueError("interval_seconds must be positive")
+
+
 def _check_queue(load, agents: int = 0) -> None:
     """Refuse a negative head-count, or a negative or NaN load (or array of loads)."""
     if agents < 0:
@@ -132,13 +138,11 @@ def requirements_from_volumes(
 ) -> RequirementMatrix:
     """Convert a (days x intervals) call-volume grid into head-count needs.
 
-    All cells are sized together in one sweep.
+    All cells are sized together in one sweep; the grid's shape is checked
+    as the ``RequirementMatrix`` it makes.
     """
     grid = np.asarray(volumes, dtype=np.float64)
-    if grid.ndim != 2:
-        raise ValueError("volumes grid must be 2-dimensional")
-    if not interval_seconds > 0:
-        raise ValueError("interval_seconds must be positive")
+    check_interval_seconds(interval_seconds)
     with np.errstate(over="ignore"):  # an overflowing load is rejected below
         loads = grid * aht_seconds / interval_seconds
     required = _required_agents_sweep(loads, aht_seconds, sla)

@@ -47,6 +47,7 @@ from .domain import (
     Schedule,
     ShiftCatalog,
     check_agent_count,
+    check_interval_grid,
     frozen_grid,
 )
 
@@ -442,11 +443,9 @@ class ShiftPhaseSpec:
     catalog: ShiftCatalog
 
     def __post_init__(self):
-        r = self.requirements.per_interval
-        if len(self.allocation.day_counts) != r.shape[0]:
+        if len(self.allocation.day_counts) != self.requirements.days:
             raise ValueError("one head-count per day is required")
-        if self.catalog.intervals_per_day != r.shape[1]:
-            raise ValueError("catalog interval grid differs from requirements")
+        check_interval_grid(self.catalog, self.requirements)
 
 
 def solve_day_allocation(spec: DayPhaseSpec, limits: SolveLimits) -> SearchResult:

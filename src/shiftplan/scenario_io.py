@@ -15,13 +15,13 @@ scenario-file data (``presets``), so ``gen_peak_scenario`` builds its
 import csv
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date
 
 import numpy as np
 
 from .domain import (
-    MAX_REQUIREMENT,
     OFF,
     RequirementMatrix,
     Scenario,
@@ -31,9 +31,10 @@ from .domain import (
     TripleError,
     build_week_partition,
     check_agent_count,
+    check_aht_seconds,
     check_shift_range,
 )
-from .erlang import requirements_from_volumes
+from .erlang import check_interval_seconds, requirements_from_volumes
 from .metrics import ComparisonResult, SolveReport
 from .presets import PRESETS, PeakPresetSpec, atomic_open, peak_scenario_data, write_json
 from .tuner import SweepEntry, SweepTrace
@@ -97,32 +98,30 @@ def _need(data: dict, key: str, kind, path: str):
     return value
 
 
-def _positive(data: dict, key: str, path: str) -> float:
-    value = _need(data, key, float, path)
-    if not value > 0:
-        raise SchemaError(f"{path}.{key}: must be positive")
-    return value
+@contextmanager
+def _at(path: str):
+    """Report a value's own refusal as a schema error at ``path``, the key the
+    value was read from; a ``SchemaError`` passes through unchanged."""
+    try:
+        yield
+    except SchemaError:
+        raise
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
 
 
-def _grid(rows, count: int, width: int, path: str, integral: bool) -> np.ndarray:
-    """A (count x width) grid of finite numbers; an ``integral`` grid holds
-    whole numbers of magnitude at most ``MAX_REQUIREMENT``; rows are checked
-    for shape before the grid is allocated."""
+def _grid(data: dict, key: str, count: int, width: int) -> np.ndarray:
+    """``data[key]``, a (count x width) grid of finite numbers, as floats;
+    rows are checked for shape before the grid is allocated."""
+    rows, path = data[key], f"$.{key}"
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(f"{path}: expected {count} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{path}[{i}]: expected {width} entries")
-    grid = np.zeros((count, width), dtype=np.int64 if integral else np.float64)
-    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             _finite_number(cell, f"{path}[{i}][{j}]")
-            if integral and cell != int(cell):
-                raise SchemaError(f"{path}[{i}][{j}]: expected a whole number")
-            if integral and abs(cell) > MAX_REQUIREMENT:
-                raise SchemaError(f"{path}[{i}][{j}]: beyond {MAX_REQUIREMENT} agents")
-            grid[i, j] = cell
-    return grid
+    return np.array(rows, dtype=np.float64)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -136,8 +135,11 @@ def load_scenario(path: str) -> Scenario:
 
 
 def scenario_from_data(data) -> Scenario:
-    """The scenario that a file's JSON data describes, checked field by field;
-    requirements are derived from volumes when no explicit grid is present."""
+    """The scenario that a file's JSON data describes; requirements are
+    derived from volumes when no explicit grid is present.
+
+    The loader checks JSON types and shapes only.  Each value rule is its
+    owner's, and its refusal is reported at the key the value came from."""
     if not isinstance(data, dict):
         raise SchemaError("$: expected a JSON object")
     name = _need(data, "name", str, "$")
@@ -146,64 +148,41 @@ def scenario_from_data(data) -> Scenario:
         days = tuple(date.fromisoformat(d) for d in raw_days)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"$.days: expected ISO dates ({exc})") from exc
-    try:  # no row bounds intervals_per_day until the horizon has days
+    with _at("$.days"):  # no row bounds intervals_per_day until the horizon has days
         build_week_partition(len(days))
-    except ValueError as exc:
-        raise SchemaError(f"$.days: invalid scenario: {exc}") from exc
     intervals = _need(data, "intervals_per_day", int, "$")
-    if intervals < 1:
-        raise SchemaError("$.intervals_per_day: must be at least 1")
     agents = _need(data, "agents", int, "$")
-    try:
+    with _at("$.agents"):
         check_agent_count(agents)
-    except ValueError as exc:
-        raise SchemaError(f"$.agents: {exc}") from exc
     raw_catalog = _need(data, "shift_catalog", list, "$")
     shifts = []
     for i, entry in enumerate(raw_catalog):
+        where = f"$.shift_catalog[{i}]"
         if not isinstance(entry, dict):
-            raise SchemaError(f"$.shift_catalog[{i}]: expected an object")
-        shifts.append(
-            (
-                _need(entry, "start", int, f"$.shift_catalog[{i}]"),
-                _need(entry, "length", int, f"$.shift_catalog[{i}]"),
-            )
-        )
+            raise SchemaError(f"{where}: expected an object")
+        shifts.append((_need(entry, "start", int, where), _need(entry, "length", int, where)))
+    with _at("$"):  # checked before any grid; its coverage is built on first use
+        catalog = ShiftCatalog(tuple(shifts), intervals)
     raw_sla = _need(data, "sla", dict, "$")
-    target = _need(raw_sla, "target", float, "$.sla")
-    threshold = _need(raw_sla, "threshold_seconds", float, "$.sla")
-    try:
-        sla = SlaSpec(target, threshold)
-    except ValueError as exc:
-        raise SchemaError(f"$.sla: {exc}") from exc
-    aht = _positive(data, "aht_seconds", "$")
+    with _at("$.sla"):
+        sla = SlaSpec(*(_need(raw_sla, k, float, "$.sla") for k in ("target", "threshold_seconds")))
+    aht = _need(data, "aht_seconds", float, "$")
+    with _at("$.aht_seconds"):
+        check_aht_seconds(aht)
     if "requirements" in data:
-        grid = _grid(data["requirements"], len(days), intervals, "$.requirements", True)
-        try:
-            requirements = RequirementMatrix(grid)
-        except ValueError as exc:
-            raise SchemaError(f"$.requirements: {exc}") from exc
+        with _at("$.requirements"):
+            requirements = RequirementMatrix(_grid(data, "requirements", len(days), intervals))
     elif "volumes" in data:
-        volumes = _grid(data["volumes"], len(days), intervals, "$.volumes", False)
-        interval_seconds = _positive(data, "interval_seconds", "$")
-        try:
+        volumes = _grid(data, "volumes", len(days), intervals)
+        interval_seconds = _need(data, "interval_seconds", float, "$")
+        with _at("$.interval_seconds"):
+            check_interval_seconds(interval_seconds)
+        with _at("$.volumes"):
             requirements = requirements_from_volumes(volumes, aht, sla, interval_seconds)
-        except ValueError as exc:
-            raise SchemaError(f"$.volumes: {exc}") from exc
     else:
         raise SchemaError("$: needs either 'requirements' or 'volumes'")
-    try:
-        return Scenario(
-            name=name,
-            days=days,
-            agent_count=agents,
-            shift_catalog=ShiftCatalog(tuple(shifts), intervals),
-            requirements=requirements,
-            sla=sla,
-            aht_seconds=aht,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"$: {exc}") from exc
+    with _at("$"):
+        return Scenario(name, days, agents, catalog, requirements, sla, aht)
 
 
 def gen_peak_scenario(spec: PeakPresetSpec = PeakPresetSpec()) -> Scenario:

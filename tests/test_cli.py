@@ -72,8 +72,13 @@ class TestGenScenario:
 
     @pytest.mark.parametrize(
         "argv, code",
-        [(["gen-scenario", "--out", "{tmp}/p.json"], 0), (["--help"], 0), (["solve"], 1)],
-        ids=["gen-scenario", "help", "usage-error"],
+        [
+            (["gen-scenario", "--out", "{tmp}/p.json"], 0),
+            (["--help"], 0),
+            (["solve"], 1),
+            (["solve", "--scenario", "{tmp}/none.json", "--mode", "single", "--tune"], 1),
+        ],
+        ids=["gen-scenario", "help", "usage-error", "single-tune"],
     )
     def test_start_up_loads_no_solver(self, tmp_path, argv, code):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
@@ -186,6 +191,13 @@ class TestSolve:
         )
         assert code == 1
         assert "--tune" in capsys.readouterr().err
+
+    def test_tune_flag_requires_multi_before_the_file_is_read(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"name": 1}')
+        code = main(["solve", "--scenario", str(bad), "--mode", "single", "--tune"])
+        assert code == 1
+        assert capsys.readouterr().err == "usage error: --tune applies to --mode multi only\n"
 
     def test_tune_flag_solves_with_selected_k(self, tiny_scenario, tmp_path):
         out = tmp_path / "s.csv"
@@ -345,8 +357,8 @@ BAD_FIELDS = {
                    "$.sla: target must lie in (0, 1]"),
     "sla-threshold": ({"sla": {"target": 0.8, "threshold_seconds": -1.0}},
                       "$.sla: threshold_seconds must be non-negative"),
-    "aht": ({"aht_seconds": 0.0}, "$.aht_seconds: must be positive"),
-    "interval": ({"interval_seconds": -900}, "$.interval_seconds: must be positive"),
+    "aht": ({"aht_seconds": 0.0}, "$.aht_seconds: aht_seconds must be positive"),
+    "interval": ({"interval_seconds": -900}, "$.interval_seconds: interval_seconds must be positive"),
 }
 
 
@@ -407,26 +419,26 @@ class TestGridCells:
     def test_fractional_requirement_is_schema_error(self, tmp_path):
         proc = run_requirements(tmp_path, self.requirements_with(2.7))
         assert proc.returncode == 2
-        assert "$.requirements[3][1]: expected a whole number" in proc.stderr
+        assert "$.requirements: grid values do not convert to int64 unchanged at [3][1]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_huge_requirement_is_schema_error(self, tmp_path):
         proc = run_requirements(tmp_path, self.requirements_with(1e300))
         assert proc.returncode == 2
-        assert "$.requirements[3][1]: beyond 1000000000000 agents" in proc.stderr
+        assert "$.requirements: grid values do not convert to int64 unchanged at [3][1]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_requirement_beyond_limit_is_schema_error(self, tmp_path):
         # 5e18 fits int64, but the day marginals 2p + 1 - 2r do not
         proc = run_requirements(tmp_path, self.requirements_with(5e18))
         assert proc.returncode == 2
-        assert "$.requirements[3][1]: beyond 1000000000000 agents" in proc.stderr
+        assert "$.requirements: interval requirement above 1000000000000 at [3][1]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_negative_requirement_is_schema_error(self, tmp_path):
         proc = run_requirements(tmp_path, self.requirements_with(-1))
         assert proc.returncode == 2
-        assert "$.requirements: negative interval requirement" in proc.stderr
+        assert "$.requirements: negative interval requirement at [3][1]" in proc.stderr
         assert "Traceback" not in proc.stderr
 
     def test_negative_volume_is_schema_error(self, tmp_path, capsys):
@@ -518,7 +530,7 @@ class TestGridShape:
             preexec_fn=cap_address_space,  # a 931 GiB request fails whatever the overcommit
         )
         assert proc.returncode == 2
-        assert "$.days: invalid scenario: horizon not a multiple of 7: got 0 days" in proc.stderr
+        assert "$.days: horizon not a multiple of 7: got 0 days" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 
@@ -534,7 +546,7 @@ class TestIntervalCount:
             scenario["requirements"] = scenario.pop("volumes")
         proc = run_requirements(tmp_path, scenario)
         assert proc.returncode == 2
-        assert "$.intervals_per_day: must be at least 1" in proc.stderr
+        assert "$: invalid shift catalog: intervals_per_day must be >= 1" in proc.stderr
         assert "Traceback" not in proc.stderr
 
 

@@ -19,7 +19,11 @@ from shiftplan.domain import (
     ShiftCatalog,
     SlaSpec,
     TripleError,
+    build_week_partition,
+    check_agent_count,
+    check_aht_seconds,
 )
+from shiftplan.erlang import check_interval_seconds
 from shiftplan.metrics import _MEAN_FIELDS, SolveReport, build_report, compare_modes
 from shiftplan.phases import SolveLimits, solve_multi_phase
 from shiftplan.presets import DEFAULT_INTRADAY_PROFILE
@@ -36,6 +40,7 @@ from shiftplan.scenario_io import (
     read_sweep_trace,
     record_to_dict,
     save_scenario,
+    scenario_from_data,
     write_report,
     write_requirements,
     write_schedule,
@@ -191,8 +196,96 @@ class TestScenarioJson:
         }
         path = tmp_path / "x.json"
         path.write_text(json.dumps(data))
-        with pytest.raises(SchemaError, match="invalid scenario"):
+        with pytest.raises(SchemaError, match=r"^\$\.days: horizon not a multiple of 7: got 6 days$"):
             load_scenario(str(path))
+
+
+def week_data(**fields) -> dict:
+    """A one-week, two-interval scenario file's data with requirements of
+    [1, 2] per day, or with call volumes if ``fields`` give them; ``fields``
+    replace its keys."""
+    data = {
+        "name": "week",
+        "days": [f"2024-01-0{i + 1}" for i in range(7)],
+        "intervals_per_day": 2,
+        "agents": 2,
+        "shift_catalog": [{"start": 0, "length": 2}],
+        "requirements": [[1, 2]] * 7,
+        "sla": {"target": 0.8, "threshold_seconds": 20.0},
+        "aht_seconds": 300.0,
+    }
+    if "volumes" in fields:
+        del data["requirements"]
+    data.update(fields)
+    return data
+
+
+def grid_with(cell) -> list:
+    """Seven rows of [2, 2] with ``cell`` at [3][1]."""
+    grid = [[2, 2] for _ in range(7)]
+    grid[3][1] = cell
+    return grid
+
+
+# Each value rule the loader reports: the file's change, the key the refusal
+# is reported at, and a call of the rule's owner that makes the same refusal.
+OWNED_RULES = {
+    "aht": ({"aht_seconds": 0.0}, "$.aht_seconds", lambda: check_aht_seconds(0.0)),
+    "interval-seconds": (
+        {"volumes": [[10, 20]] * 7, "interval_seconds": 0.0},
+        "$.interval_seconds",
+        lambda: check_interval_seconds(0.0),
+    ),
+    "intervals-per-day": (
+        {"intervals_per_day": 0, "requirements": [[]] * 7},
+        "$",
+        lambda: ShiftCatalog(((0, 2),), 0),
+    ),
+    "catalog": (
+        {"shift_catalog": [{"start": 1, "length": 2}]},
+        "$",
+        lambda: ShiftCatalog(((1, 2),), 2),
+    ),
+    "fractional-cell": (
+        {"requirements": grid_with(2.5)},
+        "$.requirements",
+        lambda: RequirementMatrix(np.array(grid_with(2.5), dtype=np.float64)),
+    ),
+    "negative-cell": (
+        {"requirements": grid_with(-1)},
+        "$.requirements",
+        lambda: RequirementMatrix(np.array(grid_with(-1), dtype=np.float64)),
+    ),
+    "too-large-cell": (
+        {"requirements": grid_with(10**13)},
+        "$.requirements",
+        lambda: RequirementMatrix(np.array(grid_with(10**13), dtype=np.float64)),
+    ),
+    "sla": (
+        {"sla": {"target": 1.5, "threshold_seconds": 20.0}},
+        "$.sla",
+        lambda: SlaSpec(1.5, 20.0),
+    ),
+    "agents": ({"agents": 10**6}, "$.agents", lambda: check_agent_count(10**6)),
+    "horizon": (
+        {"days": [f"2024-01-0{i + 1}" for i in range(6)], "requirements": [[1, 2]] * 6},
+        "$.days",
+        lambda: build_week_partition(6),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", OWNED_RULES)
+def test_loader_reports_the_owners_refusal(case):
+    """The loader states no value rule of its own: each refusal is the
+    owner's text, prefixed only by the key, so a loader copy of a rule that
+    words it differently fails here."""
+    fields, key, owner = OWNED_RULES[case]
+    with pytest.raises(ValueError) as refused:
+        owner()
+    with pytest.raises(SchemaError) as caught:
+        scenario_from_data(week_data(**fields))
+    assert str(caught.value) == f"{key}: {refused.value}"
 
 
 class TestScheduleCsv:
