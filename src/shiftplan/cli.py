@@ -17,6 +17,7 @@ import sys
 
 # Only the presets load with this module: each handler imports what it runs,
 # so gen-scenario, --help and usage errors start without numpy.
+from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE, DEFAULT_TIME_BUDGET_SECONDS
 from .presets import PRESETS, peak_scenario_data, write_json
 
 
@@ -48,14 +49,19 @@ _POSITIVE_SECONDS = _checked(float, lambda v: v > 0, "a positive number of secon
 
 
 def _penalty(text: str) -> int:
-    """A penalty factor K; ``phases.MAX_PENALTY`` is read only when a value
-    is given, since importing ``phases`` loads numpy."""
-    from .phases import MAX_PENALTY
+    """A penalty factor K, as ``phases.check_penalty_factor`` allows; ``phases``
+    loads numpy, so it is imported only when a value is given."""
+    value = int(text)
+    from .phases import check_penalty_factor
 
-    return _checked(_NON_NEGATIVE_INT, lambda v: v <= MAX_PENALTY, f"at most {MAX_PENALTY}")(text)
+    try:
+        check_penalty_factor(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
-_penalty.__name__ = _NON_NEGATIVE_INT.__name__
+_penalty.__name__ = int.__name__
 
 
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
@@ -63,9 +69,9 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--time-budget",
         type=_POSITIVE_SECONDS,
-        default=60.0,
+        default=DEFAULT_TIME_BUDGET_SECONDS,
         metavar="SECONDS",
-        help="wall-clock budget per solve (default 60)",
+        help="wall-clock budget per solve (default %(default)s)",
     )
     group.add_argument(
         "--move-cap",
@@ -126,8 +132,8 @@ def build_parser() -> argparse.ArgumentParser:
     tune.add_argument("--scenario", required=True)
     tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
     _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
-    tune.add_argument("--patience", type=_POSITIVE_INT, default=2)
-    tune.add_argument("--k-max", type=_penalty, default=50)
+    tune.add_argument("--patience", type=_POSITIVE_INT, default=DEFAULT_PATIENCE)
+    tune.add_argument("--k-max", type=_penalty, default=DEFAULT_K_MAX)
     tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
     tune.add_argument("--out", default=None, help="chosen-K schedule CSV (default <name>-tuned-schedule.csv)")
     tune.add_argument("--report", default=None, help="optional report JSON for the tuned schedule")
@@ -182,21 +188,13 @@ def _cmd_requirements(args) -> int:
 def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
     """Write ``result``'s schedule to ``out`` and, unless ``report_path`` is
     None, its report; returns the report or None."""
-    from .metrics import build_report
+    from .metrics import result_report
     from .scenario_io import write_report, write_schedule
 
     write_schedule(result.schedule, scenario.shift_catalog, out)
     if report_path is None:
         return None
-    report = build_report(
-        scenario,
-        result.schedule,
-        mode,
-        seed=args.seed,
-        runtime_seconds=result.runtime_seconds,
-        status=result.status,
-        evaluations=result.evaluations,
-    )
+    report = result_report(scenario, result, mode, args.seed)
     write_report(report, report_path, deterministic=args.move_cap is not None)
     return report
 
@@ -209,11 +207,7 @@ def _tune_and_solve(args, scenario, stop):
 
     limits = _limits(args)
     tuned = tune_penalty(
-        scenario.requirements.per_day,
-        scenario.agent_count,
-        scenario.week_partition(),
-        limits,
-        stop,
+        scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), limits, stop
     )
     return tuned, solve_multi_phase(scenario, limits, tuned.trace.selected)
 

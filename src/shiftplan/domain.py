@@ -91,6 +91,15 @@ def check_agent_count(agent_count: int) -> None:
         raise ValueError(f"agent_count must be at most {MAX_AGENTS}")
 
 
+def check_requirement_cells(grid: np.ndarray) -> None:
+    """The requirement rule: each cell in ``[0, MAX_REQUIREMENT]``, the first bad one named."""
+    negative, above = grid < 0, grid > MAX_REQUIREMENT
+    if negative.any():
+        raise ValueError(f"negative interval requirement{_cell(negative)}")
+    if above.any():
+        raise ValueError(f"interval requirement above {MAX_REQUIREMENT}{_cell(above)}")
+
+
 # ---------------------------------------------------------------------------
 # problem-side types
 # ---------------------------------------------------------------------------
@@ -167,11 +176,7 @@ class RequirementMatrix(_Grid):
             raise ValueError("per_interval must be 2-dimensional")
         if grid.shape[1] == 0:  # a day without intervals has no peak
             raise ValueError("per_interval must have at least one interval per day")
-        negative, above = grid < 0, grid > MAX_REQUIREMENT
-        if negative.any():
-            raise ValueError(f"negative interval requirement{_cell(negative)}")
-        if above.any():
-            raise ValueError(f"interval requirement above {MAX_REQUIREMENT}{_cell(above)}")
+        check_requirement_cells(grid)
         object.__setattr__(self, "per_interval", grid)
         object.__setattr__(self, "per_day", frozen_grid(grid.max(axis=1)))
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .domain import Scenario, Schedule, coverage_from_schedule, validate_schedule
 from .phases import (
+    SearchResult,
     SolveLimits,
     SolveStatus,
     deviation,
@@ -173,6 +174,19 @@ def build_report(
     )
 
 
+def result_report(scenario: Scenario, result: SearchResult, mode: str, seed: int) -> SolveReport:
+    """``build_report`` of a solve's record, with its status, evaluations and runtime."""
+    return build_report(
+        scenario,
+        result.schedule,
+        mode,
+        seed=seed,
+        runtime_seconds=result.runtime_seconds,
+        status=result.status,
+        evaluations=result.evaluations,
+    )
+
+
 @dataclass(frozen=True)
 class ComparisonRun:
     seed: int
@@ -222,15 +236,7 @@ def compare_modes(
             "multi": solve_multi_phase(scenario, run_limits, penalty_factor),
         }
         reports = {
-            mode: build_report(
-                scenario,
-                result.schedule,
-                mode,
-                seed=run_limits.seed,
-                runtime_seconds=result.runtime_seconds,
-                status=result.status,
-                evaluations=result.evaluations,
-            )
+            mode: result_report(scenario, result, mode, run_limits.seed)
             for mode, result in results.items()
         }
         pairs.append(ComparisonRun(run_limits.seed, **reports))

@@ -38,7 +38,6 @@ import numpy as np
 
 from .domain import (
     DAYS_PER_WEEK,
-    MAX_REQUIREMENT,
     OFF,
     WORKDAYS_PER_WEEK,
     DayAllocation,
@@ -46,10 +45,13 @@ from .domain import (
     Scenario,
     Schedule,
     ShiftCatalog,
+    build_week_partition,
     check_agent_count,
     check_interval_grid,
+    check_requirement_cells,
     frozen_grid,
 )
+from .presets import DEFAULT_TIME_BUDGET_SECONDS
 
 
 class SolveStatus(str, Enum):
@@ -67,7 +69,7 @@ class SolveLimits:
     bundled solvers are deterministic and draw nothing from it.
     """
 
-    time_budget_seconds: float = 60.0
+    time_budget_seconds: float = DEFAULT_TIME_BUDGET_SECONDS
     seed: int = 0
     move_cap: int | None = None
 
@@ -411,6 +413,12 @@ DAY_SHARE = 0.2
 MAX_PENALTY = 10**6
 
 
+def check_penalty_factor(k: int) -> None:
+    """The penalty rule: K in ``[0, MAX_PENALTY]``."""
+    if not 0 <= k <= MAX_PENALTY:
+        raise ValueError(f"penalty factor must lie in [0, {MAX_PENALTY}], got {k}")
+
+
 @dataclass(frozen=True)
 class DayPhaseSpec:
     """Inputs of the day-allocation phase, bounded so that int64 stays exact."""
@@ -421,16 +429,12 @@ class DayPhaseSpec:
     penalty_factor: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "day_requirements", frozen_grid(self.day_requirements))
+        r = frozen_grid(self.day_requirements)
+        object.__setattr__(self, "day_requirements", r)
         check_agent_count(self.agent_count)
-        r = self.day_requirements
-        if ((r < 0) | (r > MAX_REQUIREMENT)).any():
-            raise ValueError(f"day requirements must lie in [0, {MAX_REQUIREMENT}]")
-        if self.penalty_factor < 0:
-            raise ValueError("penalty_factor must be non-negative")
-        if self.penalty_factor > MAX_PENALTY:
-            raise ValueError(f"penalty_factor must be at most {MAX_PENALTY}")
-        if r.ndim != 1 or r.shape[0] != self.weeks * DAYS_PER_WEEK:
+        check_requirement_cells(r)
+        check_penalty_factor(self.penalty_factor)
+        if r.ndim != 1 or build_week_partition(len(r)) != self.weeks:
             raise ValueError("day requirements do not match the week partition")
 
 
@@ -497,15 +501,10 @@ def solve_multi_phase(
     shift phase's, whose ``head_counts`` are the day phase's, with
     ``evaluations`` and ``runtime_seconds`` summed over both.
     """
-    day = solve_day_allocation(
-        DayPhaseSpec(
-            day_requirements=scenario.requirements.per_day,
-            agent_count=scenario.agent_count,
-            weeks=scenario.week_partition(),
-            penalty_factor=penalty_factor,
-        ),
-        limits,
+    spec = DayPhaseSpec(
+        scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), penalty_factor
     )
+    day = solve_day_allocation(spec, limits)
     shift = solve_shift_allocation(
         ShiftPhaseSpec(scenario.requirements, day.allocation, scenario.shift_catalog),
         limits.scaled(1.0 - DAY_SHARE),

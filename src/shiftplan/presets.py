@@ -1,8 +1,10 @@
-"""The bundled scenario presets, as scenario-file JSON data, and the atomic
-file writer every format uses.
+"""The bundled scenario presets, as scenario-file JSON data, the defaults
+that the library and the CLI share, and the atomic file writer every format
+uses.
 
 This module imports neither numpy nor another package module, so
-``shiftplan gen-scenario`` writes a preset without loading the solver.
+``shiftplan gen-scenario`` writes a preset, and the CLI reads its defaults,
+without loading the solver.
 ``scenario_io.gen_peak_scenario`` builds a ``Scenario`` from the same data
 through the loader, so a preset and a file take one path and the same checks.
 """
@@ -27,6 +29,11 @@ DEFAULT_SLA_TARGET = 0.8
 DEFAULT_THRESHOLD_SECONDS = 20.0
 DEFAULT_AHT_SECONDS = 300.0
 
+# A solve's wall-clock budget, and the K sweep's patience and largest K.
+DEFAULT_TIME_BUDGET_SECONDS = 60.0
+DEFAULT_PATIENCE = 2
+DEFAULT_K_MAX = 50
+
 
 @dataclass(frozen=True)
 class PeakPresetSpec:
@@ -47,12 +54,6 @@ class PeakPresetSpec:
     shift_length: int = 10
     shift_starts: tuple[int, ...] = tuple(range(15))
     start_date: date = date(2024, 1, 1)  # a Monday, so days 5 and 6 are the weekend
-
-    def __post_init__(self):
-        if len(self.profile_percent) != self.intervals_per_day:
-            raise ValueError("profile length must equal intervals_per_day")
-        if self.weeks < 1:
-            raise ValueError("weeks must be at least 1")
 
 
 def peak_scenario_data(spec: PeakPresetSpec) -> dict:

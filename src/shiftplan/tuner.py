@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phases import MAX_PENALTY, DayPhaseSpec, SolveLimits, day_head_counts
+from .phases import DayPhaseSpec, SolveLimits, check_penalty_factor, day_head_counts
+from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE
 
 DEFAULT_EPSILON = 1e-9
 
@@ -78,16 +79,13 @@ def target_distribution(day_requirements) -> tuple[float, ...]:
 class StopConfig:
     """Sweep stopping rule: give up after ``patience`` non-improving K values."""
 
-    patience: int = 2
-    k_max: int = 50
+    patience: int = DEFAULT_PATIENCE
+    k_max: int = DEFAULT_K_MAX
 
     def __post_init__(self):
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
-        if self.k_max < 0:
-            raise ValueError("k_max must be non-negative")
-        if self.k_max > MAX_PENALTY:  # every swept K is a day phase's penalty factor
-            raise ValueError(f"k_max must be at most {MAX_PENALTY}")
+        check_penalty_factor(self.k_max)  # every swept K is a day phase's penalty factor
 
 
 @dataclass(frozen=True)

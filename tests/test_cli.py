@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from shiftplan.cli import main
+from shiftplan.cli import _limits, build_parser, main
 from shiftplan.domain import SlaSpec
 from shiftplan.erlang import required_agents
+from shiftplan.phases import SolveLimits, check_penalty_factor
 from shiftplan.presets import PRESETS
 from shiftplan.scenario_io import (
     PeakPresetSpec,
@@ -19,6 +20,7 @@ from shiftplan.scenario_io import (
     load_scenario,
     save_scenario,
 )
+from shiftplan.tuner import StopConfig
 from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
@@ -286,7 +288,25 @@ class TestFlagRanges:
             outputs += ["--trace", str(tmp_path / "trace.csv")]
         code = main([argv[0], "--scenario", tiny_scenario] + argv[1:] + outputs)
         assert code == 1
-        assert f"argument {argv[-2]}: must be" in capsys.readouterr().err
+        refusal = "must be"
+        if argv[-2] in ("--penalty", "--k-max"):  # the penalty rule's owner words it
+            with pytest.raises(ValueError) as refused:
+                check_penalty_factor(int(argv[-1]))
+            refusal = str(refused.value)
+        assert f"argument {argv[-2]}: {refusal}" in capsys.readouterr().err
+
+
+class TestFlagDefaults:
+    """The budget and sweep flags default to the library's own defaults, so
+    ``tune-penalty`` and ``solve --tune`` (which uses ``StopConfig()``) agree."""
+
+    @pytest.mark.parametrize("command", ["solve", "tune-penalty", "compare"])
+    def test_defaults_are_the_library_defaults(self, command):
+        argv = [command, "--scenario", "s.json"] + (["--mode", "multi"] if command == "solve" else [])
+        args = build_parser().parse_args(argv)
+        assert _limits(args) == SolveLimits()
+        if command == "tune-penalty":
+            assert StopConfig(args.patience, args.k_max) == StopConfig()
 
 
 class TestRequirements:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 import tracemalloc
 from dataclasses import fields
 from datetime import date, timedelta
@@ -94,10 +95,13 @@ class TestPeakPreset:
             gen_preset_scenario("nope")
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="profile length"):
-            PeakPresetSpec(profile_percent=(100,))
-        with pytest.raises(ValueError, match="weeks"):
-            PeakPresetSpec(weeks=0)
+        # a preset is scenario-file data, so the loader's owners refuse it
+        for spec, refusal in (
+            (PeakPresetSpec(profile_percent=(100,)), "$.requirements[0]: expected 24 entries"),
+            (PeakPresetSpec(weeks=0), "$.days: horizon not a multiple of 7: got 0 days"),
+        ):
+            with pytest.raises(SchemaError, match=f"^{re.escape(refusal)}$"):
+                gen_peak_scenario(spec)
 
 
 class TestScenarioJson:

@@ -33,6 +33,7 @@ import oracles
 from oracles import scenario_from_grid
 
 ONE_WEEK = build_week_partition(7)
+PENALTY_RULE = f"penalty factor must lie in [0, {phases.MAX_PENALTY}]"
 
 
 def deviation(scenario, schedule):
@@ -96,17 +97,26 @@ class TestDayPhase:
         assert local.objective == exact_objective
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError, match="week partition"):
+        with pytest.raises(ValueError, match="^horizon not a multiple of 7: got 3 days$"):
             DayPhaseSpec(np.array([1, 2, 3]), 1, ONE_WEEK)
-        with pytest.raises(ValueError, match="penalty_factor"):
+        with pytest.raises(ValueError, match="week partition"):
+            DayPhaseSpec(np.zeros(14), 1, ONE_WEEK)
+        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got -1")):
             DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=-1)
+
+    def test_zero_week_horizon_refused(self):
+        # it built, and solve_day_allocation then failed inside numpy
+        with pytest.raises(ValueError, match="^horizon not a multiple of 7: got 0 days$"):
+            DayPhaseSpec(np.zeros(0, dtype=np.int64), 1, 0)
 
     def test_bounds_that_keep_int64_exact(self):
         # 5e18 fits int64, but its marginals would wrap: the greedy then put
         # agents on the weekend, where (2, 2, 2, 2, 2, 0, 0) is right
-        outside = re.escape(f"day requirements must lie in [0, {MAX_REQUIREMENT}]")
-        for r_week in ([5 * 10**18] * 5 + [0, 0], [-5 * 10**18] + [0] * 6):
-            with pytest.raises(ValueError, match=outside):
+        for r_week, refusal in (
+            ([5 * 10**18] * 5 + [0, 0], f"interval requirement above {MAX_REQUIREMENT} at [0]"),
+            ([-5 * 10**18] + [0] * 6, "negative interval requirement at [0]"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
                 DayPhaseSpec(r_week, 2, ONE_WEEK)
         with pytest.raises(ValueError, match=f"agent_count must be at most {MAX_AGENTS}"):
             DayPhaseSpec(np.zeros(7), MAX_AGENTS + 1, ONE_WEEK)
@@ -117,7 +127,7 @@ class TestDayPhase:
 
     def test_penalty_beyond_max_refused(self):
         DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=phases.MAX_PENALTY)
-        with pytest.raises(ValueError, match="penalty_factor must be at most 1000000"):
+        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got 1000001")):
             DayPhaseSpec(np.zeros(7), 1, ONE_WEEK, penalty_factor=phases.MAX_PENALTY + 1)
 
 

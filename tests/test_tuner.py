@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from shiftplan.tuner import (
     target_distribution,
     tune_penalty,
 )
+from test_phases import PENALTY_RULE
 
 ONE_WEEK = build_week_partition(7)
 
@@ -142,12 +144,12 @@ class TestTunePenalty:
     def test_stop_config_refusals(self):
         with pytest.raises(ValueError, match="patience must be at least 1"):
             StopConfig(patience=0)
-        with pytest.raises(ValueError, match="k_max must be non-negative"):
+        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got -1")):
             StopConfig(k_max=-1)
 
     def test_k_max_beyond_max_penalty_refused(self):
         StopConfig(k_max=MAX_PENALTY)
-        with pytest.raises(ValueError, match="k_max must be at most 1000000"):
+        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got 1000001")):
             StopConfig(k_max=MAX_PENALTY + 1)
 
     def test_needs_agents(self):
@@ -161,5 +163,5 @@ class TestTunePenalty:
             tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=20_000))
 
     def test_six_day_row_refused(self):
-        with pytest.raises(ValueError, match="week partition"):
+        with pytest.raises(ValueError, match="^horizon not a multiple of 7: got 6 days$"):
             tune_penalty(np.full(6, 10), 7, ONE_WEEK, SolveLimits(move_cap=20_000))
