@@ -17,8 +17,8 @@ import sys
 
 # Only the presets load with this module: each handler imports what it runs,
 # so gen-scenario, --help and usage errors start without numpy.
-from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE, DEFAULT_TIME_BUDGET_SECONDS
-from .presets import PRESETS, peak_scenario_data, write_json
+from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE, DEFAULT_PENALTY_FACTOR, DEFAULT_SEED
+from .presets import DEFAULT_TIME_BUDGET_SECONDS, PRESETS, peak_scenario_data, write_json
 
 
 class UsageError(Exception):
@@ -111,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
     solve = commands.add_parser("solve", help="solve a scenario and write schedule + report")
     solve.add_argument("--scenario", required=True)
     solve.add_argument("--mode", choices=("single", "multi"), required=True)
-    solve.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    solve.add_argument("--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED)
     _add_budget_flags(solve)
     penalty = solve.add_mutually_exclusive_group()
     penalty.add_argument(
-        "--penalty", type=_penalty, default=0, help="day-balancing penalty factor K"
+        "--penalty", type=_penalty, default=DEFAULT_PENALTY_FACTOR, help="day-balancing penalty factor K"
     )
     penalty.add_argument(
         "--tune",
@@ -130,7 +130,7 @@ def build_parser() -> argparse.ArgumentParser:
         "tune-penalty", help="sweep the day-balancing penalty factor"
     )
     tune.add_argument("--scenario", required=True)
-    tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED)
     _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
     tune.add_argument("--patience", type=_POSITIVE_INT, default=DEFAULT_PATIENCE)
     tune.add_argument("--k-max", type=_penalty, default=DEFAULT_K_MAX)
@@ -145,7 +145,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.add_argument("--scenario", required=True)
     metrics.add_argument("--schedule", required=True)
     metrics.add_argument("--mode", choices=("single", "multi"), required=True)
-    metrics.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="seed recorded in the report")
+    metrics.add_argument(
+        "--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED, help="seed recorded in the report"
+    )
     metrics.add_argument("--out", default=None, help="report JSON (default <name>-metrics.json)")
     metrics.set_defaults(handler=_cmd_metrics)
 
@@ -154,9 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     compare.add_argument("--scenario", required=True)
     compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
-    compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0)
+    compare.add_argument("--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED)
     _add_budget_flags(compare)
-    compare.add_argument("--penalty", type=_penalty, default=0)
+    compare.add_argument("--penalty", type=_penalty, default=DEFAULT_PENALTY_FACTOR)
     compare.add_argument("--out", default=None, help="comparison JSON (default <name>-compare.json)")
     compare.set_defaults(handler=_cmd_compare)
 

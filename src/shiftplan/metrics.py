@@ -21,6 +21,7 @@ from .phases import (
     solve_multi_phase,
     solve_single_phase,
 )
+from .presets import DEFAULT_PENALTY_FACTOR
 from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
 
 
@@ -217,7 +218,7 @@ def compare_modes(
     runs: int,
     limits: SolveLimits,
     *,
-    penalty_factor: int = 0,
+    penalty_factor: int = DEFAULT_PENALTY_FACTOR,
 ) -> ComparisonResult:
     """Benchmark both modes over seeded repeat runs with equal budgets.
 

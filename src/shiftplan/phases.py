@@ -51,7 +51,7 @@ from .domain import (
     check_requirement_cells,
     frozen_grid,
 )
-from .presets import DEFAULT_TIME_BUDGET_SECONDS
+from .presets import DEFAULT_PENALTY_FACTOR, DEFAULT_SEED, DEFAULT_TIME_BUDGET_SECONDS
 
 
 class SolveStatus(str, Enum):
@@ -70,7 +70,7 @@ class SolveLimits:
     """
 
     time_budget_seconds: float = DEFAULT_TIME_BUDGET_SECONDS
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     move_cap: int | None = None
 
     def __post_init__(self):
@@ -299,12 +299,14 @@ def _day_kernels(r: np.ndarray, catalog: ShiftCatalog, head_caps) -> list:
     cr = rows @ cover.T
     base = lengths - 2 * cr
     steps = int(caps.max(initial=0))
-    picks = np.zeros((len(rows), steps), dtype=np.int64)
-    adds = np.zeros((len(rows), steps), dtype=np.int64)
+    picks = np.zeros((steps, len(rows)), dtype=np.int64)
+    adds = np.zeros((steps, len(rows)), dtype=np.int64)
+    every_row, twice_overlap = np.arange(len(rows)), 2 * overlap
     for t in range(steps):
-        picks[:, t] = s = base.argmin(axis=1)
-        adds[:, t] = base[np.arange(len(rows)), s]
-        base += 2 * overlap[s]
+        picks[t] = s = base.argmin(axis=1)
+        adds[t] = base[every_row, s]
+        base += twice_overlap[s]
+    picks, adds = picks.T, adds.T
     built = [
         _DayKernel(overlap, swap_base, cr[k], picks[k, :n], adds[k, :n], squared_norm(rows[k]))
         for k, n in enumerate(caps.tolist())
@@ -357,7 +359,7 @@ def materialize_day(head_counts, agent_count: int, weeks: int) -> DayAllocation:
     within a week a lower agent index has the lexicographically smaller
     pattern.
     """
-    if len(head_counts) != weeks * DAYS_PER_WEEK:
+    if build_week_partition(len(head_counts)) != weeks:
         raise ValueError(
             f"expected {weeks * DAYS_PER_WEEK} day head-counts, got {len(head_counts)}"
         )
@@ -426,7 +428,7 @@ class DayPhaseSpec:
     day_requirements: np.ndarray  # per-day peak head-counts R_D
     agent_count: int
     weeks: int
-    penalty_factor: int = 0
+    penalty_factor: int = DEFAULT_PENALTY_FACTOR
 
     def __post_init__(self):
         r = frozen_grid(self.day_requirements)
@@ -492,7 +494,7 @@ def solve_single_phase(scenario: Scenario, limits: SolveLimits) -> SearchResult:
 
 
 def solve_multi_phase(
-    scenario: Scenario, limits: SolveLimits, penalty_factor: int = 0
+    scenario: Scenario, limits: SolveLimits, penalty_factor: int = DEFAULT_PENALTY_FACTOR
 ) -> SearchResult:
     """Day allocation against daily peaks, then shift allocation within days.
 

@@ -34,6 +34,10 @@ DEFAULT_TIME_BUDGET_SECONDS = 60.0
 DEFAULT_PATIENCE = 2
 DEFAULT_K_MAX = 50
 
+# The seed a solve records, and the day phase's idle-day penalty factor K.
+DEFAULT_SEED = 0
+DEFAULT_PENALTY_FACTOR = 0
+
 
 @dataclass(frozen=True)
 class PeakPresetSpec:

@@ -12,12 +12,15 @@ scenario-file data (``presets``), so ``gen_peak_scenario`` builds its
 ``Scenario`` through the loader.
 """
 
+from __future__ import annotations
+
 import csv
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,9 +38,11 @@ from .domain import (
     check_shift_range,
 )
 from .erlang import check_interval_seconds, requirements_from_volumes
-from .metrics import ComparisonResult, SolveReport
 from .presets import PRESETS, PeakPresetSpec, atomic_open, peak_scenario_data, write_json
-from .tuner import SweepEntry, SweepTrace
+
+if TYPE_CHECKING:  # loading a scenario loads no solver module
+    from .metrics import ComparisonResult, SolveReport
+    from .tuner import SweepTrace
 
 
 class SchemaError(ValueError):
@@ -112,13 +117,25 @@ def _at(path: str):
 
 def _grid(data: dict, key: str, count: int, width: int) -> np.ndarray:
     """``data[key]``, a (count x width) grid of finite numbers, as floats;
-    rows are checked for shape before the grid is allocated."""
+    rows are checked for shape before the grid is allocated.
+
+    The cells are checked in one pass over the whole grid; only a grid that
+    fails it is walked cell by cell, to name its first bad cell."""
     rows, path = data[key], f"$.{key}"
     if not isinstance(rows, list) or len(rows) != count:
         raise SchemaError(f"{path}: expected {count} rows")
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != width:
             raise SchemaError(f"{path}[{i}]: expected {width} entries")
+    if {type(cell) for row in rows for cell in row} <= {int, float}:  # no bool
+        try:
+            grid = np.array(rows, dtype=np.float64)
+        except OverflowError:  # an integer beyond the float range
+            pass
+        else:
+            if np.isfinite(grid).all():
+                return grid
+    for i, row in enumerate(rows):
         for j, cell in enumerate(row):
             _finite_number(cell, f"{path}[{i}][{j}]")
     return np.array(rows, dtype=np.float64)
@@ -272,6 +289,8 @@ def write_sweep_trace(trace: SweepTrace, path: str) -> None:
 
 
 def read_sweep_trace(path: str) -> SweepTrace:
+    from .tuner import SweepEntry, SweepTrace
+
     entries = []
     with open(path, "r", newline="") as handle:
         reader = csv.reader(handle)

@@ -1,17 +1,20 @@
 """Command-line behavior: artifacts, exit codes, reproducibility."""
 
+import inspect
 import json
 import re
 import resource
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from shiftplan.cli import _limits, build_parser, main
 from shiftplan.domain import SlaSpec
 from shiftplan.erlang import required_agents
-from shiftplan.phases import SolveLimits, check_penalty_factor
+from shiftplan.metrics import compare_modes
+from shiftplan.phases import DayPhaseSpec, SolveLimits, check_penalty_factor, solve_multi_phase
 from shiftplan.presets import PRESETS
 from shiftplan.scenario_io import (
     PeakPresetSpec,
@@ -88,6 +91,24 @@ class TestGenScenario:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [code, ["shiftplan", "shiftplan.presets"]]
+
+    def test_requirements_loads_no_solver(self, tmp_path):
+        # sizing a volume scenario needs the loader and Erlang-C, not the phases
+        scenario = tmp_path / "week.json"
+        scenario.write_text(json.dumps(week_scenario()))
+        argv = ["requirements", "--scenario", str(scenario), "--out", str(tmp_path / "req.csv")]
+        done = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert [m for m in loaded if m.split(".")[0] == "shiftplan"] == [
+            "shiftplan",
+            "shiftplan.domain",
+            "shiftplan.erlang",
+            "shiftplan.presets",
+            "shiftplan.scenario_io",
+        ]
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_preset_file_is_the_scenario_written(self, tmp_path, preset):
@@ -304,9 +325,17 @@ class TestFlagDefaults:
     def test_defaults_are_the_library_defaults(self, command):
         argv = [command, "--scenario", "s.json"] + (["--mode", "multi"] if command == "solve" else [])
         args = build_parser().parse_args(argv)
-        assert _limits(args) == SolveLimits()
+        assert _limits(args) == SolveLimits()  # the budget and the seed
         if command == "tune-penalty":
             assert StopConfig(args.patience, args.k_max) == StopConfig()
+        else:
+            owner = {"solve": solve_multi_phase, "compare": compare_modes}[command]
+            assert args.penalty == inspect.signature(owner).parameters["penalty_factor"].default
+            assert args.penalty == DayPhaseSpec(np.zeros(7), 1, 1).penalty_factor
+
+    def test_metrics_seed_is_the_library_default(self):
+        argv = ["metrics", "--scenario", "s.json", "--schedule", "s.csv", "--mode", "multi"]
+        assert build_parser().parse_args(argv).seed == SolveLimits().seed
 
 
 class TestRequirements:

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftplan.erlang import (
+    MAX_LOAD_ERLANGS,
     SlaSpec,
     erlang_b_blocking,
     erlang_c_wait_probability,
@@ -275,3 +276,30 @@ class TestSweepMatchesRestartLoop:
         assert grid.tolist() == expected
         singles = [[required_agents(float(a), 300.0, sla) for a in row] for row in loads]
         assert singles == expected
+
+    @staticmethod
+    def assert_grid_matches(volumes, sla=SlaSpec(0.8, 20.0)):
+        """Size ``volumes`` (AHT equal to the interval, so each volume is its
+        load) and compare every cell with the restart loop."""
+        volumes = np.array(volumes, dtype=np.float64)
+        grid = requirements_from_volumes(volumes, 300.0, sla, 300.0).per_interval
+        offered = volumes * 300.0 / 300.0
+        expected = [[required_agents_restart_loop(float(a), 300.0, sla) for a in row] for row in offered]
+        assert grid.tolist() == expected
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_loads_repeated_across_cells(self, target):
+        # cells of one load share one sizing; the order of cells is kept
+        row = [7.5, 0.0, 120.0, 7.5, 1e-9, 120.0, 33.0, 7.5]
+        self.assert_grid_matches([row, row[::-1], row], SlaSpec(target, 20.0))
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_loads_that_share_a_floor(self, target):
+        # 3.0, 3.25 and 3.999 all start testing at 4 agents
+        self.assert_grid_matches([[3.999, 3.0, 3.25], [3.25, 4.0, 2.999]], SlaSpec(target, 20.0))
+
+    def test_all_zero_grid(self):
+        self.assert_grid_matches([[0.0, 0.0], [0.0, 0.0]])
+
+    def test_single_cell_at_max_load(self):
+        self.assert_grid_matches([[float(MAX_LOAD_ERLANGS)]])

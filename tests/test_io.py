@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 import re
 import tracemalloc
 from dataclasses import fields
@@ -34,6 +35,7 @@ from shiftplan.scenario_io import (
     SCHEDULE_HEADER,
     PeakPresetSpec,
     SchemaError,
+    _finite_number,
     gen_peak_scenario,
     gen_preset_scenario,
     load_scenario,
@@ -290,6 +292,26 @@ def test_loader_reports_the_owners_refusal(case):
     with pytest.raises(SchemaError) as caught:
         scenario_from_data(week_data(**fields))
     assert str(caught.value) == f"{key}: {refused.value}"
+
+
+@pytest.mark.parametrize("grid", ["volumes", "requirements"])
+@pytest.mark.parametrize("cell", [True, "5", math.nan], ids=["true", "string", "nan"])
+def test_grid_names_its_first_bad_cell(tmp_path, grid, cell):
+    """A cell that is no finite number is refused at its own index, with
+    ``_finite_number``'s text, though the whole grid is checked at once; a
+    later bad cell is not the one named."""
+    cells = grid_with(cell)
+    cells[5][0] = math.inf
+    changes = {grid: cells, "interval_seconds": 900.0} if grid == "volumes" else {grid: cells}
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(week_data(**changes)))  # NaN is written as JSON's NaN
+    where = f"$.{grid}[3][1]"
+    with pytest.raises(SchemaError) as refused:
+        _finite_number(cell, where)
+    with pytest.raises(SchemaError) as caught:
+        load_scenario(str(path))
+    assert str(caught.value) == str(refused.value)
+    assert str(caught.value).startswith(f"{where}: expected a ")
 
 
 class TestScheduleCsv:

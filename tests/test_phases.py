@@ -174,6 +174,13 @@ class TestShiftPhase:
         with pytest.raises(ValueError, match="one head-count per day is required"):
             ShiftPhaseSpec(scn.requirements, two_weeks, scn.shift_catalog)
 
+    def test_materialize_day_refuses_a_partial_horizon_by_the_week_rule(self):
+        # an empty horizon failed inside numpy's minimum
+        with pytest.raises(ValueError, match="^horizon not a multiple of 7: got 0 days$"):
+            materialize_day((), 5, 0)
+        with pytest.raises(ValueError, match="^horizon not a multiple of 7: got 3 days$"):
+            materialize_day((1, 1, 1), 1, ONE_WEEK)
+
     def test_negative_shift_count_refused(self):
         allocation = materialize_day((1,) * 5 + (0, 0), 1, ONE_WEEK)
         with pytest.raises(ValueError, match="negative shift count"):
