@@ -41,6 +41,7 @@ _EXPORTS = {
         "count_variables",
         "dvdi",
         "ivdi",
+        "kl_divergence",
     ),
     "phases": (
         "DayPhaseSpec",
@@ -70,13 +71,9 @@ _EXPORTS = {
         "write_sweep_trace",
     ),
     "tuner": (
-        "DistributionPair",
         "StopConfig",
         "SweepTrace",
         "TuneResult",
-        "day_distribution",
-        "kl_divergence",
-        "target_distribution",
         "tune_penalty",
     ),
 }

@@ -152,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     metrics.set_defaults(handler=_cmd_metrics)
 
     compare = commands.add_parser(
-        "compare", help="seeded repeat runs of both modes, with mean summary"
+        "compare",
+        help="repeat runs of both modes, with mean summary; the seed is only"
+        " recorded, so under --move-cap every run repeats one result",
     )
     compare.add_argument("--scenario", required=True)
     compare.add_argument("--runs", type=_POSITIVE_INT, default=10)
@@ -201,15 +203,15 @@ def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
     return report
 
 
-def _tune_and_solve(args, scenario, stop):
-    """The K sweep under ``stop``, then the multi solve at the chosen K with
-    the whole budget."""
+def _tune_and_solve(args, scenario, **stop):
+    """The K sweep, under ``tune_penalty``'s default stop unless ``stop=``
+    gives one, then the multi solve at the chosen K with the whole budget."""
     from .phases import solve_multi_phase
     from .tuner import tune_penalty
 
     limits = _limits(args)
     tuned = tune_penalty(
-        scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), limits, stop
+        scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), limits, **stop
     )
     return tuned, solve_multi_phase(scenario, limits, tuned.trace.selected)
 
@@ -219,11 +221,10 @@ def _cmd_solve(args) -> int:
         raise UsageError("--tune applies to --mode multi only")
     from .phases import solve_multi_phase, solve_single_phase
     from .scenario_io import load_scenario
-    from .tuner import StopConfig
 
     scenario = load_scenario(args.scenario)
     if args.tune:
-        _, result = _tune_and_solve(args, scenario, StopConfig())
+        _, result = _tune_and_solve(args, scenario)
     elif args.mode == "multi":
         result = solve_multi_phase(scenario, _limits(args), args.penalty)
     else:
@@ -241,7 +242,7 @@ def _cmd_tune(args) -> int:
 
     scenario = load_scenario(args.scenario)
     stop = StopConfig(patience=args.patience, k_max=args.k_max)
-    tuned, result = _tune_and_solve(args, scenario, stop)
+    tuned, result = _tune_and_solve(args, scenario, stop=stop)
     trace_path = args.trace or f"{scenario.name}-sweep.csv"
     write_sweep_trace(tuned.trace, trace_path)
     out = args.out or f"{scenario.name}-tuned-schedule.csv"

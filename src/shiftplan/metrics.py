@@ -1,12 +1,15 @@
-"""Evaluation indices and report assembly.
+"""Evaluation indices, the KL divergence of day profiles, and report assembly.
 
 The two deviation indices are reporting-only measures (absolute deviations,
 not the squared objectives the solvers minimize): the day-level index sums
 |required - scheduled| over days, the interval-level one over every
-(day, interval) cell.  ``build_report`` recomputes everything from the raw
-schedule so no number in a report depends on solver bookkeeping.
+(day, interval) cell.  ``kl_divergence`` scores a scheduled day profile
+against the required one; the report carries it and the penalty sweep
+(``tuner``) ranks each K by it.  ``build_report`` recomputes everything from
+the raw schedule so no number in a report depends on solver bookkeeping.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -22,7 +25,8 @@ from .phases import (
     solve_single_phase,
 )
 from .presets import DEFAULT_PENALTY_FACTOR
-from .tuner import DistributionPair, day_distribution, kl_divergence, target_distribution
+
+DEFAULT_EPSILON = 1e-9
 
 
 def _absolute_deviation(required, scheduled) -> int:
@@ -37,6 +41,39 @@ def dvdi(day_requirements, day_coverage) -> int:
 def ivdi(interval_requirements, interval_coverage) -> int:
     """Interval-level absolute deviation across every (day, interval) cell."""
     return _absolute_deviation(interval_requirements, interval_coverage)
+
+
+def kl_divergence(scheduled, required, epsilon: float = DEFAULT_EPSILON) -> float:
+    """D(scheduled shares || required shares), natural log, 0*log(0) = 0.
+
+    Each count vector is normalized to sum 1 here.  Vectors of unequal
+    length, a negative or non-finite count, a zero total, and an ``epsilon``
+    that is not finite and non-negative are refused with a ``ValueError``.
+    The epsilon only smooths the denominator: scheduled mass sitting where
+    ``required share + epsilon`` is zero yields ``inf``.
+    """
+    if not 0.0 <= epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and non-negative, got {epsilon!r}")
+    shares = []
+    for kind, counts in (("scheduled", scheduled), ("required", required)):
+        values = np.asarray(counts, dtype=np.float64)
+        if not (np.isfinite(values).all() and (values >= 0).all()):
+            raise ValueError(f"{kind} head-counts must be finite and non-negative")
+        mass = values.sum()
+        if mass <= 0:
+            raise ValueError(f"cannot normalize: total {kind} head-count is zero")
+        shares.append((values / mass).tolist())
+    if len(shares[0]) != len(shares[1]):
+        raise ValueError("scheduled and required head-counts differ in length")
+    total = 0.0
+    for lam, alpha in zip(*shares):
+        if lam == 0.0:
+            continue
+        denom = alpha + epsilon
+        if denom == 0.0:
+            return math.inf
+        total += lam * math.log(lam / denom)
+    return total
 
 
 @dataclass(frozen=True)
@@ -145,12 +182,7 @@ def build_report(
     )
     kl: float | None
     try:
-        kl = kl_divergence(
-            DistributionPair(
-                day_distribution(coverage.per_day),
-                target_distribution(scenario.requirements.per_day),
-            )
-        )
+        kl = kl_divergence(coverage.per_day, scenario.requirements.per_day)
     except ValueError:
         kl = None  # nothing scheduled or nothing required
     return SolveReport(

@@ -18,17 +18,16 @@ TRACED = ROOT / "perfbench" / "traced.py"
 
 EXPORTED = {
     "ComparisonResult", "ComparisonRun", "DayAllocation", "DayPhaseSpec", "Deadline",
-    "DistributionPair", "PRESETS", "PeakPresetSpec", "RequirementMatrix", "Scenario",
-    "Schedule", "SchemaError", "SearchResult", "ShiftCatalog", "ShiftPhaseSpec", "SlaSpec",
-    "SolveLimits", "SolveReport", "SolveStatus", "StopConfig", "SweepTrace", "TuneResult",
-    "build_report", "build_week_partition", "compare_modes",
-    "count_variables", "coverage_from_schedule", "day_distribution", "dvdi",
-    "erlang_b_blocking", "erlang_c_wait_probability", "gen_peak_scenario",
+    "PRESETS", "PeakPresetSpec", "RequirementMatrix", "Scenario", "Schedule", "SchemaError",
+    "SearchResult", "ShiftCatalog", "ShiftPhaseSpec", "SlaSpec", "SolveLimits",
+    "SolveReport", "SolveStatus", "StopConfig", "SweepTrace", "TuneResult", "build_report",
+    "build_week_partition", "compare_modes", "count_variables", "coverage_from_schedule",
+    "dvdi", "erlang_b_blocking", "erlang_c_wait_probability", "gen_peak_scenario",
     "gen_preset_scenario", "ivdi", "kl_divergence", "load_scenario", "read_schedule",
     "required_agents", "requirements_from_volumes", "save_scenario", "service_level",
     "solve_day_allocation", "solve_multi_phase", "solve_shift_allocation",
-    "solve_single_phase", "target_distribution", "tune_penalty", "validate_schedule",
-    "write_report", "write_schedule", "write_sweep_trace",
+    "solve_single_phase", "tune_penalty", "validate_schedule", "write_report",
+    "write_schedule", "write_sweep_trace",
 }
 
 COLD_IMPORT = """
@@ -44,7 +43,7 @@ shiftplan.SlaSpec
 assert "shiftplan.domain" in sys.modules
 assert not {"shiftplan.erlang", "shiftplan.phases"} & sys.modules.keys()
 from shiftplan import *
-assert len(shiftplan.__all__) == 51 and set(shiftplan.__all__) <= globals().keys()
+assert len(shiftplan.__all__) == 48 and set(shiftplan.__all__) <= globals().keys()
 try:
     shiftplan.nope
 except AttributeError as exc:

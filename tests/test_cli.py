@@ -23,7 +23,7 @@ from shiftplan.scenario_io import (
     load_scenario,
     save_scenario,
 )
-from shiftplan.tuner import StopConfig
+from shiftplan.tuner import StopConfig, tune_penalty
 from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
@@ -109,6 +109,27 @@ class TestGenScenario:
             "shiftplan.presets",
             "shiftplan.scenario_io",
         ]
+
+    @pytest.mark.parametrize(
+        "flags, sweeps",
+        [
+            (["--mode", "single"], False),
+            (["--mode", "multi"], False),
+            (["--mode", "multi", "--tune"], True),
+        ],
+        ids=["single", "multi", "multi-tune"],
+    )
+    def test_only_a_sweep_loads_the_tuner(self, tiny_scenario, tmp_path, flags, sweeps):
+        # the report's KL is metrics', so a plain solve has no use for the tuner
+        outputs = ["--out", str(tmp_path / "s.csv"), "--report", str(tmp_path / "r.json")]
+        argv = ["solve", "--scenario", tiny_scenario, *flags, "--move-cap", "1000", *outputs]
+        done = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        code, loaded = json.loads(done.stdout.splitlines()[-1])
+        assert code == 0
+        assert ("shiftplan.tuner" in loaded) == sweeps
+        assert "shiftplan.metrics" in loaded
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_preset_file_is_the_scenario_written(self, tmp_path, preset):
@@ -319,7 +340,8 @@ class TestFlagRanges:
 
 class TestFlagDefaults:
     """The budget and sweep flags default to the library's own defaults, so
-    ``tune-penalty`` and ``solve --tune`` (which uses ``StopConfig()``) agree."""
+    ``tune-penalty`` and ``solve --tune`` (which takes ``tune_penalty``'s
+    default stop) agree."""
 
     @pytest.mark.parametrize("command", ["solve", "tune-penalty", "compare"])
     def test_defaults_are_the_library_defaults(self, command):
@@ -327,7 +349,8 @@ class TestFlagDefaults:
         args = build_parser().parse_args(argv)
         assert _limits(args) == SolveLimits()  # the budget and the seed
         if command == "tune-penalty":
-            assert StopConfig(args.patience, args.k_max) == StopConfig()
+            stop = inspect.signature(tune_penalty).parameters["stop"].default
+            assert StopConfig(args.patience, args.k_max) == stop
         else:
             owner = {"solve": solve_multi_phase, "compare": compare_modes}[command]
             assert args.penalty == inspect.signature(owner).parameters["penalty_factor"].default

@@ -1,4 +1,7 @@
-"""Deviation indices, report building, and the two-mode comparison harness."""
+"""Deviation indices, the KL, report building, and the two-mode comparison
+harness."""
+
+import random
 
 import numpy as np
 import pytest
@@ -9,10 +12,14 @@ from shiftplan.metrics import (
     compare_modes,
     dvdi,
     ivdi,
+    kl_divergence,
 )
 from shiftplan.phases import SolveLimits, interval_objective_value, solve_multi_phase
 
 from oracles import scenario_from_grid
+from test_replay import load_perfbench
+
+checker = load_perfbench("checker")
 
 
 class TestIndices:
@@ -103,7 +110,33 @@ class TestBuildReport:
             scn, result.schedule, "multi", seed=0, runtime_seconds=0.0
         )
         assert report.kl_day_distribution is None
+        assert checker.kl_day_distribution(report.per_day_coverage, report.per_day_required) is None
         assert report.objective_value == report.ivdi  # all-ones deviations square to 1
+
+
+class TestKlCrossCheck:
+    """``kl_divergence`` against the benchmark checker's own KL, which shares
+    no code with the package."""
+
+    def test_equal_to_the_checker_on_random_counts(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            days = 7 * rng.randint(1, 4)
+            scheduled = [rng.choice((0, rng.randint(1, 60))) for _ in range(days)]
+            scheduled[rng.randrange(days)] += 1
+            required = [rng.randint(1, 60) for _ in range(days)]
+            required[rng.randrange(days)] = 0
+            assert kl_divergence(scheduled, required) == checker.kl_day_distribution(
+                scheduled, required
+            )
+
+    def test_both_none_when_nothing_scheduled(self):
+        # nothing required: TestBuildReport.test_kl_none_when_nothing_required
+        scn = scenario_from_grid(np.ones((7, 2)), agents=0, shifts=((0, 1),))
+        result = solve_multi_phase(scn, SolveLimits(move_cap=500))
+        report = build_report(scn, result.schedule, "multi", seed=0, runtime_seconds=0.0)
+        assert report.kl_day_distribution is None
+        assert checker.kl_day_distribution(report.per_day_coverage, report.per_day_required) is None
 
 
 class TestCompareModes:

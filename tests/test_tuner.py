@@ -9,42 +9,37 @@ import pytest
 
 from shiftplan.domain import build_week_partition
 from shiftplan.phases import MAX_PENALTY, SolveLimits
+from shiftplan.metrics import kl_divergence
 from shiftplan.tuner import (
-    DistributionPair,
     StopConfig,
     SweepEntry,
     SweepTrace,
-    day_distribution,
-    kl_divergence,
-    target_distribution,
     tune_penalty,
 )
 from test_phases import PENALTY_RULE
 
 ONE_WEEK = build_week_partition(7)
+COUNT_RULE = "head-counts must be finite and non-negative"
+EPSILON_RULE = "epsilon must be finite and non-negative"
+ZERO_RULE = "cannot normalize: total {} head-count is zero"
 
 
 class TestKlDivergence:
     def test_identity_is_zero(self):
-        pair = DistributionPair((0.25, 0.25, 0.5), (0.25, 0.25, 0.5), epsilon=0.0)
-        assert kl_divergence(pair) == 0.0
+        assert kl_divergence((0.25, 0.25, 0.5), (0.25, 0.25, 0.5), epsilon=0.0) == 0.0
 
     def test_reference_value(self):
         # 0.5 ln 2 + 0.5 ln(2/3)
-        pair = DistributionPair((0.5, 0.5), (0.25, 0.75))
-        assert kl_divergence(pair) == pytest.approx(0.14384, abs=1e-5)
+        assert kl_divergence((0.5, 0.5), (0.25, 0.75)) == pytest.approx(0.14384, abs=1e-5)
 
     def test_zero_workload_terms_skipped(self):
-        pair = DistributionPair((0.0, 1.0), (0.5, 0.5), epsilon=0.0)
-        assert kl_divergence(pair) == pytest.approx(math.log(2.0))
+        assert kl_divergence((0.0, 1.0), (0.5, 0.5), epsilon=0.0) == pytest.approx(math.log(2.0))
 
     def test_mass_on_empty_target_is_infinite(self):
-        pair = DistributionPair((0.5, 0.5), (0.0, 1.0), epsilon=0.0)
-        assert kl_divergence(pair) == math.inf
+        assert kl_divergence((0.5, 0.5), (0.0, 1.0), epsilon=0.0) == math.inf
 
     def test_epsilon_keeps_it_finite(self):
-        pair = DistributionPair((0.5, 0.5), (0.0, 1.0))
-        value = kl_divergence(pair)
+        value = kl_divergence((0.5, 0.5), (0.0, 1.0))
         assert math.isfinite(value) and value > 1.0
 
     def test_non_negative_over_random_pairs(self):
@@ -53,33 +48,50 @@ class TestKlDivergence:
             n = rng.randint(2, 9)
             raw_w = [rng.random() for _ in range(n)]
             raw_t = [rng.random() + 1e-6 for _ in range(n)]
-            w = tuple(x / sum(raw_w) for x in raw_w)
-            t = tuple(x / sum(raw_t) for x in raw_t)
-            assert kl_divergence(DistributionPair(w, t, epsilon=0.0)) >= -1e-12
+            assert kl_divergence(raw_w, raw_t, epsilon=0.0) >= -1e-12
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="share a positive length"):
-            DistributionPair((1.0,), (0.5, 0.5))
-        with pytest.raises(ValueError, match="does not sum to 1"):
-            DistributionPair((0.9,), (1.0,))
-        with pytest.raises(ValueError, match="negative entries"):
-            DistributionPair((1.5, -0.5), (0.5, 0.5))
-        with pytest.raises(ValueError, match="epsilon must be non-negative"):
-            DistributionPair((1.0,), (1.0,), epsilon=-1e-9)
+        with pytest.raises(ValueError, match="differ in length"):
+            kl_divergence((1.0,), (0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^scheduled {COUNT_RULE}$"):
+            kl_divergence((1.5, -0.5), (0.5, 0.5))
+        with pytest.raises(ValueError, match=f"^{EPSILON_RULE}, got -1e-09$"):
+            kl_divergence((1.0,), (1.0,), epsilon=-1e-9)
+
+    @pytest.mark.parametrize(
+        "scheduled, epsilon, refusal",
+        [
+            ((math.nan, 1.0), 1e-9, f"scheduled {COUNT_RULE}"),
+            ((1.0, 1.0), math.nan, f"{EPSILON_RULE}, got nan"),
+            ((1.0, 1.0), math.inf, f"{EPSILON_RULE}, got inf"),
+        ],
+        ids=["nan-count", "nan-epsilon", "inf-epsilon"],
+    )
+    def test_non_finite_input_refused(self, scheduled, epsilon, refusal):
+        with pytest.raises(ValueError, match=f"^{re.escape(refusal)}$"):
+            kl_divergence(scheduled, (1.0, 3.0), epsilon=epsilon)
 
 
 class TestNormalization:
+    """Each count vector is normalized inside ``kl_divergence``."""
+
     def test_day_distribution(self):
-        assert day_distribution([2, 2, 4]) == (0.25, 0.25, 0.5)
+        assert kl_divergence([2, 2, 4], (0.25, 0.25, 0.5), epsilon=0.0) == 0.0
+        with pytest.raises(ValueError, match=f"^scheduled {COUNT_RULE}$"):
+            kl_divergence([2, math.inf, 4], (0.25, 0.25, 0.5))
 
     def test_target_distribution(self):
-        assert target_distribution(np.array([1, 3])) == (0.25, 0.75)
+        assert kl_divergence((0.25, 0.75), np.array([1, 3]), epsilon=0.0) == 0.0
+        with pytest.raises(ValueError, match=f"^required {COUNT_RULE}$"):
+            kl_divergence((0.25, 0.75), np.array([-1, 3]))
 
     def test_zero_totals_rejected(self):
-        with pytest.raises(ValueError, match="cannot normalize"):
-            day_distribution([0, 0])
-        with pytest.raises(ValueError, match="cannot normalize"):
-            target_distribution([0.0])
+        with pytest.raises(ValueError, match=f"^{ZERO_RULE.format('scheduled')}$"):
+            kl_divergence([0, 0], [1, 1])
+        with pytest.raises(ValueError, match=f"^{ZERO_RULE.format('required')}$"):
+            kl_divergence([1.0], [0.0])
+        with pytest.raises(ValueError, match=f"^{ZERO_RULE.format('scheduled')}$"):
+            kl_divergence((), ())
 
 
 class TestTunePenalty:
