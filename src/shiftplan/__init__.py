@@ -71,7 +71,6 @@ _EXPORTS = {
         "write_sweep_trace",
     ),
     "tuner": (
-        "StopConfig",
         "SweepTrace",
         "TuneResult",
         "tune_penalty",

@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Subcommands mirror the library surface: ``gen-scenario``, ``requirements``,
-``solve``, ``tune-penalty``, ``metrics``, and ``compare``.  Exit codes:
+``solve``, ``metrics``, and ``compare``.  ``solve --mode multi --tune`` sweeps
+the penalty factor K (``tuner.tune_penalty``, which stops after
+``tuner.PATIENCE`` non-improving steps or at ``tuner.K_MAX``) and solves at
+the chosen K; ``--sweep FILE`` also writes the sweep as CSV.  Exit codes:
 
 * 0 success
 * 1 usage error (bad flags, unreadable files)
@@ -17,7 +20,7 @@ import sys
 
 # Only the presets load with this module: each handler imports what it runs,
 # so gen-scenario, --help and usage errors start without numpy.
-from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE, DEFAULT_PENALTY_FACTOR, DEFAULT_SEED
+from .presets import DEFAULT_PENALTY_FACTOR, DEFAULT_SEED
 from .presets import DEFAULT_TIME_BUDGET_SECONDS, PRESETS, peak_scenario_data, write_json
 
 
@@ -122,22 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="sweep K and use the best factor instead of --penalty (multi mode)",
     )
+    solve.add_argument("--sweep", default=None, metavar="FILE", help="with --tune: the sweep as CSV")
     solve.add_argument("--out", default=None, help="schedule CSV (default <name>-<mode>-schedule.csv)")
     solve.add_argument("--report", default=None, help="report JSON (default <name>-<mode>-report.json)")
     solve.set_defaults(handler=_cmd_solve)
-
-    tune = commands.add_parser(
-        "tune-penalty", help="sweep the day-balancing penalty factor"
-    )
-    tune.add_argument("--scenario", required=True)
-    tune.add_argument("--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED)
-    _add_budget_flags(tune)  # the multi solve's budget, as for solve --tune
-    tune.add_argument("--patience", type=_POSITIVE_INT, default=DEFAULT_PATIENCE)
-    tune.add_argument("--k-max", type=_penalty, default=DEFAULT_K_MAX)
-    tune.add_argument("--trace", default=None, help="sweep CSV (default <name>-sweep.csv)")
-    tune.add_argument("--out", default=None, help="chosen-K schedule CSV (default <name>-tuned-schedule.csv)")
-    tune.add_argument("--report", default=None, help="optional report JSON for the tuned schedule")
-    tune.set_defaults(handler=_cmd_tune)
 
     metrics = commands.add_parser(
         "metrics", help="recompute the report for an existing schedule"
@@ -189,65 +180,41 @@ def _cmd_requirements(args) -> int:
     return 0
 
 
-def _write_outputs(args, scenario, result, mode: str, out: str, report_path):
-    """Write ``result``'s schedule to ``out`` and, unless ``report_path`` is
-    None, its report; returns the report or None."""
-    from .metrics import result_report
-    from .scenario_io import write_report, write_schedule
-
-    write_schedule(result.schedule, scenario.shift_catalog, out)
-    if report_path is None:
-        return None
-    report = result_report(scenario, result, mode, args.seed)
-    write_report(report, report_path, deterministic=args.move_cap is not None)
-    return report
-
-
-def _tune_and_solve(args, scenario, **stop):
-    """The K sweep, under ``tune_penalty``'s default stop unless ``stop=``
-    gives one, then the multi solve at the chosen K with the whole budget."""
-    from .phases import solve_multi_phase
-    from .tuner import tune_penalty
-
-    limits = _limits(args)
-    tuned = tune_penalty(
-        scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), limits, **stop
-    )
-    return tuned, solve_multi_phase(scenario, limits, tuned.trace.selected)
-
-
 def _cmd_solve(args) -> int:
-    if args.tune and args.mode != "multi":  # a usage error: before any file is read
+    # usage errors: raised before any file is read
+    if args.tune and args.mode != "multi":
         raise UsageError("--tune applies to --mode multi only")
+    if args.sweep is not None and not args.tune:
+        raise UsageError("--sweep applies to --tune only")
     from .phases import solve_multi_phase, solve_single_phase
-    from .scenario_io import load_scenario
+    from .scenario_io import load_scenario, write_report, write_schedule, write_sweep_trace
 
     scenario = load_scenario(args.scenario)
-    if args.tune:
-        _, result = _tune_and_solve(args, scenario)
-    elif args.mode == "multi":
-        result = solve_multi_phase(scenario, _limits(args), args.penalty)
+    limits = _limits(args)
+    penalty = args.penalty
+    if args.tune:  # the K sweep spends no budget: the solve at its K gets it all
+        from .tuner import tune_penalty
+
+        trace = tune_penalty(
+            scenario.requirements.per_day, scenario.agent_count, scenario.week_partition(), limits
+        ).trace
+        penalty = trace.selected
+        if args.sweep is not None:
+            write_sweep_trace(trace, args.sweep)
+    if args.mode == "multi":
+        result = solve_multi_phase(scenario, limits, penalty)
     else:
-        result = solve_single_phase(scenario, _limits(args))
+        result = solve_single_phase(scenario, limits)
+    # imported after the solve, whose heap peak it would otherwise raise
+    from .metrics import result_report
+
     out = args.out or f"{scenario.name}-{args.mode}-schedule.csv"
     report_path = args.report or f"{scenario.name}-{args.mode}-report.json"
-    report = _write_outputs(args, scenario, result, args.mode, out, report_path)
-    print(f"wrote {out} and {report_path} (objective {report.objective_value})")
-    return 0
-
-
-def _cmd_tune(args) -> int:
-    from .scenario_io import load_scenario, write_sweep_trace
-    from .tuner import StopConfig
-
-    scenario = load_scenario(args.scenario)
-    stop = StopConfig(patience=args.patience, k_max=args.k_max)
-    tuned, result = _tune_and_solve(args, scenario, stop=stop)
-    trace_path = args.trace or f"{scenario.name}-sweep.csv"
-    write_sweep_trace(tuned.trace, trace_path)
-    out = args.out or f"{scenario.name}-tuned-schedule.csv"
-    _write_outputs(args, scenario, result, "multi", out, args.report)
-    print(f"selected K={tuned.trace.selected}; wrote {trace_path} and {out}")
+    write_schedule(result.schedule, scenario.shift_catalog, out)
+    report = result_report(scenario, result, args.mode, args.seed)
+    write_report(report, report_path, deterministic=args.move_cap is not None)
+    tuned = f", selected K={penalty}" if args.tune else ""
+    print(f"wrote {out} and {report_path} (objective {report.objective_value}{tuned})")
     return 0
 
 

@@ -29,10 +29,8 @@ DEFAULT_SLA_TARGET = 0.8
 DEFAULT_THRESHOLD_SECONDS = 20.0
 DEFAULT_AHT_SECONDS = 300.0
 
-# A solve's wall-clock budget, and the K sweep's patience and largest K.
+# A solve's wall-clock budget.
 DEFAULT_TIME_BUDGET_SECONDS = 60.0
-DEFAULT_PATIENCE = 2
-DEFAULT_K_MAX = 50
 
 # The seed a solve records, and the day phase's idle-day penalty factor K.
 DEFAULT_SEED = 0

@@ -289,6 +289,9 @@ def write_sweep_trace(trace: SweepTrace, path: str) -> None:
 
 
 def read_sweep_trace(path: str) -> SweepTrace:
+    """A sweep trace CSV; each row must be one a sweep writes, so that
+    ``selected`` does not depend on the row order."""
+    from .phases import check_penalty_factor
     from .tuner import SweepEntry, SweepTrace
 
     entries = []
@@ -304,6 +307,12 @@ def read_sweep_trace(path: str) -> SweepTrace:
                 entry = SweepEntry(int(row[0]), float(row[1]), tuple(map(int, row[2:])))
             except ValueError as exc:
                 raise SchemaError(f"$[{i}]: expected numbers ({exc})") from exc
+            with _at(f"$[{i}]"):
+                check_penalty_factor(entry.penalty_factor)
+            if math.isnan(entry.kl):  # NaN compares false both ways: no least KL
+                raise SchemaError(f"$[{i}]: kl is NaN")
+            if min(entry.day_counts, default=0) < 0:
+                raise SchemaError(f"$[{i}]: negative head-count")
             entries.append(entry)
     if not entries:
         raise SchemaError("$: trace has no rows")

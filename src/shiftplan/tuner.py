@@ -4,29 +4,20 @@ Raising the penalty factor pulls scheduled head-counts away from "everyone on
 the busiest days" toward the shape of the demand itself.  The sweep takes the
 day phase's head-counts (``phases.day_head_counts``) for K = 0, 1, 2, ... and
 keeps the K whose scheduled day profile sits closest to the required one by
-``metrics.kl_divergence``, the report's KL, stopping after a configurable
-run of non-improving steps.  It keeps head-counts only: a caller
-that needs working days solves the chosen K's day phase.
+``metrics.kl_divergence``, the report's KL, stopping after ``PATIENCE``
+non-improving steps in a row or at ``K_MAX``.  It keeps head-counts only: a
+caller that needs working days solves the chosen K's day phase.
 """
 
 from dataclasses import dataclass
 
 from .metrics import kl_divergence
-from .phases import DayPhaseSpec, SolveLimits, check_penalty_factor, day_head_counts
-from .presets import DEFAULT_K_MAX, DEFAULT_PATIENCE
+from .phases import DayPhaseSpec, SolveLimits, day_head_counts
 
-
-@dataclass(frozen=True)
-class StopConfig:
-    """Sweep stopping rule: give up after ``patience`` non-improving K values."""
-
-    patience: int = DEFAULT_PATIENCE
-    k_max: int = DEFAULT_K_MAX
-
-    def __post_init__(self):
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
-        check_penalty_factor(self.k_max)  # every swept K is a day phase's penalty factor
+# The stop rule: the sweep gives up after PATIENCE non-improving K values in a
+# row, and its largest K is K_MAX, which must be a valid penalty factor.
+PATIENCE = 2
+K_MAX = 50
 
 
 @dataclass(frozen=True)
@@ -56,9 +47,8 @@ def tune_penalty(
     agent_count: int,
     weeks: int,
     per_k_limits: SolveLimits,
-    stop: StopConfig = StopConfig(),
 ) -> TuneResult:
-    """Sweep the day phase's head-counts over K = 0..k_max.
+    """Sweep the day phase's head-counts over K = 0..K_MAX.
 
     The inputs are checked once, as a ``DayPhaseSpec``: fractional or
     mismatched requirements are refused with a ``ValueError``.  The exact day
@@ -71,7 +61,7 @@ def tune_penalty(
     entries: list[SweepEntry] = []
     best_kl: float | None = None
     stagnant = 0
-    for k in range(stop.k_max + 1):
+    for k in range(K_MAX + 1):
         head_counts = day_head_counts(spec.day_requirements, agent_count, weeks, k)
         kl = kl_divergence(head_counts, spec.day_requirements)
         entries.append(SweepEntry(k, kl, head_counts))
@@ -79,6 +69,6 @@ def tune_penalty(
             best_kl, stagnant = kl, 0
         else:
             stagnant += 1
-            if stagnant >= stop.patience:
+            if stagnant >= PATIENCE:
                 break
     return TuneResult(SweepTrace(tuple(entries)))

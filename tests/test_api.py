@@ -20,7 +20,7 @@ EXPORTED = {
     "ComparisonResult", "ComparisonRun", "DayAllocation", "DayPhaseSpec", "Deadline",
     "PRESETS", "PeakPresetSpec", "RequirementMatrix", "Scenario", "Schedule", "SchemaError",
     "SearchResult", "ShiftCatalog", "ShiftPhaseSpec", "SlaSpec", "SolveLimits",
-    "SolveReport", "SolveStatus", "StopConfig", "SweepTrace", "TuneResult", "build_report",
+    "SolveReport", "SolveStatus", "SweepTrace", "TuneResult", "build_report",
     "build_week_partition", "compare_modes", "count_variables", "coverage_from_schedule",
     "dvdi", "erlang_b_blocking", "erlang_c_wait_probability", "gen_peak_scenario",
     "gen_preset_scenario", "ivdi", "kl_divergence", "load_scenario", "read_schedule",
@@ -43,7 +43,7 @@ shiftplan.SlaSpec
 assert "shiftplan.domain" in sys.modules
 assert not {"shiftplan.erlang", "shiftplan.phases"} & sys.modules.keys()
 from shiftplan import *
-assert len(shiftplan.__all__) == 48 and set(shiftplan.__all__) <= globals().keys()
+assert len(shiftplan.__all__) == 47 and set(shiftplan.__all__) <= globals().keys()
 try:
     shiftplan.nope
 except AttributeError as exc:

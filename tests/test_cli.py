@@ -21,9 +21,9 @@ from shiftplan.scenario_io import (
     gen_peak_scenario,
     gen_preset_scenario,
     load_scenario,
+    read_sweep_trace,
     save_scenario,
 )
-from shiftplan.tuner import StopConfig, tune_penalty
 from test_phases import CAPPED_GRID, CAPPED_SHIFTS
 
 TINY = PeakPresetSpec(
@@ -82,14 +82,17 @@ class TestGenScenario:
             (["--help"], 0),
             (["solve"], 1),
             (["solve", "--scenario", "{tmp}/none.json", "--mode", "single", "--tune"], 1),
+            (["solve", "--scenario", "{tmp}/none.json", "--mode", "multi", "--sweep", "s.csv"], 1),
+            (["tune-penalty", "--scenario", "{tmp}/none.json"], 1),  # folded into solve --tune
         ],
-        ids=["gen-scenario", "help", "usage-error", "single-tune"],
+        ids=["gen-scenario", "help", "usage-error", "single-tune", "sweep-no-tune", "tune-penalty"],
     )
     def test_start_up_loads_no_solver(self, tmp_path, argv, code):
         argv = [arg.format(tmp=tmp_path) for arg in argv]
         done = subprocess.run([sys.executable, "-c", AS_MAIN, *argv],
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr
         assert json.loads(done.stdout.splitlines()[-1]) == [code, ["shiftplan", "shiftplan.presets"]]
 
     def test_requirements_loads_no_solver(self, tmp_path):
@@ -243,6 +246,12 @@ class TestSolve:
         assert code == 1
         assert capsys.readouterr().err == "usage error: --tune applies to --mode multi only\n"
 
+    def test_sweep_requires_tune_before_the_file_is_read(self, tmp_path, capsys):
+        argv = ["solve", "--scenario", str(tmp_path / "none.json"), "--mode", "multi"]
+        assert main(argv + ["--sweep", str(tmp_path / "sweep.csv")]) == 1
+        assert capsys.readouterr().err == "usage error: --sweep applies to --tune only\n"
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_tune_flag_solves_with_selected_k(self, tiny_scenario, tmp_path):
         out = tmp_path / "s.csv"
         report = tmp_path / "r.json"
@@ -318,20 +327,15 @@ class TestFlagRanges:
             ["solve", "--mode", "multi", "--penalty", "3037000500"],  # K² beyond int64
             ["compare", "--penalty", "1000001"],
             ["compare", "--runs", "0"],
-            ["tune-penalty", "--patience", "0"],
-            ["tune-penalty", "--k-max", "-1"],
-            ["tune-penalty", "--k-max", "1000001"],
         ],
         ids=lambda argv: " ".join(argv[-2:]),
     )
     def test_out_of_range_flag_is_usage_error(self, tiny_scenario, tmp_path, capsys, argv):
         outputs = ["--out", str(tmp_path / "out"), "--report", str(tmp_path / "rep.json")]
-        if argv[0] == "tune-penalty":
-            outputs += ["--trace", str(tmp_path / "trace.csv")]
         code = main([argv[0], "--scenario", tiny_scenario] + argv[1:] + outputs)
         assert code == 1
         refusal = "must be"
-        if argv[-2] in ("--penalty", "--k-max"):  # the penalty rule's owner words it
+        if argv[-2] == "--penalty":  # the penalty rule's owner words it
             with pytest.raises(ValueError) as refused:
                 check_penalty_factor(int(argv[-1]))
             refusal = str(refused.value)
@@ -339,22 +343,17 @@ class TestFlagRanges:
 
 
 class TestFlagDefaults:
-    """The budget and sweep flags default to the library's own defaults, so
-    ``tune-penalty`` and ``solve --tune`` (which takes ``tune_penalty``'s
-    default stop) agree."""
+    """The budget and penalty flags default to the library's own defaults, so
+    a flag left out means what the library's default means."""
 
-    @pytest.mark.parametrize("command", ["solve", "tune-penalty", "compare"])
+    @pytest.mark.parametrize("command", ["solve", "compare"])
     def test_defaults_are_the_library_defaults(self, command):
         argv = [command, "--scenario", "s.json"] + (["--mode", "multi"] if command == "solve" else [])
         args = build_parser().parse_args(argv)
         assert _limits(args) == SolveLimits()  # the budget and the seed
-        if command == "tune-penalty":
-            stop = inspect.signature(tune_penalty).parameters["stop"].default
-            assert StopConfig(args.patience, args.k_max) == stop
-        else:
-            owner = {"solve": solve_multi_phase, "compare": compare_modes}[command]
-            assert args.penalty == inspect.signature(owner).parameters["penalty_factor"].default
-            assert args.penalty == DayPhaseSpec(np.zeros(7), 1, 1).penalty_factor
+        owner = {"solve": solve_multi_phase, "compare": compare_modes}[command]
+        assert args.penalty == inspect.signature(owner).parameters["penalty_factor"].default
+        assert args.penalty == DayPhaseSpec(np.zeros(7), 1, 1).penalty_factor
 
     def test_metrics_seed_is_the_library_default(self):
         argv = ["metrics", "--scenario", "s.json", "--schedule", "s.csv", "--mode", "multi"]
@@ -676,26 +675,15 @@ class TestObjectiveBeyondInt64:
 
 
 class TestTunePenalty:
-    def test_writes_trace_and_schedule(self, tiny_scenario, tmp_path):
+    """``solve --tune --sweep FILE``: the sweep CSV beside the tuned solve."""
+
+    def test_writes_trace_and_schedule(self, tiny_scenario, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         out = tmp_path / "sched.csv"
         report = tmp_path / "rep.json"
         code = main(
-            [
-                "tune-penalty",
-                "--scenario",
-                tiny_scenario,
-                "--move-cap",
-                "3000",
-                "--k-max",
-                "4",
-                "--trace",
-                str(trace),
-                "--out",
-                str(out),
-                "--report",
-                str(report),
-            ]
+            ["solve", "--scenario", tiny_scenario, "--mode", "multi", "--tune", "--move-cap", "3000",
+             "--sweep", str(trace), "--out", str(out), "--report", str(report)]
         )
         assert code == 0
         lines = trace.read_text().splitlines()
@@ -703,8 +691,10 @@ class TestTunePenalty:
         assert len(lines) >= 2
         assert out.read_text().startswith("agent,day_index,")
         assert json.loads(report.read_text())["mode"] == "multi"
+        selected = read_sweep_trace(str(trace)).selected
+        assert capsys.readouterr().out.endswith(f", selected K={selected})\n")
 
-    def test_writes_what_solve_tune_writes(self, tmp_path):
+    def test_writes_what_solve_tune_writes(self, tmp_path, capsys):
         # the shift descent on this week prices 979 swaps, so a cap of 800 binds
         scenario = week_scenario(
             intervals_per_day=12,
@@ -715,16 +705,19 @@ class TestTunePenalty:
         del scenario["volumes"]
         path = tmp_path / "s.json"
         path.write_text(json.dumps(scenario))
-        flags = ["--scenario", str(path), "--seed", "3", "--move-cap", "800"]
+        flags = ["solve", "--mode", "multi", "--tune", "--scenario", str(path), "--seed", "3",
+                 "--move-cap", "800"]
         solved = [tmp_path / "solve.csv", tmp_path / "solve.json"]
-        tuned = [tmp_path / "tune.csv", tmp_path / "tune.json"]
-        code = main(["solve", "--mode", "multi", "--tune", *flags, "--out", str(solved[0]),
-                     "--report", str(solved[1])])
-        assert code == 0
-        code = main(["tune-penalty", *flags, "--trace", str(tmp_path / "sweep.csv"),
-                     "--out", str(tuned[0]), "--report", str(tuned[1])])
-        assert code == 0
-        assert [p.read_bytes() for p in solved] == [p.read_bytes() for p in tuned]
+        swept = [tmp_path / "swept.csv", tmp_path / "swept.json"]
+        assert main([*flags, "--out", str(solved[0]), "--report", str(solved[1])]) == 0
+        printed = capsys.readouterr().out
+        sweep = tmp_path / "sweep.csv"
+        assert main([*flags, "--sweep", str(sweep), "--out", str(swept[0]),
+                     "--report", str(swept[1])]) == 0
+        assert [p.read_bytes() for p in solved] == [p.read_bytes() for p in swept]
+        selected = re.search(r", selected K=(\d+)\)$", printed)
+        assert selected is not None
+        assert read_sweep_trace(str(sweep)).selected == int(selected[1])
 
 
 class TestMetrics:
@@ -833,7 +826,7 @@ class TestTinyTimeBudget:
 
     @pytest.mark.parametrize("command", [
         ["solve", "--mode", "multi", "--out", "s.csv", "--report", "r.json"],
-        ["tune-penalty", "--trace", "t.csv", "--out", "s.csv"],
+        ["solve", "--mode", "multi", "--tune", "--sweep", "t.csv", "--out", "s.csv", "--report", "r.json"],
         ["compare", "--runs", "1", "--out", "c.json"],
     ])
     def test_exits_zero(self, tiny_scenario, tmp_path, monkeypatch, capsys, command):

@@ -575,6 +575,20 @@ class TestSweepCsv:
         with pytest.raises(SchemaError, match=message):
             read_sweep_trace(str(path))
 
+    @pytest.mark.parametrize("rows, message", [
+        # with a NaN KL, the least KL would depend on the row order
+        ("0,nan,3\n1,0.5,4\n", r"^\$\[0\]: kl is NaN$"),
+        ("1,0.5,4\n0,nan,3\n", r"^\$\[1\]: kl is NaN$"),
+        ("0,0.5,3\n-1,0.25,4\n", r"^\$\[1\]: penalty factor must lie in \[0, 1000000\], got -1$"),
+        ("1000001,0.5,3\n", r"^\$\[0\]: penalty factor must lie in \[0, 1000000\], got 1000001$"),
+        ("0,0.5,3\n1,0.25,-4\n", r"^\$\[1\]: negative head-count$"),
+    ], ids=["nan-kl-first", "nan-kl-last", "negative-k", "k-beyond-max", "negative-head-count"])
+    def test_row_no_sweep_writes_is_refused(self, tmp_path, rows, message):
+        path = tmp_path / "t.csv"
+        path.write_text("k,kl,p_d0\n" + rows)
+        with pytest.raises(SchemaError, match=message):
+            read_sweep_trace(str(path))
+
 
 # A report's JSON keys, in order: SolveReport's field names.
 REPORT_KEYS = [

@@ -7,16 +7,11 @@ import re
 import numpy as np
 import pytest
 
+from shiftplan import tuner
 from shiftplan.domain import build_week_partition
-from shiftplan.phases import MAX_PENALTY, SolveLimits
+from shiftplan.phases import SolveLimits, check_penalty_factor
 from shiftplan.metrics import kl_divergence
-from shiftplan.tuner import (
-    StopConfig,
-    SweepEntry,
-    SweepTrace,
-    tune_penalty,
-)
-from test_phases import PENALTY_RULE
+from shiftplan.tuner import SweepEntry, SweepTrace, tune_penalty
 
 ONE_WEEK = build_week_partition(7)
 COUNT_RULE = "head-counts must be finite and non-negative"
@@ -112,20 +107,18 @@ class TestTunePenalty:
 
     def test_patience_stops_sweep(self):
         r = np.array([22, 22, 22, 22, 23, 11, 11])
-        result = tune_penalty(
-            r, 7, ONE_WEEK, SolveLimits(move_cap=20_000), StopConfig(patience=2, k_max=50)
-        )
+        result = tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=20_000))
         ks = [e.penalty_factor for e in result.trace.entries]
         # swept some K past the winner, then stopped after two non-improvements
         assert ks == list(range(len(ks)))
         assert ks[-1] == result.trace.selected + 2
         assert len(ks) < 51
 
-    def test_k_max_caps_sweep(self):
+    def test_k_max_caps_sweep(self, monkeypatch):
+        monkeypatch.setattr(tuner, "PATIENCE", 9)
+        monkeypatch.setattr(tuner, "K_MAX", 3)
         r = np.array([22, 22, 22, 22, 23, 11, 11])
-        result = tune_penalty(
-            r, 7, ONE_WEEK, SolveLimits(move_cap=10_000), StopConfig(patience=9, k_max=3)
-        )
+        result = tune_penalty(r, 7, ONE_WEEK, SolveLimits(move_cap=10_000))
         assert [e.penalty_factor for e in result.trace.entries] == [0, 1, 2, 3]
 
     def test_ties_keep_smaller_k(self):
@@ -153,16 +146,10 @@ class TestTunePenalty:
         assert [e.kl for e in a.trace.entries] == [e.kl for e in b.trace.entries]
         assert a.trace.selected == b.trace.selected
 
-    def test_stop_config_refusals(self):
-        with pytest.raises(ValueError, match="patience must be at least 1"):
-            StopConfig(patience=0)
-        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got -1")):
-            StopConfig(k_max=-1)
-
-    def test_k_max_beyond_max_penalty_refused(self):
-        StopConfig(k_max=MAX_PENALTY)
-        with pytest.raises(ValueError, match=re.escape(PENALTY_RULE + ", got 1000001")):
-            StopConfig(k_max=MAX_PENALTY + 1)
+    def test_stop_rule_constants_are_valid(self):
+        # the sweep calls day_head_counts directly, so nothing else checks K_MAX
+        check_penalty_factor(tuner.K_MAX)
+        assert tuner.PATIENCE >= 1
 
     def test_needs_agents(self):
         with pytest.raises(ValueError, match="at least one agent"):
