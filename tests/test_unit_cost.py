@@ -44,7 +44,7 @@ def deviation(scenario, schedule):
     return interval_objective_value(scenario.requirements.per_interval, coverage.per_interval)
 
 
-class TestCrossCheck:
+class TestPricedCrossCheck:
     @pytest.mark.parametrize("seed", range(48))
     def test_local_against_exact_model_and_report(self, seed):
         scn = micro_instance(random.Random(seed))
